@@ -6,18 +6,15 @@ imbalanced losses, two-stage logit calibrators, synthetic long-tailed data,
 and a finite-difference gradient checker backing every analytic backward.
 """
 
-from .calibrators import (CALIBRATOR_VARIANTS, CalibContext, Calibrator,
-                          CrtCalibrator, DisAlignCalibrator, LwsCalibrator,
-                          MarcCalibrator, apply, calibrator_backward,
+from .calibrators import (CALIBRATOR_VARIANTS, Calibrator, calibrator_layout,
                           context_weight_norms, init_calibrator)
 from .checkpoint import load_checkpoint, save_checkpoint
 from .data import (CLASS_BALANCED, INSTANCE_BALANCED, FeatureDataset,
                    SyntheticSpec, exponential_profile, generate_synthetic_lt,
                    load_features, load_matrix_text, load_text_table,
                    sample_batch, save_features)
-from .decoder import (DecoderConfig, DecoderHead, ForwardCache, backward,
-                      backward_batch, block_backward, block_forward, forward,
-                      forward_batch, init_decoder)
+from .decoder import (DecoderConfig, DecoderHead, ForwardCache, backward_batch,
+                      forward_batch, init_decoder, param_layout)
 from .exceptions import (ConfigError, DataError, DivergenceError, DomainError,
                          EvaluationError, FormatError, ShapeError, StateError)
 from .gradsuite import run_gradcheck
@@ -25,10 +22,9 @@ from .losses import (VARIANTS, ClassStats, LossSpec, bsm_biases,
                      build_class_stats, cbw_weights, lade_dv_regularizer,
                      ldam_margins, loss_eval, make_loss_spec,
                      stats_from_counts, total_loss)
-from .numerics import (GradCheckReport, dropout_mask, finite_diff_check, gelu,
-                       gelu_grad, layer_norm, layer_norm_backward,
-                       log_sum_exp, make_rng, matmul, softmax_rows,
-                       spawn_rngs)
+from .numerics import (GradCheckReport, ParamVector, dropout_mask,
+                       finite_diff_check, gelu, gelu_grad, layer_norm,
+                       layer_norm_backward, make_rng, softmax_rows)
 from .training import (EvalReport, MomentumState, TextClassEmbeddings,
                        TrainConfig, config_fingerprint, evaluate, init_momentum,
                        lr_at, metrics_from_predictions, parse_run_config,

@@ -14,22 +14,32 @@ reproduces the original logits bit for bit.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Union
 
 import numpy as np
 
 from .exceptions import ConfigError, ShapeError, StateError
-from .numerics import Array
+from .numerics import FAN_IN, Array, ParamVector
 
-CALIBRATOR_VARIANTS = ("crt", "lws", "disalign", "marc")
+# variant -> (name, shape, initial value) of each parameter in storage order.
+# Shapes are in units of K (classes) and D (pooled feature dim); every
+# variant but CRT starts at its identity.
+_LAYOUTS = {
+    "crt": (("weight", ("K", "D"), FAN_IN), ("bias", ("K",), 0.0)),
+    "lws": (("scales", ("K",), 1.0),),
+    "disalign": (("alpha", ("K",), 1.0), ("beta", ("K",), 0.0),
+                 ("conf_weight", ("D",), 0.0), ("conf_bias", (1,), 0.0)),
+    "marc": (("omega", ("K",), 1.0), ("beta", ("K",), 0.0)),
+}
+CALIBRATOR_VARIANTS = tuple(_LAYOUTS)
 
 
-@dataclass
-class CalibContext:
-    """What a calibrator may look at for one sample."""
-    pooled: Array        # (D,) pooled feature
-    logits: Array        # (K,) raw classifier logits
-    weight_norms: Array  # (K,) L2 norms of the classifier rows
+def calibrator_layout(variant: str, num_classes: int, dim: int) -> list:
+    """(name, shape, initial value) of a variant's parameters, storage order."""
+    if variant not in _LAYOUTS:
+        raise ConfigError(f"unknown calibrator variant {variant!r}")
+    sizes = {"K": num_classes, "D": dim}
+    return [(name, tuple(sizes.get(n, n) for n in shape), init)
+            for name, shape, init in _LAYOUTS[variant]]
 
 
 def context_weight_norms(cls_weight: Array) -> Array:
@@ -37,78 +47,35 @@ def context_weight_norms(cls_weight: Array) -> Array:
     return np.sqrt(np.sum(np.asarray(cls_weight, dtype=np.float64) ** 2, axis=1))
 
 
-@dataclass
-class CrtCalibrator:
-    variant = "crt"
-    weight: Array  # (K, D)
-    bias: Array    # (K,)
+class Calibrator:
+    """A stage-two calibrator whose parameters are views into one vector.
+
+    The names in the variant's layout read as attributes (`cal.scales`,
+    `cal.omega`, ...). Without `vector` every parameter starts at zero.
+    """
+
+    def __init__(self, variant: str, num_classes: int, dim: int,
+                 vector: Array | None = None):
+        self.variant = variant
+        self.num_classes, self.dim = num_classes, dim
+        self.params = ParamVector(calibrator_layout(variant, num_classes, dim),
+                                  vector)
+        vars(self).update(self.params)
 
     def param_dict(self) -> dict[str, Array]:
-        return {"weight": self.weight, "bias": self.bias}
-
-
-@dataclass
-class LwsCalibrator:
-    variant = "lws"
-    scales: Array  # (K,)
-
-    def param_dict(self) -> dict[str, Array]:
-        return {"scales": self.scales}
-
-
-@dataclass
-class DisAlignCalibrator:
-    variant = "disalign"
-    alpha: Array        # (K,)
-    beta: Array         # (K,)
-    conf_weight: Array  # (D,)
-    conf_bias: Array    # (1,)
-
-    def param_dict(self) -> dict[str, Array]:
-        return {"alpha": self.alpha, "beta": self.beta,
-                "conf_weight": self.conf_weight, "conf_bias": self.conf_bias}
-
-
-@dataclass
-class MarcCalibrator:
-    variant = "marc"
-    omega: Array  # (K,)
-    beta: Array   # (K,)
-
-    def param_dict(self) -> dict[str, Array]:
-        return {"omega": self.omega, "beta": self.beta}
-
-
-Calibrator = Union[CrtCalibrator, LwsCalibrator, DisAlignCalibrator, MarcCalibrator]
+        return dict(self.params)
 
 
 def init_calibrator(variant: str, num_classes: int, dim: int,
-                    rng: np.random.Generator,
-                    classifier_for_crt: tuple[Array, Array] | None = None) -> Calibrator:
+                    rng: np.random.Generator) -> Calibrator:
     """Fresh calibrator.
 
-    CRT draws a new scaled-uniform fan-in classifier from `rng` (the stage-one
-    classifier, when given, only pins the expected shape). The other variants
-    start at their identity configurations.
+    CRT draws a new scaled-uniform fan-in classifier from `rng`. The other
+    variants start at their identity configurations and draw nothing.
     """
-    if variant == "crt":
-        if classifier_for_crt is not None:
-            w, b = classifier_for_crt
-            if w.shape != (num_classes, dim) or b.shape != (num_classes,):
-                raise ShapeError("stage-one classifier shape does not match K x D")
-        bound = 1.0 / np.sqrt(dim)
-        return CrtCalibrator(weight=rng.uniform(-bound, bound, (num_classes, dim)),
-                             bias=np.zeros(num_classes))
-    if variant == "lws":
-        return LwsCalibrator(scales=np.ones(num_classes))
-    if variant == "disalign":
-        return DisAlignCalibrator(alpha=np.ones(num_classes),
-                                  beta=np.zeros(num_classes),
-                                  conf_weight=np.zeros(dim),
-                                  conf_bias=np.zeros(1))
-    if variant == "marc":
-        return MarcCalibrator(omega=np.ones(num_classes), beta=np.zeros(num_classes))
-    raise ConfigError(f"unknown calibrator variant {variant!r}")
+    cal = Calibrator(variant, num_classes, dim)
+    cal.params.initialize(rng)
+    return cal
 
 
 def _sigmoid(x: Array) -> Array:
@@ -138,79 +105,56 @@ def apply_batch(cal: Calibrator, pooled: Array, logits: Array,
     weight_norms = np.asarray(weight_norms, dtype=np.float64)
     if pooled.ndim != 2 or logits.ndim != 2 or pooled.shape[0] != logits.shape[0]:
         raise ShapeError("pooled features and logits must share a batch axis")
+    if pooled.shape[1] != cal.dim or logits.shape[1] != cal.num_classes:
+        raise ShapeError(f"{cal.variant} calibrator expects {cal.dim}-dim pooled "
+                         f"features and {cal.num_classes} logits")
     cache = ApplyCache(variant=cal.variant, pooled=pooled, logits=logits,
                        weight_norms=weight_norms)
-    if isinstance(cal, CrtCalibrator):
-        if cal.weight.shape[1] != pooled.shape[1]:
-            raise ShapeError("CRT classifier dim does not match pooled features")
+    if cal.variant == "crt":
         return pooled @ cal.weight.T + cal.bias, cache
-    if isinstance(cal, LwsCalibrator):
-        if cal.scales.shape[0] != logits.shape[1]:
-            raise ShapeError("scale vector length does not match logits")
+    if cal.variant == "lws":
         return logits * cal.scales, cache
-    if isinstance(cal, DisAlignCalibrator):
-        if cal.conf_weight.shape[0] != pooled.shape[1]:
-            raise ShapeError("confidence weights do not match pooled features")
+    if cal.variant == "disalign":
         sigma = _sigmoid(pooled @ cal.conf_weight + cal.conf_bias[0])
         gated = cal.alpha * logits + cal.beta
         cache.sigma, cache.gated = sigma, gated
         return sigma[:, None] * gated + (1.0 - sigma)[:, None] * logits, cache
-    if isinstance(cal, MarcCalibrator):
-        if cal.omega.shape[0] != logits.shape[1]:
-            raise ShapeError("omega length does not match logits")
-        return cal.omega * logits + cal.beta * weight_norms, cache
-    raise ConfigError(f"unknown calibrator type {type(cal).__name__}")
+    return cal.omega * logits + cal.beta * weight_norms, cache  # marc
 
 
 def backward_batch(cal: Calibrator, cache: ApplyCache,
-                   dadjusted: Array) -> tuple[dict[str, Array], Array, Array]:
-    """Gradients of a cached apply_batch: (parameter grads, dlogits, dpooled)."""
+                   dadjusted: Array) -> tuple[ParamVector, Array, Array]:
+    """Gradients of a cached apply_batch: (parameter grads, dlogits, dpooled).
+
+    The parameter gradients share the calibrator's layout and names.
+    """
     if cache.variant != cal.variant:
         raise StateError("cache was produced by a different calibrator variant")
     dadjusted = np.asarray(dadjusted, dtype=np.float64)
-    if dadjusted.shape != cache.logits.shape and not isinstance(cal, CrtCalibrator):
+    if dadjusted.shape != cache.logits.shape:
         raise StateError("gradient shape does not match the cached apply")
     pooled, logits = cache.pooled, cache.logits
-    if isinstance(cal, CrtCalibrator):
-        grads = {"weight": dadjusted.T @ pooled, "bias": dadjusted.sum(axis=0)}
+    grads = ParamVector(cal.params.layout)
+    if cal.variant == "crt":
+        grads["weight"][...] = dadjusted.T @ pooled
+        grads["bias"][...] = dadjusted.sum(axis=0)
         return grads, np.zeros_like(logits), dadjusted @ cal.weight
-    if isinstance(cal, LwsCalibrator):
-        grads = {"scales": np.sum(logits * dadjusted, axis=0)}
+    if cal.variant == "lws":
+        grads["scales"][...] = np.sum(logits * dadjusted, axis=0)
         return grads, cal.scales * dadjusted, np.zeros_like(pooled)
-    if isinstance(cal, DisAlignCalibrator):
+    if cal.variant == "disalign":
         sigma, gated = cache.sigma, cache.gated
         if sigma is None or gated is None:
             raise StateError("disalign cache is missing its gate activations")
         dsigma = np.sum(dadjusted * (gated - logits), axis=1)
         dpre = dsigma * sigma * (1.0 - sigma)
-        grads = {
-            "alpha": np.sum(sigma[:, None] * logits * dadjusted, axis=0),
-            "beta": np.sum(sigma[:, None] * dadjusted, axis=0),
-            "conf_weight": pooled.T @ dpre,
-            "conf_bias": np.array([dpre.sum()]),
-        }
+        grads["alpha"][...] = np.sum(sigma[:, None] * logits * dadjusted, axis=0)
+        grads["beta"][...] = np.sum(sigma[:, None] * dadjusted, axis=0)
+        grads["conf_weight"][...] = pooled.T @ dpre
+        grads["conf_bias"][...] = dpre.sum()
         dlogits = dadjusted * (sigma[:, None] * cal.alpha + (1.0 - sigma)[:, None])
         dpooled = dpre[:, None] * cal.conf_weight
         return grads, dlogits, dpooled
-    if isinstance(cal, MarcCalibrator):
-        grads = {"omega": np.sum(logits * dadjusted, axis=0),
-                 "beta": np.sum(cache.weight_norms * dadjusted, axis=0)}
-        return grads, cal.omega * dadjusted, np.zeros_like(pooled)
-    raise ConfigError(f"unknown calibrator type {type(cal).__name__}")
-
-
-def apply(cal: Calibrator, ctx: CalibContext) -> tuple[Array, ApplyCache]:
-    """Adjust one sample's logits."""
-    adjusted, cache = apply_batch(cal, ctx.pooled[None], ctx.logits[None],
-                                  ctx.weight_norms)
-    return adjusted[0], cache
-
-
-def calibrator_backward(cal: Calibrator, cache: ApplyCache,
-                        dadjusted: Array) -> tuple[dict[str, Array], Array, Array]:
-    """Single-sample gradients matching `apply`."""
-    dadjusted = np.asarray(dadjusted, dtype=np.float64)
-    if dadjusted.ndim != 1:
-        raise ShapeError("expected a (K,) gradient vector")
-    grads, dlogits, dpooled = backward_batch(cal, cache, dadjusted[None])
-    return grads, dlogits[0], dpooled[0]
+    grads["omega"][...] = np.sum(logits * dadjusted, axis=0)  # marc
+    grads["beta"][...] = np.sum(cache.weight_norms * dadjusted, axis=0)
+    return grads, cal.omega * dadjusted, np.zeros_like(pooled)

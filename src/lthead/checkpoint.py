@@ -5,12 +5,14 @@ Layout (little-endian):
     version    u32 1
     config     u32 depth, u32 heads, f64 mlp_ratio, f64 dropout,
                u32 dim, u32 num_classes
-    params     all head parameters, declaration order, f64
+    params     the head's parameter vector, `decoder.param_layout` order, f64
     counts     num_classes x u64 training class counts
     cal tag    u8: 0 none, 1 crt, 2 lws, 3 disalign, 4 marc
-    cal params f64, field order
+    cal params the calibrator's vector, `calibrators.calibrator_layout`
+               order, f64
 
-Round trips are bit-exact.
+Round trips are bit-exact. Loading sizes every read from the header and
+checks it against the file before allocating.
 """
 
 from __future__ import annotations
@@ -19,12 +21,12 @@ import struct
 
 import numpy as np
 
-from .calibrators import (Calibrator, CrtCalibrator, DisAlignCalibrator,
-                          LwsCalibrator, MarcCalibrator)
-from .decoder import DecoderConfig, DecoderHead, init_decoder
+from .calibrators import Calibrator, calibrator_layout
+from .data import expect_end, read_exact
+from .decoder import DecoderConfig, DecoderHead, param_layout
 from .exceptions import FormatError
 from .losses import ClassStats, stats_from_counts
-from .numerics import make_rng
+from .numerics import layout_size
 
 MAGIC = b"LTFH"
 VERSION = 1
@@ -33,10 +35,6 @@ _CONFIG = struct.Struct("<IIddII")
 
 _CAL_TAGS = {None: 0, "crt": 1, "lws": 2, "disalign": 3, "marc": 4}
 _TAG_VARIANTS = {v: k for k, v in _CAL_TAGS.items()}
-
-
-def _cal_param_arrays(cal: Calibrator) -> list[np.ndarray]:
-    return list(cal.param_dict().values())
 
 
 def save_checkpoint(path, head: DecoderHead, class_counts,
@@ -49,77 +47,43 @@ def save_checkpoint(path, head: DecoderHead, class_counts,
         fh.write(_HEADER.pack(MAGIC, VERSION))
         fh.write(_CONFIG.pack(cfg.depth, cfg.heads, cfg.mlp_ratio, cfg.dropout,
                               cfg.dim, cfg.num_classes))
-        for _, arr in head.param_items():
-            fh.write(arr.astype("<f8").tobytes())
+        fh.write(head.params.vector.astype("<f8", copy=False).tobytes())
         fh.write(counts.astype("<u8").tobytes())
         fh.write(struct.pack("<B", _CAL_TAGS[None if calibrator is None
                                              else calibrator.variant]))
         if calibrator is not None:
-            for arr in _cal_param_arrays(calibrator):
-                fh.write(arr.astype("<f8").tobytes())
+            fh.write(calibrator.params.vector.astype("<f8", copy=False).tobytes())
 
 
-def _read_exact(fh, nbytes: int, offset: int, what: str) -> bytes:
-    buf = fh.read(nbytes)
-    if len(buf) != nbytes:
-        raise FormatError(f"truncated checkpoint: expected {nbytes} bytes of "
-                          f"{what} at byte {offset}, got {len(buf)}")
-    return buf
-
-
-def _read_floats(fh, count: int, offset: int, what: str) -> tuple[np.ndarray, int]:
-    buf = _read_exact(fh, 8 * count, offset, what)
-    return np.frombuffer(buf, dtype="<f8").copy(), offset + 8 * count
+def _read_vector(fh, layout, what: str) -> np.ndarray:
+    buf = read_exact(fh, 8 * layout_size(layout), what)
+    return np.frombuffer(buf, dtype="<f8").astype(np.float64)
 
 
 def load_checkpoint(path) -> tuple[DecoderHead, ClassStats, Calibrator | None]:
     with open(path, "rb") as fh:
-        magic, version = _HEADER.unpack(_read_exact(fh, _HEADER.size, 0, "header"))
+        magic, version = _HEADER.unpack(read_exact(fh, _HEADER.size, "header"))
         if magic != MAGIC:
             raise FormatError(f"bad magic {magic!r} at byte 0, expected {MAGIC!r}")
         if version != VERSION:
             raise FormatError(f"unsupported checkpoint version {version} at byte 4")
-        offset = _HEADER.size
         depth, heads, mlp_ratio, dropout, dim, num_classes = _CONFIG.unpack(
-            _read_exact(fh, _CONFIG.size, offset, "config"))
-        offset += _CONFIG.size
+            read_exact(fh, _CONFIG.size, "config"))
         config = DecoderConfig(dim=dim, num_classes=num_classes, depth=depth,
                                heads=heads, mlp_ratio=mlp_ratio, dropout=dropout)
-        # Template head pins the parameter shapes; contents are overwritten.
-        head = init_decoder(config, make_rng(0))
-        for name, arr in head.param_items():
-            flat, offset = _read_floats(fh, arr.size, offset, name)
-            arr[...] = flat.reshape(arr.shape)
-        counts_buf = _read_exact(fh, 8 * num_classes, offset, "class counts")
-        offset += 8 * num_classes
+        head = DecoderHead(config, _read_vector(fh, param_layout(config),
+                                                "head parameters"))
+        counts_buf = read_exact(fh, 8 * num_classes, "class counts")
         counts = np.frombuffer(counts_buf, dtype="<u8").astype(np.int64)
-        tag = _read_exact(fh, 1, offset, "calibrator tag")[0]
-        offset += 1
+        tag = read_exact(fh, 1, "calibrator tag")[0]
         if tag not in _TAG_VARIANTS:
-            raise FormatError(f"unknown calibrator tag {tag} at byte {offset - 1}")
+            raise FormatError(f"unknown calibrator tag {tag} at byte {fh.tell() - 1}")
         variant = _TAG_VARIANTS[tag]
         calibrator = None
         if variant is not None:
-            k, d = num_classes, dim
-            if variant == "crt":
-                w, offset = _read_floats(fh, k * d, offset, "crt weight")
-                b, offset = _read_floats(fh, k, offset, "crt bias")
-                calibrator = CrtCalibrator(weight=w.reshape(k, d), bias=b)
-            elif variant == "lws":
-                s, offset = _read_floats(fh, k, offset, "lws scales")
-                calibrator = LwsCalibrator(scales=s)
-            elif variant == "disalign":
-                alpha, offset = _read_floats(fh, k, offset, "disalign alpha")
-                beta, offset = _read_floats(fh, k, offset, "disalign beta")
-                cw, offset = _read_floats(fh, d, offset, "disalign conf weight")
-                cb, offset = _read_floats(fh, 1, offset, "disalign conf bias")
-                calibrator = DisAlignCalibrator(alpha=alpha, beta=beta,
-                                                conf_weight=cw, conf_bias=cb)
-            else:
-                omega, offset = _read_floats(fh, k, offset, "marc omega")
-                beta, offset = _read_floats(fh, k, offset, "marc beta")
-                calibrator = MarcCalibrator(omega=omega, beta=beta)
-        if fh.read(1):
-            raise FormatError(f"trailing bytes after byte {offset}")
+            layout = calibrator_layout(variant, num_classes, dim)
+            calibrator = Calibrator(variant, num_classes, dim, _read_vector(
+                fh, layout, f"{variant} parameters"))
+        expect_end(fh)
 
     return head, stats_from_counts(counts), calibrator

@@ -15,6 +15,7 @@ Binary feature file layout (all little-endian):
 
 from __future__ import annotations
 
+import os
 import struct
 from dataclasses import dataclass
 
@@ -167,18 +168,35 @@ def save_features(ds: FeatureDataset, path) -> None:
         fh.write(ds.features.astype("<f8").tobytes())
 
 
-def _read_exact(fh, nbytes: int, offset: int, what: str) -> bytes:
+def read_exact(fh, nbytes: int, what: str) -> bytes:
+    """Read `nbytes` of `what` from a binary file opened for reading.
+
+    The count is checked against the bytes left in the file before anything
+    is read or allocated, so a header that claims more data than the file
+    holds raises FormatError instead of exhausting memory.
+    """
+    offset = fh.tell()
+    left = os.fstat(fh.fileno()).st_size - offset
+    if nbytes > left:
+        raise FormatError(f"{fh.name}: truncated at byte {offset}: {what} "
+                          f"needs {nbytes} bytes, {left} remain")
     buf = fh.read(nbytes)
     if len(buf) != nbytes:
-        raise FormatError(f"truncated feature file: expected {nbytes} bytes of "
-                          f"{what} at byte {offset}, got {len(buf)}")
+        raise FormatError(f"{fh.name}: {what} at byte {offset} shrank while "
+                          "being read")
     return buf
+
+
+def expect_end(fh) -> None:
+    """Reject bytes after the last field of a binary file."""
+    if fh.read(1):
+        raise FormatError(f"{fh.name}: trailing bytes after byte {fh.tell() - 1}")
 
 
 def load_features(path) -> FeatureDataset:
     """Read a binary feature file written by `save_features`."""
     with open(path, "rb") as fh:
-        header = _read_exact(fh, _HEADER.size, 0, "header")
+        header = read_exact(fh, _HEADER.size, "header")
         magic, version, n, t, d, k, role_code = _HEADER.unpack(header)
         if magic != MAGIC:
             raise FormatError(f"bad magic {magic!r} at byte 0, expected {MAGIC!r}")
@@ -187,13 +205,9 @@ def load_features(path) -> FeatureDataset:
         if role_code not in _ROLE_NAMES:
             raise FormatError(f"unknown role code {role_code} at byte "
                               f"{_HEADER.size - 1}")
-        offset = _HEADER.size
-        labels_bytes = _read_exact(fh, 4 * n, offset, "labels")
-        offset += 4 * n
-        feats_bytes = _read_exact(fh, 8 * n * t * d, offset, "features")
-        offset += 8 * n * t * d
-        if fh.read(1):
-            raise FormatError(f"trailing bytes after byte {offset}")
+        labels_bytes = read_exact(fh, 4 * n, "labels")
+        feats_bytes = read_exact(fh, 8 * n * t * d, "features")
+        expect_end(fh)
     labels = np.frombuffer(labels_bytes, dtype="<u4").astype(np.int64)
     feats = np.frombuffer(feats_bytes, dtype="<f8").reshape(n, t, d)
     return FeatureDataset(features=feats, labels=labels, num_classes=k,

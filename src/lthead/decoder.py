@@ -17,8 +17,9 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from .exceptions import ConfigError, ShapeError, StateError
-from .numerics import (Array, LayerNormCache, dropout_mask, gelu_with_grad,
-                       layer_norm, layer_norm_backward, softmax_last)
+from .numerics import (FAN_IN, Array, LayerNormCache, ParamVector, dropout_mask,
+                       gelu_with_grad, layer_norm, layer_norm_backward,
+                       softmax_last)
 
 
 @dataclass(frozen=True)
@@ -40,8 +41,8 @@ class DecoderConfig:
                 f"dim {self.dim} must be divisible by heads {self.heads}")
         if not 0.0 <= self.dropout < 1.0:
             raise ConfigError("dropout must lie in [0, 1)")
-        if self.mlp_ratio <= 0:
-            raise ConfigError("mlp_ratio must be positive")
+        if not 0 < self.mlp_ratio < math.inf:
+            raise ConfigError("mlp_ratio must be positive and finite")
 
     @property
     def head_dim(self) -> int:
@@ -54,79 +55,83 @@ class DecoderConfig:
 
 @dataclass
 class BlockParams:
-    """One pre-norm block. Weight matrices are (out, in), applied as x @ W.T."""
+    """One pre-norm block's parameters: views into the head's vector.
+
+    Weight matrices are (out, in), applied as x @ W.T; `param_layout` gives
+    the shapes.
+    """
     ln1_gamma: Array
     ln1_beta: Array
-    qkv_weight: Array   # (3D, D), rows ordered q, k, v
-    qkv_bias: Array     # (3D,)
-    proj_weight: Array  # (D, D)
-    proj_bias: Array    # (D,)
+    qkv_weight: Array   # rows ordered q, k, v
+    qkv_bias: Array
+    proj_weight: Array
+    proj_bias: Array
     ln2_gamma: Array
     ln2_beta: Array
-    fc1_weight: Array   # (H, D)
-    fc1_bias: Array     # (H,)
-    fc2_weight: Array   # (D, H)
-    fc2_bias: Array     # (D,)
+    fc1_weight: Array
+    fc1_bias: Array
+    fc2_weight: Array
+    fc2_bias: Array
 
 
 BLOCK_FIELDS = tuple(f.name for f in fields(BlockParams))
 
 
-@dataclass
+def param_layout(config: DecoderConfig) -> list[tuple[str, tuple, object]]:
+    """(name, shape, initial value) of every head parameter, in storage order.
+
+    This order is the checkpoint's byte order and the order of fan-in draws
+    at initialization.
+    """
+    d, h, k = config.dim, config.hidden, config.num_classes
+    block = (("ln1_gamma", (d,), 1.0), ("ln1_beta", (d,), 0.0),
+             ("qkv_weight", (3 * d, d), FAN_IN), ("qkv_bias", (3 * d,), 0.0),
+             ("proj_weight", (d, d), FAN_IN), ("proj_bias", (d,), 0.0),
+             ("ln2_gamma", (d,), 1.0), ("ln2_beta", (d,), 0.0),
+             ("fc1_weight", (h, d), FAN_IN), ("fc1_bias", (h,), 0.0),
+             ("fc2_weight", (d, h), FAN_IN), ("fc2_bias", (d,), 0.0))
+    layout = [(f"blocks.{i}.{name}", shape, init)
+              for i in range(config.depth) for name, shape, init in block]
+    return layout + [("cls_weight", (k, d), FAN_IN), ("cls_bias", (k,), 0.0)]
+
+
 class DecoderHead:
-    config: DecoderConfig
-    blocks: list[BlockParams]
-    cls_weight: Array  # (K, D)
-    cls_bias: Array    # (K,)
+    """A head whose parameters are views into one float64 vector.
+
+    `params` maps the dotted names of `param_layout` to views of
+    `params.vector`; `blocks`, `cls_weight` and `cls_bias` are the same
+    views. Without `vector` every parameter starts at zero.
+    """
+
+    def __init__(self, config: DecoderConfig, vector: Array | None = None):
+        self.config = config
+        self.params = ParamVector(param_layout(config), vector)
+        self.blocks = [
+            BlockParams(**{n: self.params[f"blocks.{i}.{n}"] for n in BLOCK_FIELDS})
+            for i in range(config.depth)]
+        self.cls_weight = self.params["cls_weight"]  # (K, D)
+        self.cls_bias = self.params["cls_bias"]      # (K,)
 
     def param_items(self) -> list[tuple[str, Array]]:
-        """All parameters in declaration order, with stable dotted names."""
-        items = []
-        for i, blk in enumerate(self.blocks):
-            for name in BLOCK_FIELDS:
-                items.append((f"blocks.{i}.{name}", getattr(blk, name)))
-        items.append(("cls_weight", self.cls_weight))
-        items.append(("cls_bias", self.cls_bias))
-        return items
+        """All parameters in storage order, with stable dotted names."""
+        return list(self.params.items())
 
     def param_dict(self) -> dict[str, Array]:
-        return dict(self.param_items())
+        return dict(self.params)
 
     def num_params(self) -> int:
-        return sum(a.size for _, a in self.param_items())
-
-
-def _uniform_fan_in(rng: np.random.Generator, out_dim: int, in_dim: int) -> Array:
-    bound = 1.0 / math.sqrt(in_dim)
-    return rng.uniform(-bound, bound, size=(out_dim, in_dim))
+        return self.params.vector.size
 
 
 def init_decoder(config: DecoderConfig, rng: np.random.Generator) -> DecoderHead:
-    """Fresh head: scaled-uniform fan-in weights, zero biases, identity norms.
-
-    Draw order is fixed (per block, in field order), so a given seed yields
-    bit-identical parameters.
-    """
-    d, h = config.dim, config.hidden
-    blocks = []
-    for _ in range(config.depth):
-        blocks.append(BlockParams(
-            ln1_gamma=np.ones(d), ln1_beta=np.zeros(d),
-            qkv_weight=_uniform_fan_in(rng, 3 * d, d), qkv_bias=np.zeros(3 * d),
-            proj_weight=_uniform_fan_in(rng, d, d), proj_bias=np.zeros(d),
-            ln2_gamma=np.ones(d), ln2_beta=np.zeros(d),
-            fc1_weight=_uniform_fan_in(rng, h, d), fc1_bias=np.zeros(h),
-            fc2_weight=_uniform_fan_in(rng, d, h), fc2_bias=np.zeros(d),
-        ))
-    cls_weight = _uniform_fan_in(rng, config.num_classes, d)
-    cls_bias = np.zeros(config.num_classes)
-    return DecoderHead(config=config, blocks=blocks,
-                       cls_weight=cls_weight, cls_bias=cls_bias)
+    """Fresh head: scaled-uniform fan-in weights, zero biases, identity norms."""
+    head = DecoderHead(config)
+    head.params.initialize(rng)
+    return head
 
 
 @dataclass
 class BlockCache:
-    x_in: Array          # (B, T, D) block input
     ln1: LayerNormCache
     xhat1: Array         # (B, T, D)
     q: Array | None      # (B, h, T, dh); None on the single-token fast path
@@ -134,7 +139,6 @@ class BlockCache:
     v: Array | None
     attn: Array | None   # (B, h, T, T) softmax weights
     ctx: Array           # (B, T, D) merged attention context
-    x_mid: Array         # (B, T, D) after attention residual
     ln2: LayerNormCache
     xhat2: Array
     h_act: Array         # (B, T, H) gelu output
@@ -194,50 +198,47 @@ def _block_forward_batch(params: BlockParams, x: Array, config: DecoderConfig,
     mlp = _linear(h_act, params.fc2_weight, params.fc2_bias)
     mask = dropout_mask(mlp.shape, config.dropout, rng, train_mode)
     out = x_mid + mlp * mask
-    cache = BlockCache(x_in=x, ln1=ln1, xhat1=xhat1, q=q, k=k, v=v, attn=attn,
-                       ctx=ctx, x_mid=x_mid, ln2=ln2, xhat2=xhat2,
+    cache = BlockCache(ln1=ln1, xhat1=xhat1, q=q, k=k, v=v, attn=attn,
+                       ctx=ctx, ln2=ln2, xhat2=xhat2,
                        h_act=h_act, h_grad=h_grad, mask=mask)
     return out, cache
 
 
-def _linear_backward(dout: Array, x: Array, weight: Array):
+def _linear_backward(dout: Array, x: Array, weight: Array,
+                     dweight: Array, dbias: Array) -> Array:
+    """Write the weight and bias gradients into `dweight`/`dbias`; return dx."""
     b, t, _ = dout.shape
     dflat = dout.reshape(b * t, -1)
-    xflat = x.reshape(b * t, -1)
-    dweight = dflat.T @ xflat
-    dbias = dflat.sum(axis=0)
-    dx = (dflat @ weight).reshape(b, t, -1)
-    return dx, dweight, dbias
+    np.matmul(dflat.T, x.reshape(b * t, -1), out=dweight)
+    np.sum(dflat, axis=0, out=dbias)
+    return (dflat @ weight).reshape(b, t, -1)
 
 
 def _block_backward_batch(params: BlockParams, cache: BlockCache, dout: Array,
-                          config: DecoderConfig) -> tuple[Array, dict[str, Array]]:
-    grads: dict[str, Array] = {}
-
+                          config: DecoderConfig, grads: BlockParams) -> Array:
+    """Write every one of the block's parameter gradients into `grads`; return dx."""
     # MLP path: out = x_mid + mask * fc2(gelu(fc1(LN2(x_mid))))
     dmlp = dout * cache.mask
-    dh_act, grads["fc2_weight"], grads["fc2_bias"] = _linear_backward(
-        dmlp, cache.h_act, params.fc2_weight)
+    dh_act = _linear_backward(dmlp, cache.h_act, params.fc2_weight,
+                              grads.fc2_weight, grads.fc2_bias)
     dh_pre = dh_act * cache.h_grad
-    dxhat2, grads["fc1_weight"], grads["fc1_bias"] = _linear_backward(
-        dh_pre, cache.xhat2, params.fc1_weight)
-    dx_ln2, grads["ln2_gamma"], grads["ln2_beta"] = layer_norm_backward(
+    dxhat2 = _linear_backward(dh_pre, cache.xhat2, params.fc1_weight,
+                              grads.fc1_weight, grads.fc1_bias)
+    dx_ln2, grads.ln2_gamma[...], grads.ln2_beta[...] = layer_norm_backward(
         cache.ln2, dxhat2)
     dx_mid = dout + dx_ln2
 
     # Attention path: x_mid = x + proj(merge(attn @ v))
-    dctx, grads["proj_weight"], grads["proj_bias"] = _linear_backward(
-        dx_mid, cache.ctx, params.proj_weight)
+    dctx = _linear_backward(dx_mid, cache.ctx, params.proj_weight,
+                            grads.proj_weight, grads.proj_bias)
     d = config.dim
     if cache.attn is None:
         # Single token: dscores vanishes identically, so only the v slice of
         # the qkv projection receives gradient.
-        dxhat1, dv_weight, dv_bias = _linear_backward(
-            dctx, cache.xhat1, params.qkv_weight[2 * d:])
-        grads["qkv_weight"] = np.zeros_like(params.qkv_weight)
-        grads["qkv_weight"][2 * d:] = dv_weight
-        grads["qkv_bias"] = np.zeros_like(params.qkv_bias)
-        grads["qkv_bias"][2 * d:] = dv_bias
+        grads.qkv_weight[:2 * d] = 0.0
+        grads.qkv_bias[:2 * d] = 0.0
+        dxhat1 = _linear_backward(dctx, cache.xhat1, params.qkv_weight[2 * d:],
+                                  grads.qkv_weight[2 * d:], grads.qkv_bias[2 * d:])
     else:
         dctx_h = _split_heads(dctx, config.heads)
         dattn = dctx_h @ cache.v.transpose(0, 1, 3, 2)
@@ -250,12 +251,11 @@ def _block_backward_batch(params: BlockParams, cache: BlockCache, dout: Array,
         dk = dscores.transpose(0, 1, 3, 2) @ cache.q * scale
         dqkv = np.concatenate(
             [_merge_heads(dq), _merge_heads(dk), _merge_heads(dv)], axis=-1)
-        dxhat1, grads["qkv_weight"], grads["qkv_bias"] = _linear_backward(
-            dqkv, cache.xhat1, params.qkv_weight)
-    dx_ln1, grads["ln1_gamma"], grads["ln1_beta"] = layer_norm_backward(
+        dxhat1 = _linear_backward(dqkv, cache.xhat1, params.qkv_weight,
+                                  grads.qkv_weight, grads.qkv_bias)
+    dx_ln1, grads.ln1_gamma[...], grads.ln1_beta[...] = layer_norm_backward(
         cache.ln1, dxhat1)
-    dx = dx_mid + dx_ln1
-    return dx, grads
+    return dx_mid + dx_ln1
 
 
 def forward_batch(head: DecoderHead, tokens: Array, rng,
@@ -284,9 +284,15 @@ def forward_batch(head: DecoderHead, tokens: Array, rng,
                                 pooled=pooled, num_tokens=t)
 
 
-def backward_batch(head: DecoderHead, cache: ForwardCache,
-                   dlogits: Array) -> tuple[dict[str, Array], Array]:
-    """Exact gradients for every parameter plus the input tokens."""
+def backward_batch(head: DecoderHead, cache: ForwardCache, dlogits: Array,
+                   out: DecoderHead | None = None) -> tuple[ParamVector, Array]:
+    """Exact gradients for every parameter plus the input tokens.
+
+    The parameter gradients share the head's layout: one flat vector whose
+    dotted names address the same slices as `head.params`. They overwrite
+    every entry of `out.params` when a head of the same config is given
+    (training loops reuse one), else a fresh vector.
+    """
     if cache.config != head.config or len(cache.block_caches) != len(head.blocks):
         raise StateError("forward cache does not match this head")
     dlogits = np.asarray(dlogits, dtype=np.float64)
@@ -295,58 +301,15 @@ def backward_batch(head: DecoderHead, cache: ForwardCache,
     if dlogits.shape[0] != cache.pooled.shape[0]:
         raise StateError("dlogits batch size does not match the cached forward")
 
-    grads: dict[str, Array] = {
-        "cls_weight": dlogits.T @ cache.pooled,
-        "cls_bias": dlogits.sum(axis=0),
-    }
+    grads = DecoderHead(head.config) if out is None else out
+    if grads.config != head.config:
+        raise ShapeError("gradient buffer does not match this head's config")
+    np.matmul(dlogits.T, cache.pooled, out=grads.cls_weight)
+    np.sum(dlogits, axis=0, out=grads.cls_bias)
     dpooled = dlogits @ head.cls_weight
     t = cache.num_tokens
     dx = np.repeat(dpooled[:, None, :] / t, t, axis=1)
     for i in range(len(head.blocks) - 1, -1, -1):
-        dx, block_grads = _block_backward_batch(
-            head.blocks[i], cache.block_caches[i], dx, head.config)
-        for name, g in block_grads.items():
-            grads[f"blocks.{i}.{name}"] = g
-    return grads, dx
-
-
-def block_forward(params: BlockParams, tokens: Array, config: DecoderConfig,
-                  rng, train_mode: bool) -> tuple[Array, BlockCache]:
-    """Single-sample (T, D) block application."""
-    tokens = np.asarray(tokens, dtype=np.float64)
-    if tokens.ndim != 2:
-        raise ShapeError(f"expected (T, D) tokens, got shape {tokens.shape}")
-    out, cache = _block_forward_batch(params, tokens[None], config, rng, train_mode)
-    return out[0], cache
-
-
-def block_backward(params: BlockParams, cache: BlockCache, dout: Array,
-                   config: DecoderConfig) -> tuple[Array, dict[str, Array]]:
-    """Gradients of a single-sample block call: (dtokens, per-field grads)."""
-    dout = np.asarray(dout, dtype=np.float64)
-    if dout.ndim == 2:
-        dout = dout[None]
-    if dout.shape != cache.x_in.shape:
-        raise StateError("gradient shape does not match the cached forward")
-    dx, grads = _block_backward_batch(params, cache, dout, config)
-    return dx[0], grads
-
-
-def forward(head: DecoderHead, tokens: Array, rng,
-            train_mode: bool) -> tuple[Array, ForwardCache]:
-    """Single-sample forward: (T, D) tokens to a (K,) logit vector."""
-    tokens = np.asarray(tokens, dtype=np.float64)
-    if tokens.ndim != 2:
-        raise ShapeError(f"expected (T, D) tokens, got shape {tokens.shape}")
-    logits, cache = forward_batch(head, tokens[None], rng, train_mode)
-    return logits[0], cache
-
-
-def backward(head: DecoderHead, cache: ForwardCache,
-             dlogits: Array) -> tuple[dict[str, Array], Array]:
-    """Single-sample backward matching `forward`."""
-    dlogits = np.asarray(dlogits, dtype=np.float64)
-    if dlogits.ndim != 1:
-        raise ShapeError(f"expected a (K,) gradient, got shape {dlogits.shape}")
-    grads, dtokens = backward_batch(head, cache, dlogits[None])
-    return grads, dtokens[0]
+        dx = _block_backward_batch(head.blocks[i], cache.block_caches[i], dx,
+                                   head.config, grads.blocks[i])
+    return grads.params, dx

@@ -1,10 +1,11 @@
 """Finite-difference verification of every analytic backward in the library.
 
 Each check wraps a forward+backward pair as a scalar function of a flat
-parameter vector and hands it to the central-difference checker. Checks are
-sized to finish in seconds while still touching every code path, including
-train-mode dropout (the generator is re-seeded per evaluation so the mask is
-a deterministic function of the parameters).
+vector and hands it to the central-difference checker; heads and calibrators
+are checked directly on their parameter vectors. Checks are sized to finish
+in seconds while still touching every code path, including train-mode
+dropout (the generator is re-seeded per evaluation so the mask is a
+deterministic function of the parameters).
 """
 
 from __future__ import annotations
@@ -14,8 +15,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import calibrators as cal_mod
-from .calibrators import CALIBRATOR_VARIANTS, init_calibrator
-from .decoder import DecoderConfig, backward_batch, forward_batch, init_decoder
+from .calibrators import CALIBRATOR_VARIANTS, Calibrator, init_calibrator
+from .decoder import (DecoderConfig, DecoderHead, backward_batch, forward_batch,
+                      init_decoder)
 from .exceptions import ConfigError
 from .losses import (VARIANTS, build_class_stats, lade_dv_regularizer,
                      make_loss_spec, total_loss)
@@ -29,19 +31,6 @@ MODULES = ("all", "losses", "decoder", "calibrators")
 class CheckResult:
     name: str
     report: GradCheckReport
-
-
-def _flatten(arrays) -> np.ndarray:
-    return np.concatenate([np.asarray(a, dtype=np.float64).ravel()
-                           for a in arrays])
-
-
-def _unflatten(vec: np.ndarray, templates):
-    out, pos = [], 0
-    for t in templates:
-        out.append(vec[pos:pos + t.size].reshape(t.shape))
-        pos += t.size
-    return out
 
 
 def _loss_checks(tol: float) -> list[CheckResult]:
@@ -82,14 +71,13 @@ def _decoder_checks(tol: float) -> list[CheckResult]:
     probe = rng.standard_normal(d)
 
     def f_ln(vec):
-        x, g, b = _unflatten(vec, [x0, g0, b0])
+        x, g, b = np.split(vec, 3)
         y, cache = layer_norm(x, g, b)
-        dy = probe
-        dx, dg, db = layer_norm_backward(cache, dy)
-        return float(np.sum(y * probe)), _flatten([dx, dg, db])
+        dx, dg, db = layer_norm_backward(cache, probe)
+        return float(np.sum(y * probe)), np.concatenate([dx, dg, db])
 
     results.append(CheckResult("decoder.layer_norm",
-                               finite_diff_check(f_ln, _flatten([x0, g0, b0]),
+                               finite_diff_check(f_ln, np.concatenate([x0, g0, b0]),
                                                  tol=tol)))
 
     # gelu derivative on a grid of points
@@ -107,8 +95,6 @@ def _decoder_checks(tol: float) -> list[CheckResult]:
         labels = np.array([1, 0])
         stats = build_class_stats(np.arange(config.num_classes), config.num_classes)
         spec = make_loss_spec("ce", stats)
-        names = [n for n, _ in head0.param_items()]
-        templates = [a for _, a in head0.param_items()]
 
         def run(head, toks):
             # re-seeded generator: dropout masks are identical per evaluation
@@ -124,13 +110,9 @@ def _decoder_checks(tol: float) -> list[CheckResult]:
             start = tokens.ravel()
         else:
             def f(vec):
-                head = init_decoder(config, make_rng(31))
-                for (n, arr), new in zip(head.param_items(),
-                                         _unflatten(vec, templates)):
-                    arr[...] = new
-                value, grads, _ = run(head, tokens)
-                return value, _flatten([grads[n] for n in names])
-            start = _flatten(templates)
+                value, grads, _ = run(DecoderHead(config, vec), tokens)
+                return value, grads.vector
+            start = head0.params.vector
         return CheckResult(name, finite_diff_check(f, start, tol=tol))
 
     block_cfg = DecoderConfig(dim=6, num_classes=3, depth=1, heads=2,
@@ -160,34 +142,31 @@ def _calibrator_checks(tol: float) -> list[CheckResult]:
     for variant in CALIBRATOR_VARIANTS:
         cal0 = init_calibrator(variant, k, d, make_rng(59))
         # nudge away from the identity so gradients are generic
-        for arr in cal0.param_dict().values():
-            arr += 0.05 * rng.standard_normal(arr.shape)
-        names = list(cal0.param_dict())
-        templates = [cal0.param_dict()[n] for n in names]
+        cal0.params.vector += 0.05 * rng.standard_normal(cal0.params.vector.size)
 
-        def f_params(vec, cal0=cal0, names=names, templates=templates):
-            cal = init_calibrator(cal0.variant, k, d, make_rng(59))
-            for n, new in zip(names, _unflatten(vec, templates)):
-                cal.param_dict()[n][...] = new
+        def f_params(vec, variant=variant):
+            cal = Calibrator(variant, k, d, vec)
             adjusted, cache = cal_mod.apply_batch(cal, pooled0, logits0, norms)
             value, dadj = total_loss(spec, adjusted, labels, stats)
             grads, _, _ = cal_mod.backward_batch(cal, cache, dadj)
-            return value, _flatten([grads[n] for n in names])
+            return value, grads.vector
 
         results.append(CheckResult(
             f"calibrators.{variant}.params",
-            finite_diff_check(f_params, _flatten(templates), tol=tol)))
+            finite_diff_check(f_params, cal0.params.vector, tol=tol)))
 
         def f_inputs(vec, cal0=cal0):
-            pooled, logits = _unflatten(vec, [pooled0, logits0])
-            adjusted, cache = cal_mod.apply_batch(cal0, pooled, logits, norms)
+            pooled, logits = np.split(vec, [pooled0.size])
+            adjusted, cache = cal_mod.apply_batch(
+                cal0, pooled.reshape(pooled0.shape), logits.reshape(logits0.shape),
+                norms)
             value, dadj = total_loss(spec, adjusted, labels, stats)
             _, dlogits, dpooled = cal_mod.backward_batch(cal0, cache, dadj)
-            return value, _flatten([dpooled, dlogits])
+            return value, np.concatenate([dpooled.ravel(), dlogits.ravel()])
 
-        results.append(CheckResult(
-            f"calibrators.{variant}.inputs",
-            finite_diff_check(f_inputs, _flatten([pooled0, logits0]), tol=tol)))
+        start = np.concatenate([pooled0.ravel(), logits0.ravel()])
+        results.append(CheckResult(f"calibrators.{variant}.inputs",
+                                   finite_diff_check(f_inputs, start, tol=tol)))
     return results
 
 

@@ -1,4 +1,4 @@
-"""Deterministic float64 numerics: matrix primitives, stable reductions,
+"""Deterministic float64 numerics: flat parameter storage, stable reductions,
 layer building blocks with analytic backward passes, and a central-difference
 gradient checker used to validate every backward in the library.
 """
@@ -6,6 +6,7 @@ gradient checker used to validate every backward in the library.
 from __future__ import annotations
 
 import math
+from collections.abc import Mapping
 from dataclasses import dataclass
 from typing import Callable
 
@@ -27,39 +28,59 @@ def make_rng(seed: int) -> np.random.Generator:
     return np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed)))
 
 
-def spawn_rngs(seed: int, n: int) -> list[np.random.Generator]:
-    """Derive `n` independent generators from one seed."""
-    return [np.random.Generator(np.random.PCG64(s))
-            for s in np.random.SeedSequence(seed).spawn(n)]
+FAN_IN = "fan_in"  # initial value: draw U(-b, b) with b = 1/sqrt(fan-in)
 
 
-def matmul(a: Array, b: Array) -> Array:
-    """Matrix product with left-to-right accumulation over the inner axis.
+def layout_size(layout) -> int:
+    """Number of floats a (name, shape, initial value) layout stores."""
+    return sum(math.prod(shape) for _, shape, _ in layout)
 
-    Each output entry is accumulated in index order with separately rounded
-    multiply and add, so the result is bit-identical to a naive triple loop
-    on any platform. Use plain `@` where throughput matters more than a
-    pinned accumulation order.
+
+class ParamVector(Mapping):
+    """Named tensors stored back to back in one contiguous float64 vector.
+
+    `layout` lists (name, shape, initial value) in storage order. Each name
+    maps to a reshaped view of `vector`, so writes through a name land in the
+    vector and whole-vector arithmetic updates every tensor at once.
     """
-    a = np.asarray(a, dtype=np.float64)
-    b = np.asarray(b, dtype=np.float64)
-    if a.ndim != 2 or b.ndim != 2:
-        raise ShapeError(f"matmul expects 2-D operands, got {a.shape} and {b.shape}")
-    if a.shape[1] != b.shape[0]:
-        raise ShapeError(f"inner dimensions do not agree: {a.shape} x {b.shape}")
-    out = np.zeros((a.shape[0], b.shape[1]))
-    for k in range(a.shape[1]):
-        out += a[:, k, None] * b[k, None, :]
-    return out
 
+    def __init__(self, layout, vector: Array | None = None):
+        self.layout = tuple(layout)
+        size = layout_size(self.layout)
+        if vector is None:
+            vector = np.zeros(size)
+        if vector.shape != (size,) or vector.dtype != np.float64:
+            raise ShapeError(f"parameter vector must be ({size},) float64, "
+                             f"got {vector.shape} {vector.dtype}")
+        self.vector = vector
+        self._views: dict[str, Array] = {}
+        pos = 0
+        for name, shape, _ in self.layout:
+            n = math.prod(shape)
+            self._views[name] = vector[pos:pos + n].reshape(shape)
+            pos += n
 
-def log_sum_exp(v: Array) -> float:
-    """max(v) + log(sum(exp(v - max(v)))); overflow-safe for huge entries."""
-    v = np.asarray(v, dtype=np.float64)
-    if v.ndim != 1 or v.size == 0:
-        raise DomainError("log_sum_exp needs a non-empty 1-D vector")
-    m = float(np.max(v))
-    return m + math.log(float(np.sum(np.exp(v - m))))
+    def __getitem__(self, name: str) -> Array:
+        return self._views[name]
+
+    def __iter__(self):
+        return iter(self._views)
+
+    def __len__(self) -> int:
+        return len(self._views)
+
+    def initialize(self, rng: np.random.Generator) -> None:
+        """Fill every tensor with its declared initial value.
+
+        FAN_IN tensors are (out, in) matrices drawn from `rng` in storage
+        order, so a given seed yields bit-identical parameters.
+        """
+        for name, shape, init in self.layout:
+            if init == FAN_IN:
+                bound = 1.0 / math.sqrt(shape[1])
+                self._views[name][...] = rng.uniform(-bound, bound, size=shape)
+            else:
+                self._views[name][...] = init
 
 
 def logsumexp_rows(m: Array) -> Array:

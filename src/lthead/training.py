@@ -80,11 +80,7 @@ class TrainConfig:
             raise ConfigError(f"unknown stage2 method {self.stage2_method!r}")
 
 
-_INT_KEYS = {"seed", "total_iters", "batch_size", "warmup_iters",
-             "stage2_iters", "depth", "heads"}
-_FLOAT_KEYS = {"lr0", "momentum", "weight_decay", "focal_gamma",
-               "ldam_max_margin", "lade_lambda", "mlp_ratio", "dropout"}
-_STR_KEYS = {"loss", "stage2_method"}
+_FIELD_TYPES = {f.name: f.type for f in fields(TrainConfig)}
 
 
 def parse_run_config(text: str) -> TrainConfig:
@@ -100,12 +96,12 @@ def parse_run_config(text: str) -> TrainConfig:
         key, val = key.strip(), val.strip()
         if key in values:
             raise ConfigError(f"line {lineno}: duplicate key {key!r}")
-        if key not in _INT_KEYS and key not in _FLOAT_KEYS and key not in _STR_KEYS:
+        if key not in _FIELD_TYPES:
             raise ConfigError(f"line {lineno}: unknown key {key!r}")
         try:
-            if key in _INT_KEYS:
+            if _FIELD_TYPES[key] == "int":
                 values[key] = int(val)
-            elif key in _FLOAT_KEYS:
+            elif _FIELD_TYPES[key] == "float":
                 values[key] = float(val)
             else:
                 values[key] = None if val in ("", "none") else val
@@ -146,33 +142,36 @@ def lr_at(cfg: TrainConfig, iteration: int) -> float:
 @dataclass
 class MomentumState:
     momentum: float
-    velocities: dict[str, Array]
+    velocity: Array  # same layout as the parameter vector
 
 
-def init_momentum(params: dict[str, Array], momentum: float) -> MomentumState:
-    return MomentumState(momentum=momentum,
-                         velocities={k: np.zeros_like(v) for k, v in params.items()})
+def init_momentum(params: Array, momentum: float) -> MomentumState:
+    return MomentumState(momentum=momentum, velocity=np.zeros_like(params))
 
 
-def sgd_step(params: dict[str, Array], grads: dict[str, Array],
-             state: MomentumState, lr: float, weight_decay: float) -> None:
+def sgd_step(params: Array, grads: Array, state: MomentumState, lr: float,
+             weight_decay: float) -> None:
     """Classic SGD with momentum; the L2 term is folded into the gradient.
 
-    Updates parameters and velocity buffers in place.
+    `params`, `grads` and the velocity are flat vectors sharing one layout.
+    Updates parameters and velocity in place.
     """
-    for name, p in params.items():
-        if name not in grads:
-            raise ShapeError(f"missing gradient for parameter {name!r}")
-        g = grads[name]
-        if g.shape != p.shape:
-            raise ShapeError(f"gradient shape {g.shape} does not match "
-                             f"parameter {name!r} of shape {p.shape}")
-        if weight_decay != 0.0:
-            g = g + weight_decay * p
-        v = state.velocities[name]
-        v *= state.momentum
-        v += g
-        p -= lr * v
+    if grads.shape != params.shape or state.velocity.shape != params.shape:
+        raise ShapeError(f"gradient {grads.shape} and velocity "
+                         f"{state.velocity.shape} must match parameters "
+                         f"{params.shape}")
+    # One scratch vector serves as the decayed gradient and then as the
+    # update: each fresh temporary of this size costs page faults.
+    if weight_decay != 0.0:
+        g = params * weight_decay
+        g += grads
+    else:
+        g = grads.copy()
+    v = state.velocity
+    v *= state.momentum
+    v += g
+    np.multiply(v, lr, out=g)
+    params -= g
 
 
 def train_stage1(ds: FeatureDataset, cfg: TrainConfig,
@@ -191,8 +190,8 @@ def train_stage1(ds: FeatureDataset, cfg: TrainConfig,
     spec = make_loss_spec(cfg.loss, stats, gamma=cfg.focal_gamma,
                           max_margin=cfg.ldam_max_margin, lam=cfg.lade_lambda)
     head = init_decoder(decoder_config, rng)
-    params = head.param_dict()
-    state = init_momentum(params, cfg.momentum)
+    grads = DecoderHead(decoder_config)  # overwritten by every backward pass
+    state = init_momentum(head.params.vector, cfg.momentum)
     log = np.empty(cfg.total_iters)
     for it in range(cfg.total_iters):
         idx = sample_batch(ds, stats, INSTANCE_BALANCED, cfg.batch_size, rng)
@@ -202,8 +201,9 @@ def train_stage1(ds: FeatureDataset, cfg: TrainConfig,
         value, dlogits = total_loss(spec, logits, ds.labels[idx], stats)
         if not np.isfinite(value):
             raise DivergenceError(f"non-finite loss at iteration {it}")
-        grads, _ = backward_batch(head, cache, dlogits)
-        sgd_step(params, grads, state, lr_at(cfg, it), cfg.weight_decay)
+        backward_batch(head, cache, dlogits, out=grads)
+        sgd_step(head.params.vector, grads.params.vector, state, lr_at(cfg, it),
+                 cfg.weight_decay)
         log[it] = value
     return head, log
 
@@ -251,10 +251,8 @@ def train_stage2(head: DecoderHead, ds: FeatureDataset, cfg: TrainConfig,
     spec = make_loss_spec(STAGE2_LOSS[variant], stats)
     pooled, logits = _precompute_contexts(head, ds)
     norms = context_weight_norms(head.cls_weight)
-    cal = init_calibrator(variant, head.config.num_classes, head.config.dim,
-                          rng, (head.cls_weight, head.cls_bias))
-    params = cal.param_dict()
-    state = init_momentum(params, cfg.momentum)
+    cal = init_calibrator(variant, head.config.num_classes, head.config.dim, rng)
+    state = init_momentum(cal.params.vector, cfg.momentum)
     sched = stage2_schedule(cfg)
     index = class_index(ds.labels, ds.num_classes)
     log = np.empty(sched.total_iters)
@@ -267,7 +265,8 @@ def train_stage2(head: DecoderHead, ds: FeatureDataset, cfg: TrainConfig,
         if not np.isfinite(value):
             raise DivergenceError(f"non-finite loss at stage-2 iteration {it}")
         grads, _, _ = cal_mod.backward_batch(cal, cache, dadj)
-        sgd_step(params, grads, state, lr_at(sched, it), cfg.weight_decay)
+        sgd_step(cal.params.vector, grads.vector, state, lr_at(sched, it),
+                 cfg.weight_decay)
         log[it] = value
     return cal, log
 

@@ -10,14 +10,14 @@ import time
 
 import numpy as np
 
-from lthead import (CalibContext, DecoderConfig, SyntheticSpec,
-                    TextClassEmbeddings, TrainConfig, apply, build_class_stats,
-                    evaluate, generate_synthetic_lt, init_calibrator,
+from lthead import (DecoderConfig, SyntheticSpec, TextClassEmbeddings,
+                    TrainConfig, build_class_stats, evaluate, generate_synthetic_lt, init_calibrator,
                     load_checkpoint, load_features, loss_eval, lr_at,
                     make_loss_spec, make_rng, metrics_from_predictions,
                     run_gradcheck, sample_batch, save_checkpoint,
                     save_features, stats_from_counts, total_loss,
                     train_stage1, train_stage2, zero_shot_classify)
+from lthead.calibrators import apply_batch
 from lthead.data import CLASS_BALANCED, INSTANCE_BALANCED, FeatureDataset
 from lthead.training import report_json
 
@@ -69,11 +69,10 @@ def test_criterion_2_reduction_equivalences():
         pooled = rng.standard_normal(6)
         raw = rng.standard_normal(5)
         norms = np.abs(rng.standard_normal(5)) + 0.1
-        ctx = CalibContext(pooled=pooled, logits=raw, weight_norms=norms)
         for variant in ("lws", "disalign", "marc"):
             cal = init_calibrator(variant, 5, 6, make_rng(0))
-            adjusted, _ = apply(cal, ctx)
-            ok &= np.max(np.abs(adjusted - raw)) < 1e-12
+            adjusted, _ = apply_batch(cal, pooled[None], raw[None], norms)
+            ok &= np.max(np.abs(adjusted[0] - raw)) < 1e-12
     assert record(2, "reduction equivalences on 100 random batches", ok)
 
 

@@ -2,37 +2,37 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
-from lthead import (CalibContext, apply, calibrator_backward,
-                    context_weight_norms, init_calibrator, make_rng)
-from lthead.calibrators import apply_batch
+from lthead import (ConfigError, ShapeError, context_weight_norms,
+                    init_calibrator, make_rng)
+from lthead.calibrators import apply_batch, backward_batch
 
 
 def random_ctx(seed, k=4, d=6):
+    """One sample as a 1-row batch: (pooled, logits, weight_norms)."""
     rng = make_rng(seed)
-    return CalibContext(pooled=rng.standard_normal(d),
-                        logits=rng.standard_normal(k),
-                        weight_norms=np.abs(rng.standard_normal(k)) + 0.1)
+    return (rng.standard_normal(d)[None], rng.standard_normal(k)[None],
+            np.abs(rng.standard_normal(k)) + 0.1)
 
 
 class TestInit:
     def test_lws_identity(self):
         cal = init_calibrator("lws", 4, 6, make_rng(0))
         ctx = random_ctx(1)
-        adjusted, _ = apply(cal, ctx)
-        npt.assert_array_equal(adjusted, ctx.logits)
+        adjusted, _ = apply_batch(cal, *ctx)
+        npt.assert_array_equal(adjusted, ctx[1])
 
     def test_marc_identity(self):
         cal = init_calibrator("marc", 4, 6, make_rng(0))
         assert sum(a.size for a in cal.param_dict().values()) == 8  # exactly 2K
         ctx = random_ctx(2)
-        adjusted, _ = apply(cal, ctx)
-        npt.assert_array_equal(adjusted, ctx.logits)
+        adjusted, _ = apply_batch(cal, *ctx)
+        npt.assert_array_equal(adjusted, ctx[1])
 
     def test_disalign_identity(self):
         cal = init_calibrator("disalign", 4, 6, make_rng(0))
         ctx = random_ctx(3)
-        adjusted, _ = apply(cal, ctx)
-        npt.assert_allclose(adjusted, ctx.logits, rtol=0, atol=1e-12)
+        adjusted, _ = apply_batch(cal, *ctx)
+        npt.assert_allclose(adjusted, ctx[1], rtol=0, atol=1e-12)
 
     def test_crt_seed_determinism(self):
         a = init_calibrator("crt", 4, 6, make_rng(5))
@@ -45,35 +45,57 @@ class TestInit:
             cal = init_calibrator(variant, 5, 3, make_rng(0))
             for seed in range(10):
                 ctx = random_ctx(seed, k=5, d=3)
-                adjusted, _ = apply(cal, ctx)
-                assert np.argmax(adjusted) == np.argmax(ctx.logits)
-                npt.assert_allclose(adjusted, ctx.logits, rtol=0, atol=1e-12)
+                adjusted, _ = apply_batch(cal, *ctx)
+                assert np.argmax(adjusted) == np.argmax(ctx[1])
+                npt.assert_allclose(adjusted, ctx[1], rtol=0, atol=1e-12)
+
+
+class TestLayout:
+    @pytest.mark.parametrize("variant", ["crt", "lws", "disalign", "marc"])
+    def test_params_and_grads_share_one_vector_layout(self, variant):
+        cal = init_calibrator(variant, 4, 6, make_rng(0))
+        flat = np.concatenate([a.ravel() for a in cal.param_dict().values()])
+        npt.assert_array_equal(flat, cal.params.vector)
+        _, cache = apply_batch(cal, *random_ctx(13))
+        grads, _, _ = backward_batch(cal, cache, np.ones((1, 4)))
+        assert list(grads) == list(cal.param_dict())
+        assert grads.vector.shape == cal.params.vector.shape
+
+    def test_unknown_variant_rejected(self):
+        with pytest.raises(ConfigError):
+            init_calibrator("temperature", 4, 6, make_rng(0))
+
+    @pytest.mark.parametrize("variant", ["crt", "lws", "disalign", "marc"])
+    def test_mismatched_inputs_rejected(self, variant):
+        cal = init_calibrator(variant, 4, 6, make_rng(0))
+        pooled, logits, norms = random_ctx(14)
+        with pytest.raises(ShapeError):
+            apply_batch(cal, pooled[:, :5], logits, norms)
+        with pytest.raises(ShapeError):
+            apply_batch(cal, pooled, logits[:, :3], norms)
 
 
 class TestApply:
     def test_lws_analytic(self):
         cal = init_calibrator("lws", 2, 3, make_rng(0))
         cal.scales[...] = [1.0, 2.0]
-        ctx = CalibContext(pooled=np.zeros(3), logits=np.array([3.0, 3.0]),
-                           weight_norms=np.ones(2))
-        adjusted, _ = apply(cal, ctx)
-        npt.assert_array_equal(adjusted, [3.0, 6.0])
+        adjusted, _ = apply_batch(cal, np.zeros((1, 3)), np.array([[3.0, 3.0]]),
+                                  np.ones(2))
+        npt.assert_array_equal(adjusted, [[3.0, 6.0]])
 
     def test_marc_analytic(self):
         cal = init_calibrator("marc", 2, 3, make_rng(0))
         cal.omega[...] = 2.0
-        ctx = CalibContext(pooled=np.zeros(3), logits=np.array([1.0, -1.0]),
-                           weight_norms=np.ones(2))
-        adjusted, _ = apply(cal, ctx)
-        npt.assert_array_equal(adjusted, [2.0, -2.0])
+        adjusted, _ = apply_batch(cal, np.zeros((1, 3)), np.array([[1.0, -1.0]]),
+                                  np.ones(2))
+        npt.assert_array_equal(adjusted, [[2.0, -2.0]])
 
     def test_marc_bias_in_norm_units(self):
         cal = init_calibrator("marc", 2, 3, make_rng(0))
         cal.beta[...] = [1.0, -2.0]
-        ctx = CalibContext(pooled=np.zeros(3), logits=np.zeros(2),
-                           weight_norms=np.array([3.0, 0.5]))
-        adjusted, _ = apply(cal, ctx)
-        npt.assert_array_equal(adjusted, [3.0, -1.0])
+        adjusted, _ = apply_batch(cal, np.zeros((1, 3)), np.zeros((1, 2)),
+                                  np.array([3.0, 0.5]))
+        npt.assert_array_equal(adjusted, [[3.0, -1.0]])
 
     def test_disalign_gate_forced_closed(self):
         cal = init_calibrator("disalign", 3, 4, make_rng(0))
@@ -82,18 +104,16 @@ class TestApply:
         cal.conf_weight[...] = 0.0
         cal.conf_bias[...] = -50.0  # sigma is ~2e-22
         ctx = random_ctx(4, k=3, d=4)
-        adjusted, _ = apply(cal, ctx)
-        npt.assert_allclose(adjusted, ctx.logits, rtol=0, atol=1e-12)
+        adjusted, _ = apply_batch(cal, *ctx)
+        npt.assert_allclose(adjusted, ctx[1], rtol=0, atol=1e-12)
 
     def test_crt_ignores_raw_logits(self):
         cal = init_calibrator("crt", 3, 4, make_rng(1))
-        ctx_a = random_ctx(5, k=3, d=4)
-        ctx_b = CalibContext(pooled=ctx_a.pooled, logits=ctx_a.logits + 100.0,
-                             weight_norms=ctx_a.weight_norms)
-        a, _ = apply(cal, ctx_a)
-        b, _ = apply(cal, ctx_b)
+        pooled, logits, norms = random_ctx(5, k=3, d=4)
+        a, _ = apply_batch(cal, pooled, logits, norms)
+        b, _ = apply_batch(cal, pooled, logits + 100.0, norms)
         npt.assert_array_equal(a, b)
-        npt.assert_allclose(a, cal.weight @ ctx_a.pooled + cal.bias,
+        npt.assert_allclose(a[0], cal.weight @ pooled[0] + cal.bias,
                             rtol=0, atol=1e-15)
 
 
@@ -102,20 +122,20 @@ class TestBackward:
         for variant in ("crt", "lws", "disalign", "marc"):
             cal = init_calibrator(variant, 4, 6, make_rng(2))
             ctx = random_ctx(6)
-            _, cache = apply(cal, ctx)
-            grads, dlogits, dpooled = calibrator_backward(cal, cache, np.zeros(4))
+            _, cache = apply_batch(cal, *ctx)
+            grads, dlogits, dpooled = backward_batch(cal, cache, np.zeros((1, 4)))
             for name, g in grads.items():
                 npt.assert_array_equal(g, np.zeros_like(g), err_msg=name)
-            npt.assert_array_equal(dlogits, np.zeros(4))
-            npt.assert_array_equal(dpooled, np.zeros(6))
+            npt.assert_array_equal(dlogits, np.zeros((1, 4)))
+            npt.assert_array_equal(dpooled, np.zeros((1, 6)))
 
     def test_lws_product_rule(self):
         cal = init_calibrator("lws", 4, 6, make_rng(3))
         ctx = random_ctx(7)
-        _, cache = apply(cal, ctx)
+        _, cache = apply_batch(cal, *ctx)
         upstream = make_rng(8).standard_normal(4)
-        grads, _, _ = calibrator_backward(cal, cache, upstream)
-        npt.assert_allclose(grads["scales"], ctx.logits * upstream,
+        grads, _, _ = backward_batch(cal, cache, upstream[None])
+        npt.assert_allclose(grads["scales"], ctx[1][0] * upstream,
                             rtol=0, atol=1e-15)
 
     @pytest.mark.parametrize("variant", ["crt", "lws", "disalign", "marc"])
@@ -155,6 +175,7 @@ class TestAffineStructure:
 class TestBatchConsistency:
     @pytest.mark.parametrize("variant", ["crt", "lws", "disalign", "marc"])
     def test_batch_rows_match_single_samples(self, variant):
+        # a 1-row apply_batch equals that row of the full batch
         k, d = 5, 4
         cal = init_calibrator(variant, k, d, make_rng(10))
         for arr in cal.param_dict().values():
@@ -165,10 +186,8 @@ class TestBatchConsistency:
         norms = np.abs(rng.standard_normal(k)) + 0.3
         batch_out, _ = apply_batch(cal, pooled, logits, norms)
         for i in range(6):
-            ctx = CalibContext(pooled=pooled[i], logits=logits[i],
-                               weight_norms=norms)
-            single, _ = apply(cal, ctx)
-            npt.assert_allclose(batch_out[i], single, rtol=0, atol=1e-12)
+            single, _ = apply_batch(cal, pooled[i:i + 1], logits[i:i + 1], norms)
+            npt.assert_allclose(batch_out[i], single[0], rtol=0, atol=1e-12)
 
 
 def test_weight_norms_helper():

@@ -1,4 +1,5 @@
 import json
+import struct
 
 import numpy as np
 import pytest
@@ -73,6 +74,13 @@ class TestTrain:
             outs.append(out)
         assert outs[0].read_bytes() == outs[1].read_bytes()
 
+    def test_oversized_feature_header_exit_2(self, workspace, tmp_path):
+        huge = tmp_path / "huge.train"
+        huge.write_bytes(struct.pack("<4sIQIIIB", b"IMBF", 1, 2 ** 33, 1, 4, 2, 0))
+        assert run(["train", "--features", str(huge),
+                    "--config", str(workspace / "run.cfg"),
+                    "--out", str(tmp_path / "x.ckpt")]) == 2
+
     def test_divergence_exit_3(self, workspace, tmp_path):
         cfg = tmp_path / "boom.cfg"
         cfg.write_text("seed=1\ntotal_iters=30\nbatch_size=8\nwarmup_iters=2\n"
@@ -117,6 +125,14 @@ class TestEval:
 
     def test_missing_checkpoint_exit_2(self, workspace, tmp_path):
         assert run(["eval", "--ckpt", str(tmp_path / "nope.ckpt"),
+                    "--test", str(workspace / "data.test"),
+                    "--report", str(tmp_path / "r")]) == 2
+
+    def test_oversized_checkpoint_header_exit_2(self, workspace, tmp_path):
+        huge = tmp_path / "huge.ckpt"
+        huge.write_bytes(struct.pack("<4sIIIddII", b"LTFH", 1, 1, 4, 4.0, 0.5,
+                                     2 ** 20, 2))
+        assert run(["eval", "--ckpt", str(huge),
                     "--test", str(workspace / "data.test"),
                     "--report", str(tmp_path / "r")]) == 2
 

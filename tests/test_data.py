@@ -1,4 +1,5 @@
 import math
+import struct
 
 import numpy as np
 import numpy.testing as npt
@@ -106,6 +107,13 @@ class TestPersistence:
         bad.write_bytes(blob[:len(blob) - 10])
         with pytest.raises(FormatError, match="byte"):
             load_features(bad)
+
+    def test_oversized_header_rejected(self, tmp_path):
+        # N = 2^33 claims 32 GiB of labels; the file ends after the header
+        path = tmp_path / "huge.bin"
+        path.write_bytes(struct.pack("<4sIQIIIB", b"IMBF", 1, 2 ** 33, 1, 4, 2, 0))
+        with pytest.raises(FormatError, match="truncated"):
+            load_features(path)
 
     def test_bad_magic_rejected(self, tmp_path):
         path = tmp_path / "junk.bin"

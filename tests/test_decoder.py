@@ -2,10 +2,11 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
-from lthead import (ConfigError, DecoderConfig, ShapeError, StateError,
-                    backward, backward_batch, block_backward, block_forward,
-                    forward, forward_batch, init_decoder, make_rng)
-from lthead.decoder import BLOCK_FIELDS
+from lthead import (ConfigError, DecoderConfig, DecoderHead, ShapeError,
+                    StateError, backward_batch, forward_batch, init_decoder,
+                    make_rng)
+from lthead.decoder import (BLOCK_FIELDS, _block_backward_batch,
+                            _block_forward_batch)
 
 
 def zero_block_weights(head):
@@ -32,6 +33,11 @@ class TestConfig:
         with pytest.raises(ConfigError):
             DecoderConfig(dim=8, num_classes=2, dropout=1.0)
 
+    @pytest.mark.parametrize("ratio", [float("nan"), float("inf"), 0.0])
+    def test_non_finite_mlp_ratio_rejected(self, ratio):
+        with pytest.raises(ConfigError):
+            DecoderConfig(dim=8, num_classes=2, mlp_ratio=ratio)
+
 
 class TestInit:
     def test_seed_determinism(self):
@@ -47,6 +53,20 @@ class TestInit:
                             make_rng(0))
         assert head.blocks == []
         assert [n for n, _ in head.param_items()] == ["cls_weight", "cls_bias"]
+
+    def test_params_are_views_into_one_vector(self):
+        head = init_decoder(DecoderConfig(dim=8, num_classes=3, depth=2, heads=2),
+                            make_rng(0))
+        flat = np.concatenate([a.ravel() for _, a in head.param_items()])
+        npt.assert_array_equal(flat, head.params.vector)
+        assert head.num_params() == flat.size
+        head.blocks[1].fc2_bias[...] = 7.0
+        npt.assert_array_equal(head.param_dict()["blocks.1.fc2_bias"], 7.0)
+
+    def test_wrong_vector_length_rejected(self):
+        with pytest.raises(ShapeError):
+            DecoderHead(DecoderConfig(dim=8, num_classes=3, depth=1, heads=2),
+                        np.zeros(5))
 
     def test_fc1_shape(self):
         head = init_decoder(DecoderConfig(dim=8, num_classes=2, depth=1,
@@ -66,8 +86,8 @@ class TestBlockForward:
         cfg = DecoderConfig(dim=8, num_classes=3, depth=1, heads=2, dropout=0.0)
         head = init_decoder(cfg, make_rng(1))
         zero_block_weights(head)
-        tokens = make_rng(2).standard_normal((5, 8))
-        out, _ = block_forward(head.blocks[0], tokens, cfg, None, False)
+        tokens = make_rng(2).standard_normal((1, 5, 8))
+        out, _ = _block_forward_batch(head.blocks[0], tokens, cfg, None, False)
         npt.assert_array_equal(out, tokens)
 
     def test_single_token_degenerate_attention(self):
@@ -76,7 +96,7 @@ class TestBlockForward:
         head = init_decoder(cfg, make_rng(3))
         blk = head.blocks[0]
         tokens = make_rng(4).standard_normal((1, 6))
-        out, _ = block_forward(blk, tokens, cfg, None, False)
+        out, _ = _block_forward_batch(blk, tokens[None], cfg, None, False)
 
         from lthead.numerics import gelu, layer_norm
         xhat1, _ = layer_norm(tokens, blk.ln1_gamma, blk.ln1_beta)
@@ -85,45 +105,37 @@ class TestBlockForward:
         xhat2, _ = layer_norm(x_mid, blk.ln2_gamma, blk.ln2_beta)
         mlp = gelu(xhat2 @ blk.fc1_weight.T + blk.fc1_bias) @ blk.fc2_weight.T \
             + blk.fc2_bias
-        npt.assert_allclose(out, x_mid + mlp, rtol=0, atol=1e-12)
+        npt.assert_allclose(out[0], x_mid + mlp, rtol=0, atol=1e-12)
 
     def test_multi_token_matches_single_token_math(self):
         # T=1 fast path agrees with the generic path run on stacked identical tokens
         cfg = DecoderConfig(dim=8, num_classes=2, depth=1, heads=2, dropout=0.0)
         head = init_decoder(cfg, make_rng(5))
         token = make_rng(6).standard_normal((1, 8))
-        out1, _ = block_forward(head.blocks[0], token, cfg, None, False)
-        out2, _ = block_forward(head.blocks[0], np.vstack([token, token]), cfg,
-                                None, False)
-        npt.assert_allclose(out2[0], out1[0], rtol=0, atol=1e-12)
-        npt.assert_allclose(out2[1], out1[0], rtol=0, atol=1e-12)
+        out1, _ = _block_forward_batch(head.blocks[0], token[None], cfg, None, False)
+        out2, _ = _block_forward_batch(head.blocks[0], np.vstack([token, token])[None],
+                                       cfg, None, False)
+        npt.assert_allclose(out2[0, 0], out1[0, 0], rtol=0, atol=1e-12)
+        npt.assert_allclose(out2[0, 1], out1[0, 0], rtol=0, atol=1e-12)
 
     def test_block_backward_finite_differences(self):
         cfg = DecoderConfig(dim=6, num_classes=2, depth=1, heads=3,
                             mlp_ratio=2.0, dropout=0.0)
         head0 = init_decoder(cfg, make_rng(7))
-        tokens = make_rng(8).standard_normal((4, 6))
-        probe = make_rng(9).standard_normal((4, 6))
-        names = list(BLOCK_FIELDS)
-        templates = [getattr(head0.blocks[0], n) for n in names]
-        sizes = [t.size for t in templates]
+        tokens = make_rng(8).standard_normal((1, 4, 6))
+        probe = make_rng(9).standard_normal((1, 4, 6))
 
         from lthead.numerics import finite_diff_check
 
         def f(vec):
-            head = init_decoder(cfg, make_rng(7))
-            blk = head.blocks[0]
-            pos = 0
-            for n, t, s in zip(names, templates, sizes):
-                getattr(blk, n)[...] = vec[pos:pos + s].reshape(t.shape)
-                pos += s
-            out, cache = block_forward(blk, tokens, cfg, None, False)
-            _, grads = block_backward(blk, cache, probe, cfg)
-            return float(np.sum(out * probe)), np.concatenate(
-                [grads[n].ravel() for n in names])
+            # the classifier entries of the vector get zero gradient both ways
+            blk = DecoderHead(cfg, vec).blocks[0]
+            out, cache = _block_forward_batch(blk, tokens, cfg, None, False)
+            grads = DecoderHead(cfg)
+            _block_backward_batch(blk, cache, probe, cfg, grads.blocks[0])
+            return float(np.sum(out * probe)), grads.params.vector
 
-        vec0 = np.concatenate([t.ravel() for t in templates])
-        report = finite_diff_check(f, vec0, tol=1e-5)
+        report = finite_diff_check(f, head0.params.vector, tol=1e-5)
         assert report.passed, report
 
 
@@ -133,8 +145,8 @@ class TestForward:
                             make_rng(0))
         head.cls_weight[...] = np.eye(4)
         head.cls_bias[...] = 0.0
-        tokens = np.array([[0.3, -1.2, 0.7, 2.0]])
-        logits, _ = forward(head, tokens, None, False)
+        tokens = np.array([[[0.3, -1.2, 0.7, 2.0]]])
+        logits, _ = forward_batch(head, tokens, None, False)
         npt.assert_array_equal(logits, tokens[0])
 
     def test_zero_blocks_equal_tokens_pool_identity(self):
@@ -144,9 +156,9 @@ class TestForward:
         head.cls_weight[...] = np.eye(4)
         head.cls_bias[...] = 0.0
         x = np.array([1.0, -2.0, 0.5, 3.0])
-        tokens = np.tile(x, (3, 1))
-        logits, _ = forward(head, tokens, None, False)
-        npt.assert_allclose(logits, x, rtol=0, atol=1e-12)
+        tokens = np.tile(x, (1, 3, 1))
+        logits, _ = forward_batch(head, tokens, None, False)
+        npt.assert_allclose(logits[0], x, rtol=0, atol=1e-12)
 
     def test_eval_deterministic(self):
         cfg = DecoderConfig(dim=8, num_classes=3, depth=2, heads=2, dropout=0.5)
@@ -178,16 +190,16 @@ class TestForward:
         head = init_decoder(DecoderConfig(dim=8, num_classes=3, depth=1, heads=2),
                             make_rng(0))
         with pytest.raises(ShapeError):
-            forward(head, np.zeros((2, 7)), None, False)
+            forward_batch(head, np.zeros((1, 2, 7)), None, False)
 
 
 class TestBackward:
     def test_zero_dlogits_zero_grads(self):
         cfg = DecoderConfig(dim=8, num_classes=3, depth=2, heads=2, dropout=0.0)
         head = init_decoder(cfg, make_rng(0))
-        tokens = make_rng(1).standard_normal((3, 8))
-        _, cache = forward(head, tokens, None, False)
-        grads, dtokens = backward(head, cache, np.zeros(3))
+        tokens = make_rng(1).standard_normal((1, 3, 8))
+        _, cache = forward_batch(head, tokens, None, False)
+        grads, dtokens = backward_batch(head, cache, np.zeros((1, 3)))
         for name, g in grads.items():
             npt.assert_array_equal(g, np.zeros_like(g), err_msg=name)
         npt.assert_array_equal(dtokens, np.zeros_like(tokens))
@@ -195,14 +207,43 @@ class TestBackward:
     def test_depth0_linear_gradients(self):
         head = init_decoder(DecoderConfig(dim=5, num_classes=3, depth=0, heads=1),
                             make_rng(2))
-        tokens = make_rng(3).standard_normal((4, 5))
-        dlogits = make_rng(4).standard_normal(3)
-        _, cache = forward(head, tokens, None, False)
-        grads, _ = backward(head, cache, dlogits)
-        pooled = tokens.mean(axis=0)
-        npt.assert_allclose(grads["cls_weight"], np.outer(dlogits, pooled),
+        tokens = make_rng(3).standard_normal((1, 4, 5))
+        dlogits = make_rng(4).standard_normal((1, 3))
+        _, cache = forward_batch(head, tokens, None, False)
+        grads, _ = backward_batch(head, cache, dlogits)
+        pooled = tokens[0].mean(axis=0)
+        npt.assert_allclose(grads["cls_weight"], np.outer(dlogits[0], pooled),
                             rtol=0, atol=1e-15)
-        npt.assert_array_equal(grads["cls_bias"], dlogits)
+        npt.assert_array_equal(grads["cls_bias"], dlogits[0])
+
+    def test_gradients_share_the_parameter_layout(self):
+        cfg = DecoderConfig(dim=8, num_classes=3, depth=2, heads=2, dropout=0.0)
+        head = init_decoder(cfg, make_rng(0))
+        _, cache = forward_batch(head, make_rng(1).standard_normal((2, 3, 8)),
+                                 None, False)
+        grads, _ = backward_batch(head, cache, make_rng(2).standard_normal((2, 3)))
+        assert list(grads) == [n for n, _ in head.param_items()]
+        flat = np.concatenate([g.ravel() for g in grads.values()])
+        npt.assert_array_equal(flat, grads.vector)
+        assert grads.vector.shape == head.params.vector.shape
+
+    def test_reused_gradient_buffer_matches_fresh(self):
+        # a multi-token pass fills the q/k rows that a one-token pass skips
+        cfg = DecoderConfig(dim=8, num_classes=3, depth=1, heads=2, dropout=0.0)
+        head = init_decoder(cfg, make_rng(0))
+        buf = DecoderHead(cfg)
+        for t in (3, 1):
+            _, cache = forward_batch(head, make_rng(t).standard_normal((2, t, 8)),
+                                     None, False)
+            dlogits = make_rng(5).standard_normal((2, 3))
+            fresh, _ = backward_batch(head, cache, dlogits)
+            reused, _ = backward_batch(head, cache, dlogits, out=buf)
+            assert reused is buf.params
+            npt.assert_array_equal(reused.vector, fresh.vector)
+        with pytest.raises(ShapeError):
+            backward_batch(head, cache, dlogits,
+                           out=DecoderHead(DecoderConfig(dim=8, num_classes=3,
+                                                         depth=2, heads=2)))
 
     def test_stale_cache_rejected(self):
         cfg = DecoderConfig(dim=8, num_classes=3, depth=1, heads=2, dropout=0.0)

@@ -58,17 +58,17 @@ class TestLrSchedule:
 
 class TestSgdStep:
     def test_plain_gradient_descent(self):
-        params = {"w": np.array([1.0, 2.0])}
-        grads = {"w": np.array([0.5, -1.0])}
+        params = np.array([1.0, 2.0])
+        grads = np.array([0.5, -1.0])
         state = init_momentum(params, momentum=0.0)
         sgd_step(params, grads, state, lr=0.1, weight_decay=0.0)
-        npt.assert_allclose(params["w"], [0.95, 2.1], rtol=0, atol=1e-15)
+        npt.assert_allclose(params, [0.95, 2.1], rtol=0, atol=1e-15)
 
     def test_zero_grads_no_change(self):
-        params = {"w": np.array([1.0, -3.0])}
+        params = np.array([1.0, -3.0])
         state = init_momentum(params, momentum=0.9)
-        sgd_step(params, {"w": np.zeros(2)}, state, lr=0.1, weight_decay=0.0)
-        npt.assert_array_equal(params["w"], [1.0, -3.0])
+        sgd_step(params, np.zeros(2), state, lr=0.1, weight_decay=0.0)
+        npt.assert_array_equal(params, [1.0, -3.0])
 
     def test_two_steps_match_scalar_recurrence_oracle(self):
         # f(x) = x^2 from x=1: grad 2x, momentum 0.9, wd 0.1, lr 0.05
@@ -81,19 +81,18 @@ class TestSgdStep:
             x = x - lr * v
             trace.append(x)
 
-        params = {"x": np.array([1.0])}
+        params = np.array([1.0])
         state = init_momentum(params, momentum=mom)
         for step in range(2):
-            grads = {"x": 2.0 * params["x"].copy()}
-            sgd_step(params, grads, state, lr=lr, weight_decay=wd)
-            assert params["x"][0] == pytest.approx(trace[step], abs=1e-15)
+            sgd_step(params, 2.0 * params, state, lr=lr, weight_decay=wd)
+            assert params[0] == pytest.approx(trace[step], abs=1e-15)
 
     def test_shape_mismatch(self):
-        params = {"w": np.zeros(3)}
+        params = np.zeros(3)
         state = init_momentum(params, 0.9)
         from lthead import ShapeError
         with pytest.raises(ShapeError):
-            sgd_step(params, {"w": np.zeros(4)}, state, 0.1, 0.0)
+            sgd_step(params, np.zeros(4), state, 0.1, 0.0)
 
 
 class TestRunConfig:
