@@ -15,9 +15,9 @@ Each adjuster starts at (or near) an identity, so training can only move
 away from the stage-one behaviour where the data says it should.
 """
 
-from lthead import (DecoderConfig, SyntheticSpec, TrainConfig,
-                    build_class_stats, evaluate, generate_synthetic_lt,
-                    make_rng, train_stage1, train_stage2)
+from lthead import (CALIBRATOR_VARIANTS, DecoderConfig, SyntheticSpec,
+                    TrainConfig, build_class_stats, evaluate,
+                    generate_synthetic_lt, make_rng, train_stage1, train_stage2)
 
 spec = SyntheticSpec(num_classes=12, head_count=300, imbalance_ratio=60.0,
                      dim=24, tokens=1, separation=1.0, noise=2.0,
@@ -34,7 +34,7 @@ base = evaluate(head, None, test, stats)
 print(f"stage-1 ce   overall {base.overall:.3f}  many {base.many:.3f}  "
       f"medium {base.medium:.3f}  few {base.few:.3f}")
 
-for variant in ("crt", "lws", "disalign", "marc"):
+for variant in CALIBRATOR_VARIANTS:
     cal, _ = train_stage2(head, train, cfg, variant, make_rng(17))
     rep = evaluate(head, cal, test, stats)
     print(f"  + {variant:8s} overall {rep.overall:.3f}  many {rep.many:.3f}  "

@@ -8,38 +8,51 @@ Four variants:
               exactly 2K parameters
 
 Except for CRT, each variant initializes at an identity configuration that
-reproduces the original logits bit for bit.
+reproduces the original logits bit for bit. Each variant's recipe also
+names the batch sampler and the loss that stage two trains it with.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
+from .data import CLASS_BALANCED, INSTANCE_BALANCED
 from .exceptions import ConfigError, ShapeError, StateError
 from .numerics import FAN_IN, Array, ParamVector
 
-# variant -> (name, shape, initial value) of each parameter in storage order.
+
+class Recipe(NamedTuple):
+    layout: tuple   # (name, shape, initial value) per parameter, storage order
+    sampling: str   # stage-two batch sampler, a `data` strategy
+    loss: str       # stage-two loss, a `losses.VARIANTS` name
+
+
 # Shapes are in units of K (classes) and D (pooled feature dim); every
-# variant but CRT starts at its identity.
-_LAYOUTS = {
-    "crt": (("weight", ("K", "D"), FAN_IN), ("bias", ("K",), 0.0)),
-    "lws": (("scales", ("K",), 1.0),),
-    "disalign": (("alpha", ("K",), 1.0), ("beta", ("K",), 0.0),
-                 ("conf_weight", ("D",), 0.0), ("conf_bias", (1,), 0.0)),
-    "marc": (("omega", ("K",), 1.0), ("beta", ("K",), 0.0)),
+# variant but CRT starts at its identity. The order is the checkpoint's tag
+# order: tag = position + 1, and 0 means no calibrator.
+RECIPES = {
+    "crt": Recipe((("weight", ("K", "D"), FAN_IN), ("bias", ("K",), 0.0)),
+                  CLASS_BALANCED, "ce"),
+    "lws": Recipe((("scales", ("K",), 1.0),), CLASS_BALANCED, "ce"),
+    "disalign": Recipe((("alpha", ("K",), 1.0), ("beta", ("K",), 0.0),
+                        ("conf_weight", ("D",), 0.0), ("conf_bias", (1,), 0.0)),
+                       INSTANCE_BALANCED, "cbw"),
+    "marc": Recipe((("omega", ("K",), 1.0), ("beta", ("K",), 0.0)),
+                   INSTANCE_BALANCED, "bsm"),
 }
-CALIBRATOR_VARIANTS = tuple(_LAYOUTS)
+CALIBRATOR_VARIANTS = tuple(RECIPES)
 
 
 def calibrator_layout(variant: str, num_classes: int, dim: int) -> list:
     """(name, shape, initial value) of a variant's parameters, storage order."""
-    if variant not in _LAYOUTS:
+    if variant not in RECIPES:
         raise ConfigError(f"unknown calibrator variant {variant!r}")
     sizes = {"K": num_classes, "D": dim}
     return [(name, tuple(sizes.get(n, n) for n in shape), init)
-            for name, shape, init in _LAYOUTS[variant]]
+            for name, shape, init in RECIPES[variant].layout]
 
 
 def context_weight_norms(cls_weight: Array) -> Array:
@@ -105,9 +118,10 @@ def apply_batch(cal: Calibrator, pooled: Array, logits: Array,
     weight_norms = np.asarray(weight_norms, dtype=np.float64)
     if pooled.ndim != 2 or logits.ndim != 2 or pooled.shape[0] != logits.shape[0]:
         raise ShapeError("pooled features and logits must share a batch axis")
-    if pooled.shape[1] != cal.dim or logits.shape[1] != cal.num_classes:
+    if pooled.shape[1] != cal.dim or logits.shape[1] != cal.num_classes \
+            or weight_norms.shape != (cal.num_classes,):
         raise ShapeError(f"{cal.variant} calibrator expects {cal.dim}-dim pooled "
-                         f"features and {cal.num_classes} logits")
+                         f"features and {cal.num_classes} logits and norms")
     cache = ApplyCache(variant=cal.variant, pooled=pooled, logits=logits,
                        weight_norms=weight_norms)
     if cal.variant == "crt":

@@ -7,7 +7,8 @@ Layout (little-endian):
                u32 dim, u32 num_classes
     params     the head's parameter vector, `decoder.param_layout` order, f64
     counts     num_classes x u64 training class counts
-    cal tag    u8: 0 none, 1 crt, 2 lws, 3 disalign, 4 marc
+    cal tag    u8: 0 none, else 1 + the variant's position in
+               `calibrators.CALIBRATOR_VARIANTS`
     cal params the calibrator's vector, `calibrators.calibrator_layout`
                order, f64
 
@@ -21,20 +22,19 @@ import struct
 
 import numpy as np
 
-from .calibrators import Calibrator, calibrator_layout
+from .calibrators import CALIBRATOR_VARIANTS, Calibrator, calibrator_layout
 from .data import expect_end, read_exact
 from .decoder import DecoderConfig, DecoderHead, param_layout
-from .exceptions import FormatError
+from .exceptions import ConfigError, FormatError
 from .losses import ClassStats, stats_from_counts
 from .numerics import layout_size
 
 MAGIC = b"LTFH"
 VERSION = 1
 _HEADER = struct.Struct("<4sI")
+# the DecoderConfig fields in header order, one struct code each
+_CONFIG_FIELDS = ("depth", "heads", "mlp_ratio", "dropout", "dim", "num_classes")
 _CONFIG = struct.Struct("<IIddII")
-
-_CAL_TAGS = {None: 0, "crt": 1, "lws": 2, "disalign": 3, "marc": 4}
-_TAG_VARIANTS = {v: k for k, v in _CAL_TAGS.items()}
 
 
 def save_checkpoint(path, head: DecoderHead, class_counts,
@@ -45,12 +45,12 @@ def save_checkpoint(path, head: DecoderHead, class_counts,
     cfg = head.config
     with open(path, "wb") as fh:
         fh.write(_HEADER.pack(MAGIC, VERSION))
-        fh.write(_CONFIG.pack(cfg.depth, cfg.heads, cfg.mlp_ratio, cfg.dropout,
-                              cfg.dim, cfg.num_classes))
+        fh.write(_CONFIG.pack(*(getattr(cfg, f) for f in _CONFIG_FIELDS)))
         fh.write(head.params.vector.astype("<f8", copy=False).tobytes())
         fh.write(counts.astype("<u8").tobytes())
-        fh.write(struct.pack("<B", _CAL_TAGS[None if calibrator is None
-                                             else calibrator.variant]))
+        tag = (0 if calibrator is None
+               else CALIBRATOR_VARIANTS.index(calibrator.variant) + 1)
+        fh.write(struct.pack("<B", tag))
         if calibrator is not None:
             fh.write(calibrator.params.vector.astype("<f8", copy=False).tobytes())
 
@@ -67,20 +67,22 @@ def load_checkpoint(path) -> tuple[DecoderHead, ClassStats, Calibrator | None]:
             raise FormatError(f"bad magic {magic!r} at byte 0, expected {MAGIC!r}")
         if version != VERSION:
             raise FormatError(f"unsupported checkpoint version {version} at byte 4")
-        depth, heads, mlp_ratio, dropout, dim, num_classes = _CONFIG.unpack(
-            read_exact(fh, _CONFIG.size, "config"))
-        config = DecoderConfig(dim=dim, num_classes=num_classes, depth=depth,
-                               heads=heads, mlp_ratio=mlp_ratio, dropout=dropout)
+        values = _CONFIG.unpack(read_exact(fh, _CONFIG.size, "config"))
+        try:
+            config = DecoderConfig(**dict(zip(_CONFIG_FIELDS, values)))
+        except ConfigError as exc:
+            raise FormatError(f"bad config at byte {_HEADER.size}: {exc}") from None
         head = DecoderHead(config, _read_vector(fh, param_layout(config),
                                                 "head parameters"))
+        num_classes, dim = config.num_classes, config.dim
         counts_buf = read_exact(fh, 8 * num_classes, "class counts")
         counts = np.frombuffer(counts_buf, dtype="<u8").astype(np.int64)
         tag = read_exact(fh, 1, "calibrator tag")[0]
-        if tag not in _TAG_VARIANTS:
+        if tag > len(CALIBRATOR_VARIANTS):
             raise FormatError(f"unknown calibrator tag {tag} at byte {fh.tell() - 1}")
-        variant = _TAG_VARIANTS[tag]
         calibrator = None
-        if variant is not None:
+        if tag:
+            variant = CALIBRATOR_VARIANTS[tag - 1]
             layout = calibrator_layout(variant, num_classes, dim)
             calibrator = Calibrator(variant, num_classes, dim, _read_vector(
                 fh, layout, f"{variant} parameters"))

@@ -1,7 +1,7 @@
 """Command-line surface.
 
 Subcommands: gen-data, train, calibrate, eval, zero-shot, gradcheck, report.
-Exit codes: 0 success, 1 usage, 2 data/format/config error, 3 divergence.
+Exit codes: 0 success, 1 usage, 2 data/format/config or OS error, 3 divergence.
 """
 
 from __future__ import annotations
@@ -13,10 +13,11 @@ from dataclasses import replace
 
 import numpy as np
 
+from .calibrators import CALIBRATOR_VARIANTS
 from .checkpoint import load_checkpoint, save_checkpoint
 from .data import (FeatureDataset, SyntheticSpec, generate_synthetic_lt,
                    load_features, load_matrix_text, load_text_table,
-                   save_features)
+                   read_text_rows, save_features)
 from .decoder import DecoderConfig
 from .exceptions import (ConfigError, DataError, DivergenceError, DomainError,
                          FormatError, ShapeError, StateError)
@@ -69,8 +70,7 @@ def _build_parser() -> _Parser:
     p = sub.add_parser("calibrate", help="stage-two calibrator training")
     p.add_argument("--ckpt", required=True)
     p.add_argument("--features", required=True, help="training feature file")
-    p.add_argument("--method", choices=("crt", "lws", "disalign", "marc"),
-                   required=True)
+    p.add_argument("--method", choices=CALIBRATOR_VARIANTS, required=True)
     p.add_argument("--config", help="optional run config for optimizer fields")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=True, help="output checkpoint path")
@@ -146,11 +146,10 @@ def _cmd_train(args) -> int:
 
 
 def _cmd_calibrate(args) -> int:
+    cfg = TrainConfig()
     if args.config:
         with open(args.config) as fh:
             cfg = parse_run_config(fh.read())
-    else:
-        cfg = TrainConfig()
     head, _, _ = load_checkpoint(args.ckpt)
     ds = _load_feature_file(args.features)
     cal, _ = train_stage2(head, ds, cfg, args.method, make_rng(args.seed))
@@ -161,17 +160,21 @@ def _cmd_calibrate(args) -> int:
     return 0
 
 
-def _cmd_eval(args) -> int:
-    head, stats, cal = load_checkpoint(args.ckpt)
-    test = _load_feature_file(args.test)
-    report = evaluate(head, cal, test, stats)
+def _write_report(path, report) -> int:
+    """Write the text report to PATH and stdout, and the JSON to PATH.json."""
     text = render_report(report)
-    with open(args.report, "w") as fh:
+    with open(path, "w") as fh:
         fh.write(text)
-    with open(f"{args.report}.json", "w") as fh:
+    with open(f"{path}.json", "w") as fh:
         fh.write(report_json(report))
     sys.stdout.write(text)
     return 0
+
+
+def _cmd_eval(args) -> int:
+    head, stats, cal = load_checkpoint(args.ckpt)
+    test = _load_feature_file(args.test)
+    return _write_report(args.report, evaluate(head, cal, test, stats))
 
 
 def _cmd_zero_shot(args) -> int:
@@ -183,24 +186,14 @@ def _cmd_zero_shot(args) -> int:
     image_embs = images.features[:, 0, :]
     labels = images.labels
     if args.test_labels:
-        labels = np.loadtxt(args.test_labels, dtype=np.int64, ndmin=1)
-        if labels.shape[0] != image_embs.shape[0]:
-            raise DataError("test label count does not match image count")
+        labels, _ = read_text_rows(args.test_labels, labeled=True, width=0)
     k = class_matrix.shape[0]
-    if labels.max() >= k or labels.min() < 0:
-        raise DataError(f"labels must lie in [0, {k})")
     predictions, _ = zero_shot_classify(image_embs, embeddings, args.temperature)
-    # pad so every class exists; only group tags depend on these counts
+    # pad so every class exists; only group tags depend on these counts.
+    # These two calls reject labels outside [0, k) or not one per image.
     stats = build_class_stats(np.concatenate([np.arange(k), labels]), k)
-    report = metrics_from_predictions(predictions, labels, stats,
-                                      fingerprint="zero-shot")
-    text = render_report(report)
-    with open(args.report, "w") as fh:
-        fh.write(text)
-    with open(f"{args.report}.json", "w") as fh:
-        fh.write(report_json(report))
-    sys.stdout.write(text)
-    return 0
+    return _write_report(args.report, metrics_from_predictions(
+        predictions, labels, stats, fingerprint="zero-shot"))
 
 
 def _cmd_gradcheck(args) -> int:
@@ -230,8 +223,7 @@ def _cmd_report(args) -> int:
     if args.format == "machine":
         print(json.dumps(rows, indent=2, sort_keys=True))
         return 0
-    cols = ["checkpoint", "depth", "heads", "dim", "classes", "dropout",
-            "params", "calibrator", "train_samples"]
+    cols = list(rows[0])
     widths = {c: max(len(c), *(len(str(r[c])) for r in rows)) for c in cols}
     print("  ".join(c.ljust(widths[c]) for c in cols))
     for r in rows:
@@ -259,7 +251,7 @@ def main(argv=None) -> int:
     try:
         return _COMMANDS[args.command](args)
     except (FormatError, DataError, ConfigError, ShapeError, DomainError,
-            StateError, FileNotFoundError) as exc:
+            StateError, OSError, UnicodeDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return _DATA_EXIT
     except DivergenceError as exc:

@@ -1,5 +1,5 @@
 """Long-tailed feature datasets: synthetic generation, binary persistence,
-text-table ingestion, and the two batch samplers.
+text-row ingestion, and the two batch samplers.
 
 Binary feature file layout (all little-endian):
     magic   4 bytes  "IMBF"
@@ -37,7 +37,6 @@ _ROLE_NAMES = {v: k for k, v in _ROLE_CODES.items()}
 
 INSTANCE_BALANCED = "instance_balanced"
 CLASS_BALANCED = "class_balanced"
-SAMPLER_STRATEGIES = (INSTANCE_BALANCED, CLASS_BALANCED)
 
 
 @dataclass
@@ -214,54 +213,31 @@ def load_features(path) -> FeatureDataset:
                           role=_ROLE_NAMES[role_code])
 
 
-def load_text_table(path, num_classes: int | None = None,
-                    role: str = ROLE_TRAIN) -> FeatureDataset:
-    """Plain-text fixture loader: each row is `label, v1, ..., vD` (T=1)."""
+def read_text_rows(path, labeled: bool = False,
+                   width: int | None = None) -> tuple[Array, Array]:
+    """The one text-row grammar: feature tables, class matrices, label files.
+
+    Fields are comma-separated; blank lines and lines starting with `#` are
+    skipped. With `labeled`, the first field of each row is an integer label
+    parsed with `int()`, and the rest are float values. Every row has
+    `width` values, by default the first row's. Returns (N,) int64 labels,
+    empty unless `labeled`, and an (N, width) float64 array. A malformed row
+    raises FormatError naming `path:line`, a file without rows one naming
+    the path.
+    """
     labels, rows = [], []
-    dim = None
-    with open(path) as fh:
+    # undecodable bytes become U+FFFD, which fails to parse on its own line
+    with open(path, encoding="utf-8", errors="replace") as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.strip()
             if not line or line.startswith("#"):
                 continue
             parts = line.split(",")
-            if len(parts) < 2:
-                raise FormatError(f"{path}:{lineno}: need a label and at "
-                                  "least one feature value")
             try:
-                label = int(parts[0])
-                values = [float(p) for p in parts[1:]]
-            except ValueError as exc:
-                raise FormatError(f"{path}:{lineno}: {exc}") from None
-            if dim is None:
-                dim = len(values)
-            elif len(values) != dim:
-                raise FormatError(f"{path}:{lineno}: expected {dim} values, "
-                                  f"got {len(values)}")
-            labels.append(label)
-            rows.append(values)
-    if not rows:
-        raise FormatError(f"{path}: no data rows")
-    labels = np.asarray(labels, dtype=np.int64)
-    if num_classes is None:
-        num_classes = int(labels.max()) + 1
-    feats = np.asarray(rows, dtype=np.float64)[:, None, :]
-    return FeatureDataset(features=feats, labels=labels,
-                          num_classes=num_classes, role=role)
-
-
-def load_matrix_text(path) -> Array:
-    """Plain-text matrix: one row of comma-separated floats per line."""
-    rows = []
-    width = None
-    with open(path) as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            try:
-                values = [float(p) for p in line.split(",")]
-            except ValueError as exc:
+                if labeled:
+                    labels.append(np.int64(int(parts.pop(0))))
+                values = [float(p) for p in parts]
+            except (ValueError, OverflowError) as exc:
                 raise FormatError(f"{path}:{lineno}: {exc}") from None
             if width is None:
                 width = len(values)
@@ -271,7 +247,22 @@ def load_matrix_text(path) -> Array:
             rows.append(values)
     if not rows:
         raise FormatError(f"{path}: no data rows")
-    return np.asarray(rows, dtype=np.float64)
+    return np.asarray(labels, dtype=np.int64), np.asarray(rows, dtype=np.float64)
+
+
+def load_text_table(path) -> FeatureDataset:
+    """Plain-text feature table: each row is `label, v1, ..., vD` (T=1).
+
+    The class count is the largest label plus one.
+    """
+    labels, values = read_text_rows(path, labeled=True)
+    return FeatureDataset(features=values[:, None, :], labels=labels,
+                          num_classes=int(labels.max()) + 1)
+
+
+def load_matrix_text(path) -> Array:
+    """Plain-text matrix: one row of comma-separated floats per line."""
+    return read_text_rows(path)[1]
 
 
 def class_index(labels: Array, num_classes: int) -> tuple[Array, Array]:

@@ -12,7 +12,7 @@ already resolved position, and the blocks stay permutation-equivariant.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, make_dataclass
 
 import numpy as np
 
@@ -53,28 +53,23 @@ class DecoderConfig:
         return int(self.mlp_ratio * self.dim)
 
 
-@dataclass
-class BlockParams:
-    """One pre-norm block's parameters: views into the head's vector.
+def _block_layout(d: int, h: int) -> tuple:
+    """(name, shape, initial value) of one block's parameters, storage order.
 
-    Weight matrices are (out, in), applied as x @ W.T; `param_layout` gives
-    the shapes.
+    `d` is the model width and `h` the MLP hidden width. Weight matrices are
+    (out, in), applied as x @ W.T; the qkv rows are ordered q, k, v.
     """
-    ln1_gamma: Array
-    ln1_beta: Array
-    qkv_weight: Array   # rows ordered q, k, v
-    qkv_bias: Array
-    proj_weight: Array
-    proj_bias: Array
-    ln2_gamma: Array
-    ln2_beta: Array
-    fc1_weight: Array
-    fc1_bias: Array
-    fc2_weight: Array
-    fc2_bias: Array
+    return (("ln1_gamma", (d,), 1.0), ("ln1_beta", (d,), 0.0),
+            ("qkv_weight", (3 * d, d), FAN_IN), ("qkv_bias", (3 * d,), 0.0),
+            ("proj_weight", (d, d), FAN_IN), ("proj_bias", (d,), 0.0),
+            ("ln2_gamma", (d,), 1.0), ("ln2_beta", (d,), 0.0),
+            ("fc1_weight", (h, d), FAN_IN), ("fc1_bias", (h,), 0.0),
+            ("fc2_weight", (d, h), FAN_IN), ("fc2_bias", (d,), 0.0))
 
 
-BLOCK_FIELDS = tuple(f.name for f in fields(BlockParams))
+BLOCK_FIELDS = tuple(name for name, _, _ in _block_layout(0, 0))
+BlockParams = make_dataclass("BlockParams", BLOCK_FIELDS, namespace={
+    "__doc__": "One pre-norm block's parameters: views into the head's vector."})
 
 
 def param_layout(config: DecoderConfig) -> list[tuple[str, tuple, object]]:
@@ -83,15 +78,10 @@ def param_layout(config: DecoderConfig) -> list[tuple[str, tuple, object]]:
     This order is the checkpoint's byte order and the order of fan-in draws
     at initialization.
     """
-    d, h, k = config.dim, config.hidden, config.num_classes
-    block = (("ln1_gamma", (d,), 1.0), ("ln1_beta", (d,), 0.0),
-             ("qkv_weight", (3 * d, d), FAN_IN), ("qkv_bias", (3 * d,), 0.0),
-             ("proj_weight", (d, d), FAN_IN), ("proj_bias", (d,), 0.0),
-             ("ln2_gamma", (d,), 1.0), ("ln2_beta", (d,), 0.0),
-             ("fc1_weight", (h, d), FAN_IN), ("fc1_bias", (h,), 0.0),
-             ("fc2_weight", (d, h), FAN_IN), ("fc2_bias", (d,), 0.0))
+    d, k = config.dim, config.num_classes
     layout = [(f"blocks.{i}.{name}", shape, init)
-              for i in range(config.depth) for name, shape, init in block]
+              for i in range(config.depth)
+              for name, shape, init in _block_layout(d, config.hidden)]
     return layout + [("cls_weight", (k, d), FAN_IN), ("cls_bias", (k,), 0.0)]
 
 

@@ -1,10 +1,8 @@
 """Two-stage training, evaluation, and zero-shot classification.
 
 Stage one trains the decoder head with instance-balanced batches under the
-configured loss. Stage two freezes the head and trains only a calibrator:
-CRT and LWS see class-balanced batches with plain cross-entropy, DisAlign
-sees instance-balanced batches with inverse-frequency weights, and MARC
-sees instance-balanced batches under the balanced softmax.
+configured loss. Stage two freezes the head and trains only a calibrator,
+with the batch sampler and loss of its `calibrators.RECIPES` entry.
 
 Both stages use SGD with momentum, weight decay folded into the gradient,
 linear warmup, and cosine decay to zero.
@@ -21,9 +19,9 @@ from dataclasses import dataclass, fields, replace
 import numpy as np
 
 from . import calibrators as cal_mod
-from .calibrators import Calibrator, context_weight_norms, init_calibrator
-from .data import (CLASS_BALANCED, INSTANCE_BALANCED, FeatureDataset,
-                   class_index, sample_batch)
+from .calibrators import (CALIBRATOR_VARIANTS, RECIPES, Calibrator,
+                          context_weight_norms, init_calibrator)
+from .data import INSTANCE_BALANCED, FeatureDataset, class_index, sample_batch
 from .decoder import DecoderConfig, DecoderHead, backward_batch, forward_batch, init_decoder
 from .exceptions import (ConfigError, DataError, DivergenceError, DomainError,
                          ShapeError)
@@ -32,10 +30,6 @@ from .losses import (VARIANTS, ClassStats, build_class_stats, make_loss_spec,
 from .numerics import Array, softmax_rows
 
 EVAL_CHUNK = 512  # fixed so evaluation arithmetic never depends on dataset size
-
-STAGE2_SAMPLING = {"crt": CLASS_BALANCED, "lws": CLASS_BALANCED,
-                   "disalign": INSTANCE_BALANCED, "marc": INSTANCE_BALANCED}
-STAGE2_LOSS = {"crt": "ce", "lws": "ce", "disalign": "cbw", "marc": "bsm"}
 
 
 @dataclass(frozen=True)
@@ -75,8 +69,7 @@ class TrainConfig:
             raise ConfigError("weight_decay must be >= 0")
         if self.loss not in VARIANTS:
             raise ConfigError(f"unknown loss variant {self.loss!r}")
-        if self.stage2_method is not None \
-                and self.stage2_method not in STAGE2_SAMPLING:
+        if self.stage2_method not in (None, *CALIBRATOR_VARIANTS):
             raise ConfigError(f"unknown stage2 method {self.stage2_method!r}")
 
 
@@ -118,13 +111,10 @@ def render_run_config(cfg: TrainConfig) -> str:
     return "\n".join(lines) + "\n"
 
 
-def config_fingerprint(cfg: TrainConfig | None, decoder_config: DecoderConfig,
+def config_fingerprint(decoder_config: DecoderConfig,
                        calibrator_variant: str | None = None) -> str:
-    parts = [f"decoder:{decoder_config}"]
-    if cfg is not None:
-        parts.append(f"train:{render_run_config(cfg)}")
-    parts.append(f"calibrator:{calibrator_variant}")
-    return hashlib.sha256("|".join(parts).encode()).hexdigest()[:16]
+    text = f"decoder:{decoder_config}|calibrator:{calibrator_variant}"
+    return hashlib.sha256(text.encode()).hexdigest()[:16]
 
 
 def lr_at(cfg: TrainConfig, iteration: int) -> float:
@@ -244,11 +234,11 @@ def train_stage2(head: DecoderHead, ds: FeatureDataset, cfg: TrainConfig,
     constant, so they are computed once up front; iterations then touch only
     calibrator parameters.
     """
-    if variant not in STAGE2_SAMPLING:
+    if variant not in RECIPES:
         raise ConfigError(f"unknown calibrator variant {variant!r}")
     stats = build_class_stats(ds.labels, ds.num_classes)
-    strategy = STAGE2_SAMPLING[variant]
-    spec = make_loss_spec(STAGE2_LOSS[variant], stats)
+    strategy = RECIPES[variant].sampling
+    spec = make_loss_spec(RECIPES[variant].loss, stats)
     pooled, logits = _precompute_contexts(head, ds)
     norms = context_weight_norms(head.cls_weight)
     cal = init_calibrator(variant, head.config.num_classes, head.config.dim, rng)
@@ -307,7 +297,8 @@ def metrics_from_predictions(predictions, labels, stats: ClassStats,
     labels = np.asarray(labels, dtype=np.int64)
     k = stats.num_classes
     if predictions.shape != labels.shape or predictions.ndim != 1:
-        raise DataError("predictions and labels must be matching vectors")
+        raise DataError(f"predictions {predictions.shape} and labels "
+                        f"{labels.shape} must be matching vectors")
     if labels.size == 0:
         raise DataError("cannot evaluate on an empty test set")
     if labels.min() < 0 or labels.max() >= k \
@@ -373,7 +364,7 @@ def evaluate(head: DecoderHead, calibrator: Calibrator | None,
         norms = context_weight_norms(head.cls_weight)
         logits, _ = cal_mod.apply_batch(calibrator, pooled, logits, norms)
     predictions = np.argmax(logits, axis=1)
-    fp = config_fingerprint(None, head.config,
+    fp = config_fingerprint(head.config,
                             None if calibrator is None else calibrator.variant)
     return metrics_from_predictions(predictions, test_ds.labels, stats,
                                     fingerprint=fp)
@@ -411,8 +402,8 @@ class TextClassEmbeddings:
         if matrix.ndim != 2:
             raise ShapeError("class embeddings must be a (K, D) matrix")
         norms = np.sqrt(np.sum(matrix ** 2, axis=1, keepdims=True))
-        if np.any(norms == 0):
-            raise DataError("class embeddings must have nonzero norm")
+        if not np.all(np.isfinite(norms) & (norms > 0)):
+            raise DataError("class embeddings must have finite, nonzero norms")
         return TextClassEmbeddings(matrix=matrix / norms)
 
 

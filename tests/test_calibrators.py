@@ -2,8 +2,8 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
-from lthead import (ConfigError, ShapeError, context_weight_norms,
-                    init_calibrator, make_rng)
+from lthead import (CALIBRATOR_VARIANTS, ConfigError, ShapeError,
+                    context_weight_norms, init_calibrator, make_rng)
 from lthead.calibrators import apply_batch, backward_batch
 
 
@@ -51,7 +51,7 @@ class TestInit:
 
 
 class TestLayout:
-    @pytest.mark.parametrize("variant", ["crt", "lws", "disalign", "marc"])
+    @pytest.mark.parametrize("variant", CALIBRATOR_VARIANTS)
     def test_params_and_grads_share_one_vector_layout(self, variant):
         cal = init_calibrator(variant, 4, 6, make_rng(0))
         flat = np.concatenate([a.ravel() for a in cal.param_dict().values()])
@@ -65,7 +65,7 @@ class TestLayout:
         with pytest.raises(ConfigError):
             init_calibrator("temperature", 4, 6, make_rng(0))
 
-    @pytest.mark.parametrize("variant", ["crt", "lws", "disalign", "marc"])
+    @pytest.mark.parametrize("variant", CALIBRATOR_VARIANTS)
     def test_mismatched_inputs_rejected(self, variant):
         cal = init_calibrator(variant, 4, 6, make_rng(0))
         pooled, logits, norms = random_ctx(14)
@@ -73,6 +73,9 @@ class TestLayout:
             apply_batch(cal, pooled[:, :5], logits, norms)
         with pytest.raises(ShapeError):
             apply_batch(cal, pooled, logits[:, :3], norms)
+        for bad_norms in (norms[:1], np.ones((7, 7))):
+            with pytest.raises(ShapeError):
+                apply_batch(cal, pooled, logits, bad_norms)
 
 
 class TestApply:
@@ -119,7 +122,7 @@ class TestApply:
 
 class TestBackward:
     def test_zero_upstream_zero_grads(self):
-        for variant in ("crt", "lws", "disalign", "marc"):
+        for variant in CALIBRATOR_VARIANTS:
             cal = init_calibrator(variant, 4, 6, make_rng(2))
             ctx = random_ctx(6)
             _, cache = apply_batch(cal, *ctx)
@@ -138,7 +141,7 @@ class TestBackward:
         npt.assert_allclose(grads["scales"], ctx[1][0] * upstream,
                             rtol=0, atol=1e-15)
 
-    @pytest.mark.parametrize("variant", ["crt", "lws", "disalign", "marc"])
+    @pytest.mark.parametrize("variant", CALIBRATOR_VARIANTS)
     def test_parameters_match_finite_differences(self, variant):
         from lthead import run_gradcheck
         results = {r.name: r.report for r in run_gradcheck("calibrators", 1e-5)}
@@ -173,7 +176,7 @@ class TestAffineStructure:
 
 
 class TestBatchConsistency:
-    @pytest.mark.parametrize("variant", ["crt", "lws", "disalign", "marc"])
+    @pytest.mark.parametrize("variant", CALIBRATOR_VARIANTS)
     def test_batch_rows_match_single_samples(self, variant):
         # a 1-row apply_batch equals that row of the full batch
         k, d = 5, 4

@@ -88,6 +88,23 @@ def test_every_truncated_prefix_rejected(tmp_path):
             load_checkpoint(cut)
 
 
+@pytest.mark.parametrize("offset, field, match", [
+    (12, struct.pack("<I", 0), "bad config at byte 8"),         # heads = 0
+    (24, struct.pack("<d", 1.5), "bad config at byte 8"),       # dropout = 1.5
+    (-1, struct.pack("<B", 5), "unknown calibrator tag 5"),     # last tag + 1
+], ids=["heads_0", "dropout_1.5", "tag_5"])
+def test_invalid_header_field_rejected(tmp_path, offset, field, match):
+    dc = DecoderConfig(dim=8, num_classes=3, depth=1, heads=2)
+    path = tmp_path / "model.ckpt"
+    save_checkpoint(path, init_decoder(dc, make_rng(0)), np.array([5, 3, 1]))
+    blob = bytearray(path.read_bytes())
+    start = offset % len(blob)  # -1 is the calibrator tag, the last byte
+    blob[start:start + len(field)] = field
+    path.write_bytes(bytes(blob))
+    with pytest.raises(FormatError, match=match):
+        load_checkpoint(path)
+
+
 def test_oversized_header_rejected(tmp_path):
     # depth 1 at dim 2^20 claims about 24 TiB of parameters
     path = tmp_path / "huge.ckpt"

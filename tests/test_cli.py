@@ -74,6 +74,12 @@ class TestTrain:
             outs.append(out)
         assert outs[0].read_bytes() == outs[1].read_bytes()
 
+    def test_undecodable_config_exit_2(self, workspace, tmp_path):
+        bad = tmp_path / "bad.cfg"
+        bad.write_bytes(b"seed=\xff\n")
+        assert run(["train", "--features", str(workspace / "data.train"),
+                    "--config", str(bad), "--out", str(tmp_path / "x.ckpt")]) == 2
+
     def test_oversized_feature_header_exit_2(self, workspace, tmp_path):
         huge = tmp_path / "huge.train"
         huge.write_bytes(struct.pack("<4sIQIIIB", b"IMBF", 1, 2 ** 33, 1, 4, 2, 0))
@@ -136,6 +142,11 @@ class TestEval:
                     "--test", str(workspace / "data.test"),
                     "--report", str(tmp_path / "r")]) == 2
 
+    def test_directory_checkpoint_exit_2(self, workspace, tmp_path):
+        assert run(["eval", "--ckpt", str(tmp_path),
+                    "--test", str(workspace / "data.test"),
+                    "--report", str(tmp_path / "r")]) == 2
+
     def test_corrupt_checkpoint_exit_2(self, workspace, tmp_path):
         bad = tmp_path / "bad.ckpt"
         bad.write_bytes(b"XXXX" + b"\0" * 20)
@@ -169,6 +180,36 @@ class TestZeroShot:
                     "--report", str(tmp_path / "zs2.report")]) == 0
         payload = json.loads((tmp_path / "zs2.report.json").read_text())
         assert payload["overall"] == 1.0
+
+    @staticmethod
+    def _run_with_labels(tmp_path, text):
+        class_embs = tmp_path / "classes.txt"
+        class_embs.write_text("1.0, 0.0\n0.0, 1.0\n")
+        images = tmp_path / "images.txt"
+        images.write_text("0, 1.0, 0.0\n1, 0.0, 1.0\n")
+        labels = tmp_path / "labels.txt"
+        labels.write_bytes(text)
+        return run(["zero-shot", "--image-embs", str(images),
+                    "--class-embs", str(class_embs),
+                    "--test-labels", str(labels),
+                    "--report", str(tmp_path / "zs.report")])
+
+    @pytest.mark.parametrize("text, line", [
+        (b"x\n", 1),
+        (b"0,1,0\n", 1),
+        (b"# labels\n0\n\n1, 2\n", 4),
+        (b"0\n99999999999999999999\n", 2),
+        (b"0\n\xff\n", 2),
+    ], ids=["not_int", "three_fields", "ragged_after_comment", "overflow",
+            "not_utf8"])
+    def test_malformed_label_file_exit_2(self, tmp_path, capsys, text, line):
+        assert self._run_with_labels(tmp_path, text) == 2
+        assert f"{tmp_path / 'labels.txt'}:{line}:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("text", [b"0\n2\n", b"0\n-1\n", b"0\n"],
+                             ids=["above_k", "negative", "one_per_two_images"])
+    def test_labels_not_matching_classes_or_images_exit_2(self, tmp_path, text):
+        assert self._run_with_labels(tmp_path, text) == 2
 
 
 class TestGradcheckCommand:

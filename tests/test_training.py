@@ -393,6 +393,14 @@ class TestZeroShot:
         _, probs = zero_shot_classify(make_rng(1).standard_normal((3, d)), emb)
         npt.assert_allclose(probs, 1.0 / k, rtol=0, atol=1e-12)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, 1e200])
+    def test_non_finite_class_embeddings_rejected(self, bad):
+        # 1e200 is finite, but its squared norm overflows to inf
+        matrix = np.eye(3)
+        matrix[1, 2] = bad
+        with np.errstate(over="ignore"), pytest.raises(DataError, match="finite"):
+            TextClassEmbeddings.from_matrix(matrix)
+
     def test_orthonormal_analytic(self):
         emb = TextClassEmbeddings.from_matrix(np.eye(3))
         preds, probs = zero_shot_classify(np.eye(3)[:1], emb)
