@@ -1,8 +1,10 @@
 """Lightweight transformer decoder over frozen token features.
 
 Pre-norm blocks (multi-head self-attention, then a GELU MLP with dropout on
-its output), mean pooling over tokens, and a linear classifier. Forward
-passes cache activations so the backward pass is exact without recomputation.
+its output), mean pooling over tokens, and a linear classifier. Train-mode
+forward passes cache activations so the backward pass is exact without
+recomputation; eval mode is inference only and keeps no caches, computes no
+GELU derivative and builds no dropout mask.
 Depth 0 degenerates to a linear probe: mean-pool then affine.
 
 No positional embeddings are added; input tokens come from an encoder that
@@ -18,7 +20,7 @@ import numpy as np
 
 from .exceptions import ConfigError, ShapeError, StateError
 from .numerics import (FAN_IN, Array, LayerNormCache, ParamVector, dropout_mask,
-                       gelu_with_grad, layer_norm, layer_norm_backward,
+                       gelu, gelu_with_grad, layer_norm, layer_norm_backward,
                        softmax_last)
 
 
@@ -139,7 +141,7 @@ class BlockCache:
 @dataclass
 class ForwardCache:
     config: DecoderConfig
-    block_caches: list[BlockCache]
+    block_caches: list[BlockCache] | None  # None after an eval-mode forward
     pooled: Array        # (B, D)
     num_tokens: int
 
@@ -157,12 +159,14 @@ def _merge_heads(x: Array) -> Array:
 def _linear(x: Array, weight: Array, bias: Array) -> Array:
     # x: (B, T, in) -> (B, T, out); flattening keeps matmuls 2-D.
     b, t, _ = x.shape
-    out = x.reshape(b * t, -1) @ weight.T + bias
+    out = x.reshape(b * t, -1) @ weight.T
+    out += bias
     return out.reshape(b, t, -1)
 
 
 def _block_forward_batch(params: BlockParams, x: Array, config: DecoderConfig,
-                         rng, train_mode: bool) -> tuple[Array, BlockCache]:
+                         rng, train_mode: bool) -> tuple[Array, BlockCache | None]:
+    """One block. Eval mode returns no cache and adds the MLP output in place."""
     if x.ndim != 3 or x.shape[2] != config.dim:
         raise ShapeError(f"block input must be (B, T, {config.dim}), got {x.shape}")
     xhat1, ln1 = layer_norm(x, params.ln1_gamma, params.ln1_beta)
@@ -184,6 +188,9 @@ def _block_forward_batch(params: BlockParams, x: Array, config: DecoderConfig,
 
     xhat2, ln2 = layer_norm(x_mid, params.ln2_gamma, params.ln2_beta)
     h_pre = _linear(xhat2, params.fc1_weight, params.fc1_bias)
+    if not train_mode:
+        x_mid += _linear(gelu(h_pre), params.fc2_weight, params.fc2_bias)
+        return x_mid, None
     h_act, h_grad = gelu_with_grad(h_pre)
     mlp = _linear(h_act, params.fc2_weight, params.fc2_bias)
     mask = dropout_mask(mlp.shape, config.dropout, rng, train_mode)
@@ -252,8 +259,10 @@ def forward_batch(head: DecoderHead, tokens: Array, rng,
                   train_mode: bool) -> tuple[Array, ForwardCache]:
     """Run a (B, T, D) token batch through the head.
 
-    Returns (B, K) logits and the cache consumed by `backward_batch`. Eval
-    mode never touches `rng` and is fully deterministic.
+    Returns (B, K) logits and a cache. Train mode is the differentiable
+    mode: its cache holds every activation `backward_batch` consumes, and a
+    positive dropout rate draws masks from `rng`. Eval mode is inference:
+    the cache holds only the pooled features, and `rng` is never touched.
     """
     x = np.asarray(tokens, dtype=np.float64)
     if x.ndim != 3:
@@ -269,8 +278,10 @@ def forward_batch(head: DecoderHead, tokens: Array, rng,
         x, cache = _block_forward_batch(blk, x, head.config, rng, train_mode)
         caches.append(cache)
     pooled = x.mean(axis=1)
-    logits = pooled @ head.cls_weight.T + head.cls_bias
-    return logits, ForwardCache(config=head.config, block_caches=caches,
+    logits = pooled @ head.cls_weight.T
+    logits += head.cls_bias
+    return logits, ForwardCache(config=head.config,
+                                block_caches=caches if train_mode else None,
                                 pooled=pooled, num_tokens=t)
 
 
@@ -281,8 +292,12 @@ def backward_batch(head: DecoderHead, cache: ForwardCache, dlogits: Array,
     The parameter gradients share the head's layout: one flat vector whose
     dotted names address the same slices as `head.params`. They overwrite
     every entry of `out.params` when a head of the same config is given
-    (training loops reuse one), else a fresh vector.
+    (training loops reuse one), else a fresh vector. `cache` must come from
+    a train-mode `forward_batch`.
     """
+    if cache.block_caches is None:
+        raise StateError("an eval-mode forward keeps no caches; "
+                         "backward needs forward_batch(..., train_mode=True)")
     if cache.config != head.config or len(cache.block_caches) != len(head.blocks):
         raise StateError("forward cache does not match this head")
     dlogits = np.asarray(dlogits, dtype=np.float64)

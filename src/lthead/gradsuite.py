@@ -89,7 +89,7 @@ def _decoder_checks(tol: float) -> list[CheckResult]:
     results.append(CheckResult("decoder.gelu",
                                finite_diff_check(f_gelu, pts, tol=tol)))
 
-    def head_check(name, config, train_mode, check_input=False):
+    def head_check(name, config, check_input=False):
         head0 = init_decoder(config, make_rng(31))
         tokens = make_rng(37).standard_normal((2, 3, config.dim))
         labels = np.array([1, 0])
@@ -97,8 +97,9 @@ def _decoder_checks(tol: float) -> list[CheckResult]:
         spec = make_loss_spec("ce", stats)
 
         def run(head, toks):
-            # re-seeded generator: dropout masks are identical per evaluation
-            logits, cache = forward_batch(head, toks, make_rng(41), train_mode)
+            # train mode is the differentiable one; a re-seeded generator
+            # makes the dropout masks identical per evaluation
+            logits, cache = forward_batch(head, toks, make_rng(41), True)
             value, dlogits = total_loss(spec, logits, labels, stats)
             grads, dtokens = backward_batch(head, cache, dlogits)
             return value, grads, dtokens
@@ -117,15 +118,14 @@ def _decoder_checks(tol: float) -> list[CheckResult]:
 
     block_cfg = DecoderConfig(dim=6, num_classes=3, depth=1, heads=2,
                               mlp_ratio=2.0, dropout=0.3)
-    results.append(head_check("decoder.block", block_cfg, train_mode=True))
+    results.append(head_check("decoder.block", block_cfg))
     deep_cfg = DecoderConfig(dim=8, num_classes=4, depth=2, heads=4,
                              mlp_ratio=2.0, dropout=0.0)
-    results.append(head_check("decoder.head", deep_cfg, train_mode=False))
-    results.append(head_check("decoder.input", deep_cfg, train_mode=False,
-                              check_input=True))
+    results.append(head_check("decoder.head", deep_cfg))
+    results.append(head_check("decoder.input", deep_cfg, check_input=True))
     probe_cfg = DecoderConfig(dim=5, num_classes=4, depth=0, heads=1,
                               dropout=0.0)
-    results.append(head_check("decoder.linear_probe", probe_cfg, train_mode=False))
+    results.append(head_check("decoder.linear_probe", probe_cfg))
     return results
 
 

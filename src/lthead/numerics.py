@@ -12,7 +12,7 @@ from typing import Callable
 
 import numpy as np
 
-from .exceptions import DomainError, EvaluationError, ShapeError
+from .exceptions import DomainError, EvaluationError, ShapeError, StateError
 
 Array = np.ndarray
 
@@ -202,8 +202,25 @@ def gelu_with_grad(x) -> tuple[Array, Array]:
 
 
 def gelu(x):
-    """tanh-approximation GELU: 0.5*x*(1 + tanh(c*(x + a*x^3)))."""
-    return gelu_with_grad(x)[0]
+    """tanh-approximation GELU: 0.5*x*(1 + tanh(c*(x + a*x^3))).
+
+    The value alone, for inference. It repeats `gelu_with_grad`'s operation
+    order, so the two agree bit for bit.
+    """
+    x = np.asarray(x, dtype=np.float64)
+    scalar = x.ndim == 0
+    if scalar:
+        x = x[None]
+    u = x * x
+    u *= _GELU_A
+    u += 1.0
+    u *= x
+    u *= _GELU_C
+    np.tanh(u, out=u)
+    u += 1.0
+    u *= 0.5
+    u *= x
+    return u[0] if scalar else u
 
 
 def gelu_grad(x):
@@ -215,12 +232,15 @@ def dropout_mask(shape, rate: float, rng: np.random.Generator,
                  train_mode: bool) -> Array:
     """Inverted-scaling dropout mask: entries are 0 or 1/(1-rate).
 
-    Eval mode and rate 0 both return all ones, so inference is an identity.
+    Eval mode and rate 0 both return all ones, so inference is an identity;
+    neither needs `rng`. A train-mode mask at a positive rate draws from it.
     """
     if not 0.0 <= rate < 1.0:
         raise DomainError(f"dropout rate must lie in [0, 1), got {rate}")
     if not train_mode or rate == 0.0:
         return np.ones(shape)
+    if rng is None:
+        raise StateError(f"train-mode dropout at rate {rate} needs an rng, got None")
     keep = 1.0 - rate
     return (rng.random(shape) < keep).astype(np.float64) / keep
 

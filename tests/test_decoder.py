@@ -130,7 +130,7 @@ class TestBlockForward:
         def f(vec):
             # the classifier entries of the vector get zero gradient both ways
             blk = DecoderHead(cfg, vec).blocks[0]
-            out, cache = _block_forward_batch(blk, tokens, cfg, None, False)
+            out, cache = _block_forward_batch(blk, tokens, cfg, None, True)
             grads = DecoderHead(cfg)
             _block_backward_batch(blk, cache, probe, cfg, grads.blocks[0])
             return float(np.sum(out * probe)), grads.params.vector
@@ -192,13 +192,43 @@ class TestForward:
         with pytest.raises(ShapeError):
             forward_batch(head, np.zeros((1, 2, 7)), None, False)
 
+    def test_train_mode_dropout_without_rng_rejected(self):
+        cfg = DecoderConfig(dim=8, num_classes=3, depth=1, heads=2, dropout=0.5)
+        head = init_decoder(cfg, make_rng(0))
+        tokens = make_rng(1).standard_normal((2, 3, 8))
+        with pytest.raises(StateError, match="needs an rng"):
+            forward_batch(head, tokens, None, True)
+        # eval mode and a zero rate draw nothing, so they need no generator
+        forward_batch(head, tokens, None, False)
+        forward_batch(init_decoder(DecoderConfig(dim=8, num_classes=3, depth=1,
+                                                 heads=2, dropout=0.0), make_rng(0)),
+                      tokens, None, True)
+
+
+class TestInference:
+    @pytest.mark.parametrize("t", [1, 3])
+    @pytest.mark.parametrize("depth", [0, 1, 2])
+    def test_eval_matches_train_bitwise_and_keeps_no_cache(self, depth, t):
+        cfg = DecoderConfig(dim=8, num_classes=3, depth=depth, heads=2, dropout=0.0)
+        head = init_decoder(cfg, make_rng(depth))
+        tokens = make_rng(10 + t).standard_normal((4, t, 8))
+        train_logits, train_cache = forward_batch(head, tokens, None, True)
+        eval_logits, eval_cache = forward_batch(head, tokens, None, False)
+        npt.assert_array_equal(eval_logits.view(np.uint64),
+                               train_logits.view(np.uint64))
+        npt.assert_array_equal(eval_cache.pooled.view(np.uint64),
+                               train_cache.pooled.view(np.uint64))
+        assert eval_cache.block_caches is None
+        with pytest.raises(StateError, match="eval-mode"):
+            backward_batch(head, eval_cache, np.zeros((4, 3)))
+
 
 class TestBackward:
     def test_zero_dlogits_zero_grads(self):
         cfg = DecoderConfig(dim=8, num_classes=3, depth=2, heads=2, dropout=0.0)
         head = init_decoder(cfg, make_rng(0))
         tokens = make_rng(1).standard_normal((1, 3, 8))
-        _, cache = forward_batch(head, tokens, None, False)
+        _, cache = forward_batch(head, tokens, None, True)
         grads, dtokens = backward_batch(head, cache, np.zeros((1, 3)))
         for name, g in grads.items():
             npt.assert_array_equal(g, np.zeros_like(g), err_msg=name)
@@ -209,7 +239,7 @@ class TestBackward:
                             make_rng(2))
         tokens = make_rng(3).standard_normal((1, 4, 5))
         dlogits = make_rng(4).standard_normal((1, 3))
-        _, cache = forward_batch(head, tokens, None, False)
+        _, cache = forward_batch(head, tokens, None, True)
         grads, _ = backward_batch(head, cache, dlogits)
         pooled = tokens[0].mean(axis=0)
         npt.assert_allclose(grads["cls_weight"], np.outer(dlogits[0], pooled),
@@ -220,7 +250,7 @@ class TestBackward:
         cfg = DecoderConfig(dim=8, num_classes=3, depth=2, heads=2, dropout=0.0)
         head = init_decoder(cfg, make_rng(0))
         _, cache = forward_batch(head, make_rng(1).standard_normal((2, 3, 8)),
-                                 None, False)
+                                 None, True)
         grads, _ = backward_batch(head, cache, make_rng(2).standard_normal((2, 3)))
         assert list(grads) == [n for n, _ in head.param_items()]
         flat = np.concatenate([g.ravel() for g in grads.values()])
@@ -234,7 +264,7 @@ class TestBackward:
         buf = DecoderHead(cfg)
         for t in (3, 1):
             _, cache = forward_batch(head, make_rng(t).standard_normal((2, t, 8)),
-                                     None, False)
+                                     None, True)
             dlogits = make_rng(5).standard_normal((2, 3))
             fresh, _ = backward_batch(head, cache, dlogits)
             reused, _ = backward_batch(head, cache, dlogits, out=buf)
@@ -251,7 +281,7 @@ class TestBackward:
         other = init_decoder(DecoderConfig(dim=8, num_classes=3, depth=2, heads=2,
                                            dropout=0.0), make_rng(0))
         _, cache = forward_batch(head, make_rng(1).standard_normal((2, 3, 8)),
-                                 None, False)
+                                 None, True)
         with pytest.raises(StateError):
             backward_batch(other, cache, np.zeros((2, 3)))
 

@@ -452,3 +452,40 @@ class TestZeroShot:
         assert p_hot.max(axis=1).min() >= p_base.max(axis=1).min()
         with pytest.raises(DomainError):
             zero_shot_classify(images, emb, temperature=0.0)
+
+
+THREAD_RUN = """
+import hashlib
+from lthead import (DecoderConfig, SyntheticSpec, TrainConfig,
+                    generate_synthetic_lt, make_rng, train_stage1)
+spec = SyntheticSpec(num_classes=10, head_count=100, imbalance_ratio=10.0,
+                     dim=64, tokens=4, seed=5)
+train, _ = generate_synthetic_lt(spec)
+cfg = TrainConfig(seed=1, total_iters=30, batch_size=256, warmup_iters=5)
+dc = DecoderConfig(dim=64, num_classes=10, depth=2, heads=4, dropout=0.5)
+head, log = train_stage1(train, cfg, dc, make_rng(cfg.seed))
+print(hashlib.sha256(head.params.vector.tobytes()).hexdigest(),
+      hashlib.sha256(log.tobytes()).hexdigest())
+"""
+
+
+class TestThreadInvariance:
+    def test_blas_thread_count_keeps_bits(self):
+        # The documented guarantee is bit-exactness per machine and BLAS
+        # kernel; the BLAS thread count must not change a trained head.
+        import os
+        import subprocess
+        import sys
+        from pathlib import Path
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        hashes = []
+        for threads in ("1", "2"):
+            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+                       OMP_NUM_THREADS=threads, MKL_NUM_THREADS=threads)
+            env["PYTHONPATH"] = os.pathsep.join(
+                p for p in (src, env.get("PYTHONPATH")) if p)
+            proc = subprocess.run([sys.executable, "-c", THREAD_RUN], env=env,
+                                  capture_output=True, text=True)
+            assert proc.returncode == 0, proc.stderr
+            hashes.append(proc.stdout.split())
+        assert hashes[0] == hashes[1]
