@@ -10,8 +10,8 @@ onto plain cross-entropy.
 
 import numpy as np
 
-from lthead import (bsm_biases, cbw_weights, ldam_margins, loss_eval,
-                    make_loss_spec, make_rng, stats_from_counts, total_loss)
+from lthead import (bsm_biases, cbw_weights, ldam_margins, make_loss_spec,
+                    make_rng, stats_from_counts, total_loss)
 
 counts = np.array([400, 150, 60, 12, 3])
 stats = stats_from_counts(counts)
@@ -40,15 +40,15 @@ for variant in ("ce", "cbw", "focal", "ldam", "bsm", "lade"):
 print()
 print("reductions back to cross-entropy:")
 spec_ce = make_loss_spec("ce", stats)
-v_ce, _ = loss_eval(spec_ce, logits, labels, stats)
-v_f0, _ = loss_eval(make_loss_spec("focal", stats, gamma=0.0), logits, labels, stats)
-v_l0, _ = loss_eval(make_loss_spec("ldam", stats, max_margin=0.0), logits, labels, stats)
+v_ce, _ = total_loss(spec_ce, logits, labels, stats)
+v_f0, _ = total_loss(make_loss_spec("focal", stats, gamma=0.0), logits, labels, stats)
+v_l0, _ = total_loss(make_loss_spec("ldam", stats, max_margin=0.0), logits, labels, stats)
 print(f"  focal(gamma=0) - ce = {abs(v_f0 - v_ce):.2e}")
 print(f"  ldam(margin=0) - ce = {abs(v_l0 - v_ce):.2e}")
 
 eq_stats = stats_from_counts(np.full(5, 100))
-v_ce_eq, _ = loss_eval(make_loss_spec("ce", eq_stats), logits, labels, eq_stats)
-v_bsm_eq, _ = loss_eval(make_loss_spec("bsm", eq_stats), logits, labels, eq_stats)
-v_cbw_eq, _ = loss_eval(make_loss_spec("cbw", eq_stats), logits, labels, eq_stats)
+v_ce_eq, _ = total_loss(make_loss_spec("ce", eq_stats), logits, labels, eq_stats)
+v_bsm_eq, _ = total_loss(make_loss_spec("bsm", eq_stats), logits, labels, eq_stats)
+v_cbw_eq, _ = total_loss(make_loss_spec("cbw", eq_stats), logits, labels, eq_stats)
 print(f"  bsm(equal counts) - ce = {abs(v_bsm_eq - v_ce_eq):.2e}")
 print(f"  cbw(equal counts) - ce = {abs(v_cbw_eq - v_ce_eq):.2e}")

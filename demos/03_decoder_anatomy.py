@@ -18,8 +18,8 @@ config = DecoderConfig(dim=16, num_classes=5, depth=3, heads=4,
 head = init_decoder(config, make_rng(0))
 print(f"decoder: depth={config.depth}, heads={config.heads}, "
       f"mlp_ratio={config.mlp_ratio}, dropout={config.dropout}")
-print(f"parameters: {head.num_params()} across "
-      f"{len(head.param_items())} tensors")
+print(f"parameters: {head.params.vector.size} across "
+      f"{len(head.params)} tensors")
 print()
 
 tokens = make_rng(1).standard_normal((2, 6, 16))
@@ -49,4 +49,4 @@ logits, _ = forward_batch(probe, tokens, None, False)
 manual = tokens.mean(axis=1) @ probe.cls_weight.T + probe.cls_bias
 print(f"depth-0 head vs mean-pool+affine: max delta = "
       f"{np.abs(logits - manual).max():.1e}")
-print(f"depth-0 parameter tensors: {[n for n, _ in probe.param_items()]}")
+print(f"depth-0 parameter tensors: {list(probe.params)}")

@@ -11,7 +11,7 @@ from .calibrators import (CALIBRATOR_VARIANTS, Calibrator, calibrator_layout,
 from .checkpoint import load_checkpoint, save_checkpoint
 from .data import (CLASS_BALANCED, INSTANCE_BALANCED, FeatureDataset,
                    SyntheticSpec, exponential_profile, generate_synthetic_lt,
-                   load_features, load_matrix_text, load_text_table,
+                   load_features, load_text_table, read_text_rows,
                    sample_batch, save_features)
 from .decoder import (DecoderConfig, DecoderHead, ForwardCache, backward_batch,
                       forward_batch, init_decoder, param_layout)
@@ -20,14 +20,14 @@ from .exceptions import (ConfigError, DataError, DivergenceError, DomainError,
 from .gradsuite import run_gradcheck
 from .losses import (VARIANTS, ClassStats, LossSpec, bsm_biases,
                      build_class_stats, cbw_weights, lade_dv_regularizer,
-                     ldam_margins, loss_eval, make_loss_spec,
-                     stats_from_counts, total_loss)
+                     ldam_margins, make_loss_spec, stats_from_counts,
+                     total_loss)
 from .numerics import (GradCheckReport, ParamVector, dropout_mask,
-                       finite_diff_check, gelu, gelu_grad, layer_norm,
+                       finite_diff_check, gelu, gelu_with_grad, layer_norm,
                        layer_norm_backward, make_rng, softmax_rows)
-from .training import (EvalReport, MomentumState, TextClassEmbeddings,
-                       TrainConfig, config_fingerprint, evaluate, init_momentum,
-                       lr_at, metrics_from_predictions, parse_run_config,
+from .training import (EvalReport, TextClassEmbeddings, TrainConfig,
+                       config_fingerprint, evaluate, lr_at,
+                       metrics_from_predictions, parse_run_config,
                        render_report, render_run_config, report_json, sgd_step,
                        train_stage1, train_stage2, zero_shot_classify)
 

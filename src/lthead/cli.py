@@ -16,8 +16,8 @@ import numpy as np
 from .calibrators import CALIBRATOR_VARIANTS
 from .checkpoint import load_checkpoint, save_checkpoint
 from .data import (FeatureDataset, SyntheticSpec, generate_synthetic_lt,
-                   load_features, load_matrix_text, load_text_table,
-                   read_text_rows, save_features)
+                   load_features, load_text_table, read_text_rows,
+                   save_features)
 from .decoder import DecoderConfig
 from .exceptions import (ConfigError, DataError, DivergenceError, DomainError,
                          FormatError, ShapeError, StateError)
@@ -178,7 +178,7 @@ def _cmd_eval(args) -> int:
 
 
 def _cmd_zero_shot(args) -> int:
-    class_matrix = load_matrix_text(args.class_embs)
+    _, class_matrix = read_text_rows(args.class_embs)
     embeddings = TextClassEmbeddings.from_matrix(class_matrix)
     images = _load_feature_file(args.image_embs)
     if images.tokens_per_sample != 1:
@@ -216,7 +216,7 @@ def _cmd_report(args) -> int:
             "checkpoint": str(path),
             "depth": cfg.depth, "heads": cfg.heads, "dim": cfg.dim,
             "classes": cfg.num_classes, "dropout": cfg.dropout,
-            "params": head.num_params(),
+            "params": head.params.vector.size,
             "calibrator": "-" if cal is None else cal.variant,
             "train_samples": int(stats.counts.sum()),
         })

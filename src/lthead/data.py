@@ -260,11 +260,6 @@ def load_text_table(path) -> FeatureDataset:
                           num_classes=int(labels.max()) + 1)
 
 
-def load_matrix_text(path) -> Array:
-    """Plain-text matrix: one row of comma-separated floats per line."""
-    return read_text_rows(path)[1]
-
-
 def class_index(labels: Array, num_classes: int) -> tuple[Array, Array]:
     """Stable per-class index layout: (sorted order, class start offsets)."""
     labels = np.asarray(labels, dtype=np.int64)

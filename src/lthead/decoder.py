@@ -104,15 +104,9 @@ class DecoderHead:
         self.cls_weight = self.params["cls_weight"]  # (K, D)
         self.cls_bias = self.params["cls_bias"]      # (K,)
 
-    def param_items(self) -> list[tuple[str, Array]]:
-        """All parameters in storage order, with stable dotted names."""
-        return list(self.params.items())
-
     def param_dict(self) -> dict[str, Array]:
+        """All parameters in storage order, keyed by stable dotted names."""
         return dict(self.params)
-
-    def num_params(self) -> int:
-        return self.params.vector.size
 
 
 def init_decoder(config: DecoderConfig, rng: np.random.Generator) -> DecoderHead:
@@ -193,7 +187,7 @@ def _block_forward_batch(params: BlockParams, x: Array, config: DecoderConfig,
         return x_mid, None
     h_act, h_grad = gelu_with_grad(h_pre)
     mlp = _linear(h_act, params.fc2_weight, params.fc2_bias)
-    mask = dropout_mask(mlp.shape, config.dropout, rng, train_mode)
+    mask = dropout_mask(mlp.shape, config.dropout, rng)
     out = x_mid + mlp * mask
     cache = BlockCache(ln1=ln1, xhat1=xhat1, q=q, k=k, v=v, attn=attn,
                        ctx=ctx, ln2=ln2, xhat2=xhat2,

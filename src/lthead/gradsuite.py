@@ -21,8 +21,9 @@ from .decoder import (DecoderConfig, DecoderHead, backward_batch, forward_batch,
 from .exceptions import ConfigError
 from .losses import (VARIANTS, build_class_stats, lade_dv_regularizer,
                      make_loss_spec, total_loss)
-from .numerics import (GradCheckReport, finite_diff_check, gelu, gelu_grad,
-                       layer_norm, layer_norm_backward, make_rng)
+from .numerics import (GradCheckReport, finite_diff_check, gelu,
+                       gelu_with_grad, layer_norm, layer_norm_backward,
+                       make_rng)
 
 MODULES = ("all", "losses", "decoder", "calibrators")
 
@@ -84,7 +85,7 @@ def _decoder_checks(tol: float) -> list[CheckResult]:
     pts = np.array([-3.0, -1.0, -0.25, 0.0, 0.5, 1.5, 4.0])
 
     def f_gelu(vec):
-        return float(np.sum(gelu(vec))), gelu_grad(vec)
+        return float(np.sum(gelu(vec))), gelu_with_grad(vec)[1]
 
     results.append(CheckResult("decoder.gelu",
                                finite_diff_check(f_gelu, pts, tol=tol)))

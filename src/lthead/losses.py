@@ -181,50 +181,6 @@ def _safe_pow(base: Array, exponent: float) -> Array:
     return out
 
 
-def loss_eval(spec: LossSpec, logits: Array, labels: Array,
-              stats: ClassStats) -> tuple[float, Array]:
-    """Mean loss over the batch and its exact gradient w.r.t. the logits.
-
-    The LADE variant evaluates only its balanced-softmax part here; add
-    `lade_dv_regularizer` (or use `total_loss`) for the full objective.
-    """
-    logits = np.asarray(logits, dtype=np.float64)
-    labels = np.asarray(labels, dtype=np.int64)
-    k = stats.num_classes
-    _check_batch(logits, labels, k)
-    if spec.weights.shape != (k,):
-        raise DataError("loss spec does not match the class statistics")
-
-    batch = logits.shape[0]
-    rows = np.arange(batch)
-    adjusted = logits + spec.biases
-    if np.any(spec.margins > 0):
-        adjusted = adjusted.copy()
-        adjusted[rows, labels] -= spec.margins[labels]
-
-    logp = adjusted - logsumexp_rows(adjusted)
-    probs = np.exp(logp)
-    ce = -logp[rows, labels]
-    grad_base = probs.copy()
-    grad_base[rows, labels] -= 1.0
-
-    if spec.variant == "focal":
-        pt = probs[rows, labels]
-        one_minus = 1.0 - pt
-        mod = one_minus ** spec.gamma
-        value = float(np.mean(mod * ce))
-        if spec.gamma == 0.0:
-            coef = np.ones(batch)
-        else:
-            coef = mod + spec.gamma * pt * ce * _safe_pow(one_minus, spec.gamma - 1.0)
-        dlogits = grad_base * coef[:, None] / batch
-    else:
-        w = spec.weights[labels]
-        value = float(np.mean(w * ce))
-        dlogits = grad_base * w[:, None] / batch
-    return value, dlogits
-
-
 def lade_dv_regularizer(logits: Array, labels: Array, stats: ClassStats,
                         lam: float = 0.1) -> tuple[float, Array]:
     """Donsker-Varadhan disentangling term on bias-removed logits.
@@ -263,10 +219,46 @@ def lade_dv_regularizer(logits: Array, labels: Array, stats: ClassStats,
 
 def total_loss(spec: LossSpec, logits: Array, labels: Array,
                stats: ClassStats) -> tuple[float, Array]:
-    """Complete training objective: loss_eval plus the LADE regularizer."""
-    value, dlogits = loss_eval(spec, logits, labels, stats)
+    """Mean loss over the batch and its exact gradient w.r.t. the logits.
+
+    This is each variant's complete objective: LADE is its balanced-softmax
+    part plus `lade_dv_regularizer` at weight `spec.lam`.
+    """
+    logits = np.asarray(logits, dtype=np.float64)
+    labels = np.asarray(labels, dtype=np.int64)
+    k = stats.num_classes
+    _check_batch(logits, labels, k)
+    if spec.weights.shape != (k,):
+        raise DataError("loss spec does not match the class statistics")
+
+    batch = logits.shape[0]
+    rows = np.arange(batch)
+    adjusted = logits + spec.biases
+    if np.any(spec.margins > 0):
+        adjusted[rows, labels] -= spec.margins[labels]
+
+    logp = adjusted - logsumexp_rows(adjusted)
+    probs = np.exp(logp)
+    ce = -logp[rows, labels]
+    grad_base = probs.copy()
+    grad_base[rows, labels] -= 1.0
+
+    if spec.variant == "focal":
+        pt = probs[rows, labels]
+        one_minus = 1.0 - pt
+        mod = one_minus ** spec.gamma
+        value = float(np.mean(mod * ce))
+        if spec.gamma == 0.0:
+            coef = np.ones(batch)
+        else:
+            coef = mod + spec.gamma * pt * ce * _safe_pow(one_minus, spec.gamma - 1.0)
+        dlogits = grad_base * coef[:, None] / batch
+    else:
+        w = spec.weights[labels]
+        value = float(np.mean(w * ce))
+        dlogits = grad_base * w[:, None] / batch
     if spec.variant == "lade":
         reg, dreg = lade_dv_regularizer(logits, labels, stats, spec.lam)
         value += reg
-        dlogits = dlogits + dreg
+        dlogits += dreg
     return value, dlogits

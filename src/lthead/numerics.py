@@ -223,21 +223,15 @@ def gelu(x):
     return u[0] if scalar else u
 
 
-def gelu_grad(x):
-    """Derivative of the tanh-approximation GELU."""
-    return gelu_with_grad(x)[1]
+def dropout_mask(shape, rate: float, rng: np.random.Generator) -> Array:
+    """Training-time inverted-scaling dropout mask: entries are 0 or 1/(1-rate).
 
-
-def dropout_mask(shape, rate: float, rng: np.random.Generator,
-                 train_mode: bool) -> Array:
-    """Inverted-scaling dropout mask: entries are 0 or 1/(1-rate).
-
-    Eval mode and rate 0 both return all ones, so inference is an identity;
-    neither needs `rng`. A train-mode mask at a positive rate draws from it.
+    Rate 0 returns all ones without touching `rng`; a positive rate draws
+    from it.
     """
     if not 0.0 <= rate < 1.0:
         raise DomainError(f"dropout rate must lie in [0, 1), got {rate}")
-    if not train_mode or rate == 0.0:
+    if rate == 0.0:
         return np.ones(shape)
     if rng is None:
         raise StateError(f"train-mode dropout at rate {rate} needs an rng, got None")

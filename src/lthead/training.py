@@ -53,6 +53,10 @@ class TrainConfig:
     dropout: float = 0.5
 
     def __post_init__(self):
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if f.type == "float" and not math.isfinite(value):
+                raise ConfigError(f"{f.name} must be finite, got {value}")
         if self.total_iters < 0 or self.stage2_iters < 0:
             raise ConfigError("iteration counts must be >= 0")
         if self.total_iters > 0 and not 0 <= self.warmup_iters < self.total_iters:
@@ -129,26 +133,16 @@ def lr_at(cfg: TrainConfig, iteration: int) -> float:
     return cfg.lr0 * 0.5 * (1.0 + math.cos(math.pi * progress))
 
 
-@dataclass
-class MomentumState:
-    momentum: float
-    velocity: Array  # same layout as the parameter vector
-
-
-def init_momentum(params: Array, momentum: float) -> MomentumState:
-    return MomentumState(momentum=momentum, velocity=np.zeros_like(params))
-
-
-def sgd_step(params: Array, grads: Array, state: MomentumState, lr: float,
-             weight_decay: float) -> None:
+def sgd_step(params: Array, grads: Array, velocity: Array, lr: float,
+             momentum: float, weight_decay: float) -> None:
     """Classic SGD with momentum; the L2 term is folded into the gradient.
 
-    `params`, `grads` and the velocity are flat vectors sharing one layout.
-    Updates parameters and velocity in place.
+    `params`, `grads` and `velocity` are flat vectors sharing one layout; a
+    run's velocity starts at zero. Updates parameters and velocity in place.
     """
-    if grads.shape != params.shape or state.velocity.shape != params.shape:
+    if grads.shape != params.shape or velocity.shape != params.shape:
         raise ShapeError(f"gradient {grads.shape} and velocity "
-                         f"{state.velocity.shape} must match parameters "
+                         f"{velocity.shape} must match parameters "
                          f"{params.shape}")
     # One scratch vector serves as the decayed gradient and then as the
     # update: each fresh temporary of this size costs page faults.
@@ -157,10 +151,9 @@ def sgd_step(params: Array, grads: Array, state: MomentumState, lr: float,
         g += grads
     else:
         g = grads.copy()
-    v = state.velocity
-    v *= state.momentum
-    v += g
-    np.multiply(v, lr, out=g)
+    velocity *= momentum
+    velocity += g
+    np.multiply(velocity, lr, out=g)
     params -= g
 
 
@@ -181,7 +174,7 @@ def train_stage1(ds: FeatureDataset, cfg: TrainConfig,
                           max_margin=cfg.ldam_max_margin, lam=cfg.lade_lambda)
     head = init_decoder(decoder_config, rng)
     grads = DecoderHead(decoder_config)  # overwritten by every backward pass
-    state = init_momentum(head.params.vector, cfg.momentum)
+    velocity = np.zeros_like(head.params.vector)
     log = np.empty(cfg.total_iters)
     for it in range(cfg.total_iters):
         idx = sample_batch(ds, stats, INSTANCE_BALANCED, cfg.batch_size, rng)
@@ -192,8 +185,8 @@ def train_stage1(ds: FeatureDataset, cfg: TrainConfig,
         if not np.isfinite(value):
             raise DivergenceError(f"non-finite loss at iteration {it}")
         backward_batch(head, cache, dlogits, out=grads)
-        sgd_step(head.params.vector, grads.params.vector, state, lr_at(cfg, it),
-                 cfg.weight_decay)
+        sgd_step(head.params.vector, grads.params.vector, velocity,
+                 lr_at(cfg, it), cfg.momentum, cfg.weight_decay)
         log[it] = value
     return head, log
 
@@ -242,7 +235,7 @@ def train_stage2(head: DecoderHead, ds: FeatureDataset, cfg: TrainConfig,
     pooled, logits = _precompute_contexts(head, ds)
     norms = context_weight_norms(head.cls_weight)
     cal = init_calibrator(variant, head.config.num_classes, head.config.dim, rng)
-    state = init_momentum(cal.params.vector, cfg.momentum)
+    velocity = np.zeros_like(cal.params.vector)
     sched = stage2_schedule(cfg)
     index = class_index(ds.labels, ds.num_classes)
     log = np.empty(sched.total_iters)
@@ -255,8 +248,8 @@ def train_stage2(head: DecoderHead, ds: FeatureDataset, cfg: TrainConfig,
         if not np.isfinite(value):
             raise DivergenceError(f"non-finite loss at stage-2 iteration {it}")
         grads, _, _ = cal_mod.backward_batch(cal, cache, dadj)
-        sgd_step(cal.params.vector, grads.vector, state, lr_at(sched, it),
-                 cfg.weight_decay)
+        sgd_step(cal.params.vector, grads.vector, velocity, lr_at(sched, it),
+                 cfg.momentum, cfg.weight_decay)
         log[it] = value
     return cal, log
 

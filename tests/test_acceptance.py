@@ -12,7 +12,7 @@ import numpy as np
 
 from lthead import (DecoderConfig, SyntheticSpec, TextClassEmbeddings,
                     TrainConfig, build_class_stats, evaluate, generate_synthetic_lt, init_calibrator,
-                    load_checkpoint, load_features, loss_eval, lr_at,
+                    load_checkpoint, load_features, lr_at,
                     make_loss_spec, make_rng, metrics_from_predictions,
                     run_gradcheck, sample_batch, save_checkpoint,
                     save_features, stats_from_counts, total_loss,
@@ -79,13 +79,13 @@ def test_criterion_2_reduction_equivalences():
 def test_criterion_3_analytic_values():
     checks = []
     stats2 = stats_from_counts(np.array([1, 1]))
-    value, dlogits = loss_eval(make_loss_spec("ce", stats2),
-                               np.zeros((1, 2)), np.array([0]), stats2)
+    value, dlogits = total_loss(make_loss_spec("ce", stats2),
+                                np.zeros((1, 2)), np.array([0]), stats2)
     checks.append(abs(value - LN2) < 1e-12)
     checks.append(np.max(np.abs(dlogits - [[-0.5, 0.5]])) < 1e-12)
 
-    value_f, _ = loss_eval(make_loss_spec("focal", stats2, gamma=2.0),
-                           np.zeros((1, 2)), np.array([0]), stats2)
+    value_f, _ = total_loss(make_loss_spec("focal", stats2, gamma=2.0),
+                            np.zeros((1, 2)), np.array([0]), stats2)
     checks.append(abs(value_f - 0.25 * LN2) < 1e-12)
 
     from lthead import bsm_biases, ldam_margins, softmax_rows

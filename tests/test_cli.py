@@ -87,6 +87,19 @@ class TestTrain:
                     "--config", str(workspace / "run.cfg"),
                     "--out", str(tmp_path / "x.ckpt")]) == 2
 
+    @pytest.mark.parametrize("field, loss", [
+        ("lr0", "ce"), ("weight_decay", "ce"), ("focal_gamma", "focal"),
+        ("ldam_max_margin", "ldam"), ("lade_lambda", "lade")])
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    def test_non_finite_config_exit_2(self, workspace, tmp_path, field, loss,
+                                      value):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text("seed=1\ntotal_iters=30\nbatch_size=8\nwarmup_iters=2\n"
+                       f"depth=1\nheads=2\ndropout=0.0\nloss={loss}\n"
+                       f"{field}={value}\n")
+        assert run(["train", "--features", str(workspace / "data.train"),
+                    "--config", str(cfg), "--out", str(tmp_path / "x.ckpt")]) == 2
+
     def test_divergence_exit_3(self, workspace, tmp_path):
         cfg = tmp_path / "boom.cfg"
         cfg.write_text("seed=1\ntotal_iters=30\nbatch_size=8\nwarmup_iters=2\n"

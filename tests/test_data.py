@@ -9,8 +9,8 @@ from scipy import stats as scipy_stats
 from lthead import (CLASS_BALANCED, INSTANCE_BALANCED, ConfigError, DataError,
                     FeatureDataset, FormatError, SyntheticSpec,
                     build_class_stats, exponential_profile,
-                    generate_synthetic_lt, load_features, load_matrix_text,
-                    load_text_table, make_rng, sample_batch, save_features)
+                    generate_synthetic_lt, load_features, load_text_table,
+                    make_rng, read_text_rows, sample_batch, save_features)
 
 
 class TestExponentialProfile:
@@ -108,6 +108,20 @@ class TestPersistence:
         with pytest.raises(FormatError, match="byte"):
             load_features(bad)
 
+    def test_every_truncated_prefix_rejected(self, tmp_path):
+        spec = SyntheticSpec(num_classes=2, head_count=6, imbalance_ratio=2.0,
+                             dim=2, tokens=2, seed=6)
+        train, _ = generate_synthetic_lt(spec)
+        path = tmp_path / "feats.bin"
+        save_features(train, path)
+        blob = path.read_bytes()
+        assert len(blob) == 29 + 9 * (4 + 8 * 2 * 2)
+        cut = tmp_path / "cut.bin"
+        for n in range(len(blob)):
+            cut.write_bytes(blob[:n])
+            with pytest.raises(FormatError):
+                load_features(cut)
+
     def test_oversized_header_rejected(self, tmp_path):
         # N = 2^33 claims 32 GiB of labels; the file ends after the header
         path = tmp_path / "huge.bin"
@@ -159,7 +173,7 @@ class TestPersistence:
     def test_matrix_text(self, tmp_path):
         path = tmp_path / "mat.txt"
         path.write_text("1.0, 0.0\n0.0, 1.0\n")
-        npt.assert_array_equal(load_matrix_text(path), np.eye(2))
+        npt.assert_array_equal(read_text_rows(path)[1], np.eye(2))
 
 
 class TestSamplers:

@@ -44,7 +44,7 @@ class TestInit:
         cfg = DecoderConfig(dim=8, num_classes=3, depth=2, heads=2)
         a = init_decoder(cfg, make_rng(42))
         b = init_decoder(cfg, make_rng(42))
-        for (na, pa), (nb, pb) in zip(a.param_items(), b.param_items()):
+        for (na, pa), (nb, pb) in zip(a.params.items(), b.params.items()):
             assert na == nb
             npt.assert_array_equal(pa, pb)
 
@@ -52,14 +52,14 @@ class TestInit:
         head = init_decoder(DecoderConfig(dim=8, num_classes=3, depth=0, heads=1),
                             make_rng(0))
         assert head.blocks == []
-        assert [n for n, _ in head.param_items()] == ["cls_weight", "cls_bias"]
+        assert list(head.params) == ["cls_weight", "cls_bias"]
 
     def test_params_are_views_into_one_vector(self):
         head = init_decoder(DecoderConfig(dim=8, num_classes=3, depth=2, heads=2),
                             make_rng(0))
-        flat = np.concatenate([a.ravel() for _, a in head.param_items()])
+        flat = np.concatenate([a.ravel() for _, a in head.params.items()])
         npt.assert_array_equal(flat, head.params.vector)
-        assert head.num_params() == flat.size
+        assert head.params.vector.size == flat.size
         head.blocks[1].fc2_bias[...] = 7.0
         npt.assert_array_equal(head.param_dict()["blocks.1.fc2_bias"], 7.0)
 
@@ -252,7 +252,7 @@ class TestBackward:
         _, cache = forward_batch(head, make_rng(1).standard_normal((2, 3, 8)),
                                  None, True)
         grads, _ = backward_batch(head, cache, make_rng(2).standard_normal((2, 3)))
-        assert list(grads) == [n for n, _ in head.param_items()]
+        assert list(grads) == list(head.params)
         flat = np.concatenate([g.ravel() for g in grads.values()])
         npt.assert_array_equal(flat, grads.vector)
         assert grads.vector.shape == head.params.vector.shape

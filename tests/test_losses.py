@@ -6,7 +6,7 @@ import pytest
 
 from lthead import (DataError, bsm_biases, build_class_stats,
                     cbw_weights, finite_diff_check, lade_dv_regularizer,
-                    ldam_margins, loss_eval, make_loss_spec, make_rng,
+                    ldam_margins, make_loss_spec, make_rng,
                     softmax_rows, stats_from_counts, total_loss)
 
 LN2 = math.log(2.0)
@@ -93,8 +93,8 @@ class TestBsmBiases:
         for _ in range(20):
             logits = rng.standard_normal((6, 3))
             labels = rng.integers(0, 3, size=6)
-            vb, gb = loss_eval(spec_bsm, logits, labels, stats)
-            vc, gc = loss_eval(spec_ce, logits, labels, stats)
+            vb, gb = total_loss(spec_bsm, logits, labels, stats)
+            vc, gc = total_loss(spec_ce, logits, labels, stats)
             assert abs(vb - vc) < 1e-12
             npt.assert_allclose(gb, gc, rtol=0, atol=1e-12)
 
@@ -111,8 +111,8 @@ class TestLdamMargins:
         spec_ce = make_loss_spec("ce", stats)
         logits = make_rng(5).standard_normal((4, 2))
         labels = np.array([0, 1, 1, 0])
-        v1, g1 = loss_eval(spec, logits, labels, stats)
-        v2, g2 = loss_eval(spec_ce, logits, labels, stats)
+        v1, g1 = total_loss(spec, logits, labels, stats)
+        v2, g2 = total_loss(spec_ce, logits, labels, stats)
         assert v1 == v2
         npt.assert_array_equal(g1, g2)
 
@@ -129,14 +129,14 @@ class TestLossEval:
     def test_ce_analytic(self):
         stats = stats_for([1, 1])
         spec = make_loss_spec("ce", stats)
-        value, dlogits = loss_eval(spec, np.zeros((1, 2)), np.array([0]), stats)
+        value, dlogits = total_loss(spec, np.zeros((1, 2)), np.array([0]), stats)
         assert value == pytest.approx(LN2, abs=1e-12)
         npt.assert_allclose(dlogits, [[-0.5, 0.5]], rtol=0, atol=1e-12)
 
     def test_focal_analytic(self):
         stats = stats_for([1, 1])
         spec = make_loss_spec("focal", stats, gamma=2.0)
-        value, _ = loss_eval(spec, np.zeros((1, 2)), np.array([0]), stats)
+        value, _ = total_loss(spec, np.zeros((1, 2)), np.array([0]), stats)
         assert value == pytest.approx(0.25 * LN2, abs=1e-12)
 
     def test_focal_gamma_zero_equals_ce(self):
@@ -147,8 +147,8 @@ class TestLossEval:
         for _ in range(100):
             logits = rng.standard_normal((8, 5)) * 3
             labels = rng.integers(0, 5, size=8)
-            vf, gf = loss_eval(spec_f, logits, labels, stats)
-            vc, gc = loss_eval(spec_c, logits, labels, stats)
+            vf, gf = total_loss(spec_f, logits, labels, stats)
+            vc, gc = total_loss(spec_c, logits, labels, stats)
             assert abs(vf - vc) < 1e-12
             npt.assert_allclose(gf, gc, rtol=0, atol=1e-12)
 
@@ -156,7 +156,7 @@ class TestLossEval:
         stats = stats_for([5, 5])
         spec = make_loss_spec("ce", stats)
         with pytest.raises(DataError):
-            loss_eval(spec, np.zeros((1, 2)), np.array([2]), stats)
+            total_loss(spec, np.zeros((1, 2)), np.array([2]), stats)
 
     @pytest.mark.parametrize("variant", ["ce", "cbw", "focal", "ldam", "bsm", "lade"])
     def test_gradient_matches_finite_differences(self, variant):
@@ -175,14 +175,16 @@ class TestLossEval:
 
     @pytest.mark.parametrize("variant", ["ce", "cbw", "focal", "ldam", "bsm", "lade"])
     def test_per_sample_shift_invariance(self, variant):
+        # lam=0: the LADE regularizer is not shift-invariant per sample, so
+        # the lade case checks its balanced-softmax part
         stats = stats_for([120, 80, 15, 3, 55])
-        spec = make_loss_spec(variant, stats)
+        spec = make_loss_spec(variant, stats, lam=0.0)
         rng = make_rng(9)
         logits = rng.standard_normal((6, 5))
         labels = rng.integers(0, 5, size=6)
         shifts = rng.standard_normal((6, 1)) * 7
-        v1, _ = loss_eval(spec, logits, labels, stats)
-        v2, _ = loss_eval(spec, logits + shifts, labels, stats)
+        v1, _ = total_loss(spec, logits, labels, stats)
+        v2, _ = total_loss(spec, logits + shifts, labels, stats)
         assert abs(v1 - v2) < 1e-12
 
     @pytest.mark.parametrize("variant", ["ce", "cbw", "bsm", "ldam"])
@@ -192,7 +194,7 @@ class TestLossEval:
         rng = make_rng(10)
         logits = rng.standard_normal((7, 5))
         labels = rng.integers(0, 5, size=7)
-        _, dlogits = loss_eval(spec, logits, labels, stats)
+        _, dlogits = total_loss(spec, logits, labels, stats)
         npt.assert_allclose(dlogits.sum(axis=1), 0.0, rtol=0, atol=1e-12)
 
     @pytest.mark.parametrize("variant", ["cbw", "bsm", "lade"])
@@ -220,7 +222,7 @@ class TestLossEval:
         for bump in np.linspace(0.0, 4.0, 17):
             logits = base.copy()
             logits[0, 1] += bump
-            value, _ = loss_eval(spec, logits, labels, stats)
+            value, _ = total_loss(spec, logits, labels, stats)
             values.append(value)
         assert all(a > b for a, b in zip(values, values[1:]))
 

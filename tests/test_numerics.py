@@ -5,9 +5,9 @@ import numpy.testing as npt
 import pytest
 
 from lthead import (DomainError, EvaluationError, ShapeError, dropout_mask,
-                    finite_diff_check, gelu, gelu_grad, layer_norm,
+                    finite_diff_check, gelu, gelu_with_grad, layer_norm,
                     layer_norm_backward, make_rng, softmax_rows)
-from lthead.numerics import gelu_with_grad, logsumexp_rows
+from lthead.numerics import logsumexp_rows
 
 
 def lse(v):
@@ -122,7 +122,7 @@ class TestGelu:
 
     def test_derivative_matches_central_difference(self):
         def f(vec):
-            return float(gelu(vec[0])), np.array([gelu_grad(vec[0])])
+            return float(gelu(vec[0])), np.array([gelu_with_grad(vec[0])[1]])
 
         report = finite_diff_check(f, np.array([0.5]), tol=1e-6)
         assert report.passed, report
@@ -131,37 +131,33 @@ class TestGelu:
         x = make_rng(7).standard_normal(100)
         v, g = gelu_with_grad(x)
         npt.assert_array_equal(v, gelu(x))
-        npt.assert_array_equal(g, gelu_grad(x))
+        npt.assert_array_equal(g, [gelu_with_grad(xi)[1] for xi in x])
 
 
 class TestDropoutMask:
     def test_rate_zero_all_ones(self):
-        mask = dropout_mask((3, 4), 0.0, make_rng(0), train_mode=True)
-        npt.assert_array_equal(mask, np.ones((3, 4)))
-
-    def test_eval_mode_all_ones(self):
-        mask = dropout_mask((3, 4), 0.5, make_rng(0), train_mode=False)
+        mask = dropout_mask((3, 4), 0.0, make_rng(0))
         npt.assert_array_equal(mask, np.ones((3, 4)))
 
     def test_rate_one_rejected(self):
         with pytest.raises(DomainError):
-            dropout_mask((2,), 1.0, make_rng(0), True)
+            dropout_mask((2,), 1.0, make_rng(0))
 
     def test_mean_matches_binomial_expectation(self):
         # mask entries are Bernoulli(keep)/keep; mean 1, var rate/keep
         n = 10 ** 6
         rate = 0.5
-        mask = dropout_mask((n,), rate, make_rng(8), True)
+        mask = dropout_mask((n,), rate, make_rng(8))
         sigma = math.sqrt((rate / (1 - rate)) / n)
         assert abs(mask.mean() - 1.0) < 3 * sigma
 
     def test_values_binary(self):
-        mask = dropout_mask((1000,), 0.3, make_rng(9), True)
+        mask = dropout_mask((1000,), 0.3, make_rng(9))
         assert set(np.unique(mask)) <= {0.0, 1.0 / 0.7}
 
     def test_seed_reproducibility(self):
-        a = dropout_mask((100, 7), 0.4, make_rng(10), True)
-        b = dropout_mask((100, 7), 0.4, make_rng(10), True)
+        a = dropout_mask((100, 7), 0.4, make_rng(10))
+        b = dropout_mask((100, 7), 0.4, make_rng(10))
         npt.assert_array_equal(a, b)
 
 
@@ -186,13 +182,13 @@ class TestFiniteDiffCheck:
         assert report.max_rel_err < 1e-8
 
     def test_cross_entropy_logits(self):
-        from lthead import build_class_stats, loss_eval, make_loss_spec
+        from lthead import build_class_stats, make_loss_spec, total_loss
         stats = build_class_stats(np.array([0, 1, 2]), 3)
         spec = make_loss_spec("ce", stats)
         labels = np.array([1])
 
         def f(p):
-            value, dl = loss_eval(spec, p.reshape(1, 3), labels, stats)
+            value, dl = total_loss(spec, p.reshape(1, 3), labels, stats)
             return value, dl.ravel()
 
         report = finite_diff_check(f, np.array([0.2, -0.4, 1.1]), tol=1e-5)

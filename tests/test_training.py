@@ -7,8 +7,7 @@ import pytest
 from lthead import (ConfigError, DecoderConfig, DivergenceError, DomainError,
                     DataError, FeatureDataset, SyntheticSpec,
                     TextClassEmbeddings, TrainConfig, build_class_stats,
-                    evaluate, generate_synthetic_lt, init_momentum,
-                    load_checkpoint, lr_at, make_rng, metrics_from_predictions,
+                    evaluate, generate_synthetic_lt, load_checkpoint, lr_at, make_rng, metrics_from_predictions,
                     parse_run_config, render_run_config, save_checkpoint,
                     sgd_step, train_stage1, train_stage2, zero_shot_classify)
 from lthead.training import report_json, render_report
@@ -60,14 +59,14 @@ class TestSgdStep:
     def test_plain_gradient_descent(self):
         params = np.array([1.0, 2.0])
         grads = np.array([0.5, -1.0])
-        state = init_momentum(params, momentum=0.0)
-        sgd_step(params, grads, state, lr=0.1, weight_decay=0.0)
+        sgd_step(params, grads, np.zeros(2), lr=0.1, momentum=0.0,
+                 weight_decay=0.0)
         npt.assert_allclose(params, [0.95, 2.1], rtol=0, atol=1e-15)
 
     def test_zero_grads_no_change(self):
         params = np.array([1.0, -3.0])
-        state = init_momentum(params, momentum=0.9)
-        sgd_step(params, np.zeros(2), state, lr=0.1, weight_decay=0.0)
+        sgd_step(params, np.zeros(2), np.zeros(2), lr=0.1, momentum=0.9,
+                 weight_decay=0.0)
         npt.assert_array_equal(params, [1.0, -3.0])
 
     def test_two_steps_match_scalar_recurrence_oracle(self):
@@ -82,17 +81,17 @@ class TestSgdStep:
             trace.append(x)
 
         params = np.array([1.0])
-        state = init_momentum(params, momentum=mom)
+        velocity = np.zeros(1)
         for step in range(2):
-            sgd_step(params, 2.0 * params, state, lr=lr, weight_decay=wd)
+            sgd_step(params, 2.0 * params, velocity, lr=lr, momentum=mom,
+                     weight_decay=wd)
             assert params[0] == pytest.approx(trace[step], abs=1e-15)
 
     def test_shape_mismatch(self):
         params = np.zeros(3)
-        state = init_momentum(params, 0.9)
         from lthead import ShapeError
         with pytest.raises(ShapeError):
-            sgd_step(params, np.zeros(4), state, 0.1, 0.0)
+            sgd_step(params, np.zeros(4), np.zeros(3), 0.1, 0.9, 0.0)
 
 
 class TestRunConfig:
@@ -126,7 +125,7 @@ class TestTrainStage1:
         from lthead import init_decoder
         head, log = train_stage1(train, cfg, dc, make_rng(cfg.seed))
         fresh = init_decoder(dc, make_rng(cfg.seed))
-        for (_, a), (_, b) in zip(head.param_items(), fresh.param_items()):
+        for (_, a), (_, b) in zip(head.params.items(), fresh.params.items()):
             npt.assert_array_equal(a, b)
         assert log.size == 0
 
@@ -146,7 +145,7 @@ class TestTrainStage1:
         dc = DecoderConfig(dim=8, num_classes=3, depth=2, heads=2, dropout=0.5)
         a, log_a = train_stage1(train, cfg, dc, make_rng(cfg.seed))
         b, log_b = train_stage1(train, cfg, dc, make_rng(cfg.seed))
-        for (_, pa), (_, pb) in zip(a.param_items(), b.param_items()):
+        for (_, pa), (_, pb) in zip(a.params.items(), b.params.items()):
             npt.assert_array_equal(pa, pb)
         npt.assert_array_equal(log_a, log_b)
 
@@ -361,7 +360,7 @@ class TestCheckpointRoundTrip:
         path = tmp_path / "ckpt.bin"
         save_checkpoint(path, head, stats.counts, calibrator=cal)
         head2, stats2, cal2 = load_checkpoint(path)
-        for (_, a), (_, b) in zip(head.param_items(), head2.param_items()):
+        for (_, a), (_, b) in zip(head.params.items(), head2.params.items()):
             npt.assert_array_equal(a, b)
         npt.assert_array_equal(stats.counts, stats2.counts)
         for name, arr in cal.param_dict().items():
