@@ -1,7 +1,8 @@
 """Command-line surface.
 
 Subcommands: gen-data, train, calibrate, eval, zero-shot, gradcheck, report.
-Exit codes: 0 success, 1 usage, 2 data/format/config or OS error, 3 divergence.
+Exit codes: 0 success, 1 usage, 2 data/format/config error, OS error or out
+of memory, 3 divergence.
 """
 
 from __future__ import annotations
@@ -70,8 +71,10 @@ def _build_parser() -> _Parser:
     p = sub.add_parser("calibrate", help="stage-two calibrator training")
     p.add_argument("--ckpt", required=True)
     p.add_argument("--features", required=True, help="training feature file")
-    p.add_argument("--method", choices=CALIBRATOR_VARIANTS, required=True)
-    p.add_argument("--config", help="optional run config for optimizer fields")
+    p.add_argument("--method", choices=CALIBRATOR_VARIANTS,
+                   help="override the config's stage2_method")
+    p.add_argument("--config", help="optional run config for optimizer fields "
+                                    "and stage2_method")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=True, help="output checkpoint path")
 
@@ -150,12 +153,17 @@ def _cmd_calibrate(args) -> int:
     if args.config:
         with open(args.config) as fh:
             cfg = parse_run_config(fh.read())
+    method = args.method or cfg.stage2_method
+    if method is None:
+        print("lthead calibrate: error: name a variant with --method or "
+              "stage2_method in --config", file=sys.stderr)
+        return _USAGE_EXIT
     head, _, _ = load_checkpoint(args.ckpt)
     ds = _load_feature_file(args.features)
-    cal, _ = train_stage2(head, ds, cfg, args.method, make_rng(args.seed))
+    cal, _ = train_stage2(head, ds, cfg, method, make_rng(args.seed))
     counts = np.bincount(ds.labels, minlength=ds.num_classes)
     save_checkpoint(args.out, head, counts, calibrator=cal)
-    print(f"calibrated with {args.method} for {cfg.stage2_iters} iterations; "
+    print(f"calibrated with {method} for {cfg.stage2_iters} iterations; "
           f"checkpoint {args.out}")
     return 0
 
@@ -253,6 +261,9 @@ def main(argv=None) -> int:
     except (FormatError, DataError, ConfigError, ShapeError, DomainError,
             StateError, OSError, UnicodeDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return _DATA_EXIT
+    except MemoryError as exc:
+        print(f"error: out of memory: {exc}", file=sys.stderr)
         return _DATA_EXIT
     except DivergenceError as exc:
         print(f"error: {exc}", file=sys.stderr)

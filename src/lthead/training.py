@@ -25,8 +25,8 @@ from .data import INSTANCE_BALANCED, FeatureDataset, class_index, sample_batch
 from .decoder import DecoderConfig, DecoderHead, backward_batch, forward_batch, init_decoder
 from .exceptions import (ConfigError, DataError, DivergenceError, DomainError,
                          ShapeError)
-from .losses import (VARIANTS, ClassStats, build_class_stats, make_loss_spec,
-                     total_loss)
+from .losses import (GROUP_FEW, GROUP_MANY, GROUP_MEDIUM, VARIANTS, ClassStats,
+                     build_class_stats, make_loss_spec, total_loss)
 from .numerics import Array, softmax_rows
 
 EVAL_CHUNK = 512  # fixed so evaluation arithmetic never depends on dataset size
@@ -298,52 +298,33 @@ def metrics_from_predictions(predictions, labels, stats: ClassStats,
             or predictions.min() < 0 or predictions.max() >= k:
         raise DataError(f"labels and predictions must lie in [0, {k})")
 
-    confusion = np.zeros((k, k), dtype=np.int64)
-    np.add.at(confusion, (labels, predictions), 1)
-    support = confusion.sum(axis=1)
-    predicted = confusion.sum(axis=0)
-    true_pos = np.diag(confusion)
-
-    if np.any(support == 0):
-        warnings.warn(f"{int(np.sum(support == 0))} classes have no test "
+    support = np.bincount(labels, minlength=k)
+    predicted = np.bincount(predictions, minlength=k)
+    true_pos = np.bincount(labels[labels == predictions], minlength=k)
+    present = support > 0
+    if not np.all(present):
+        warnings.warn(f"{int(np.sum(~present))} classes have no test "
                       "samples and are excluded from macro averages")
 
+    tp, pred = true_pos[present], predicted[present]
+    recall = tp / support[present]
+    precision = np.divide(tp, pred, out=np.zeros(recall.size), where=pred > 0)
+    denom = precision + recall
+    f1 = np.divide(2.0 * precision * recall, denom,
+                   out=np.zeros(recall.size), where=denom > 0)
     per_class_acc = np.full(k, np.nan)
-    precisions, recalls, f1s = [], [], []
-    group_values: dict[str, list[float]] = {"many": [], "medium": [], "few": []}
-    for j in range(k):
-        if support[j] == 0:
-            continue
-        recall = true_pos[j] / support[j]
-        precision = true_pos[j] / predicted[j] if predicted[j] > 0 else 0.0
-        f1 = (2.0 * precision * recall / (precision + recall)
-              if precision + recall > 0 else 0.0)
-        per_class_acc[j] = recall
-        recalls.append(recall)
-        precisions.append(precision)
-        f1s.append(f1)
-        group_values[str(stats.groups[j])].append(recall)
+    per_class_acc[present] = recall
+    groups = stats.groups[present]
+    many, medium, few = (_class_order_mean(recall[groups == g])
+                         for g in (GROUP_MANY, GROUP_MEDIUM, GROUP_FEW))
+    return EvalReport(float(np.sum(true_pos)) / labels.size, many, medium, few,
+                      *map(_class_order_mean, (precision, recall, f1)),
+                      per_class_acc, fingerprint)
 
-    def seq_mean(values):
-        if not values:
-            return float("nan")
-        total = 0.0
-        for v in values:
-            total += v
-        return total / len(values)
 
-    overall = float(np.sum(true_pos)) / labels.size
-    return EvalReport(
-        overall=overall,
-        many=seq_mean(group_values["many"]),
-        medium=seq_mean(group_values["medium"]),
-        few=seq_mean(group_values["few"]),
-        precision=seq_mean(precisions),
-        recall=seq_mean(recalls),
-        f1=seq_mean(f1s),
-        per_class_accuracy=per_class_acc,
-        fingerprint=fingerprint,
-    )
+def _class_order_mean(values: Array) -> float:
+    """Sum left to right in class order (`np.mean` adds pairwise); NaN if empty."""
+    return float(np.cumsum(values)[-1] / values.size) if values.size else math.nan
 
 
 def evaluate(head: DecoderHead, calibrator: Calibrator | None,

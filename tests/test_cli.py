@@ -120,6 +120,52 @@ class TestCalibrate:
         payload = json.loads((workspace / "marc.report.json").read_text())
         assert 0.0 <= payload["overall"] <= 1.0
 
+    @staticmethod
+    def _calibrate(workspace, tmp_path, name, config_text, *method):
+        cfg = tmp_path / f"{name}.cfg"
+        cfg.write_text(config_text)
+        out = tmp_path / f"{name}.ckpt"
+        code = run(["calibrate", "--ckpt", str(workspace / "model.ckpt"),
+                    "--features", str(workspace / "data.train"),
+                    "--config", str(cfg), *method, "--out", str(out)])
+        return code, out
+
+    def test_config_names_the_variant(self, workspace, tmp_path, capsys):
+        code, flag = self._calibrate(workspace, tmp_path, "flag",
+                                     "stage2_iters=20\n", "--method", "lws")
+        assert code == 0
+        code, from_file = self._calibrate(
+            workspace, tmp_path, "file", "stage2_iters=20\nstage2_method=lws\n")
+        assert code == 0
+        assert "calibrated with lws " in capsys.readouterr().out
+        assert from_file.read_bytes() == flag.read_bytes()
+
+    def test_method_overrides_config(self, workspace, tmp_path, capsys):
+        code, out = self._calibrate(
+            workspace, tmp_path, "override",
+            "stage2_iters=20\nstage2_method=lws\n", "--method", "crt")
+        assert code == 0
+        assert "calibrated with crt " in capsys.readouterr().out
+        assert load_checkpoint(out)[2].variant == "crt"
+
+    def test_no_variant_exit_1(self, workspace, tmp_path, capsys):
+        code, out = self._calibrate(workspace, tmp_path, "none",
+                                    "stage2_iters=20\n")
+        assert code == 1 and not out.exists()
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "--method" in err
+
+    def test_out_of_memory_exit_2(self, workspace, tmp_path, capsys,
+                                  monkeypatch):
+        def exhausted(*args, **kwargs):
+            raise MemoryError("Unable to allocate 12.4 GiB for an array")
+        monkeypatch.setattr("lthead.cli.train_stage2", exhausted)
+        code, _ = self._calibrate(workspace, tmp_path, "oom",
+                                  "stage2_iters=20\n", "--method", "marc")
+        assert code == 2
+        assert capsys.readouterr().err == (
+            "error: out of memory: Unable to allocate 12.4 GiB for an array\n")
+
 
 class TestEval:
     def test_report_files(self, workspace):

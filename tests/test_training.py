@@ -1,16 +1,21 @@
 import math
+import struct
+import tracemalloc
+import warnings
 
 import numpy as np
 import numpy.testing as npt
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from lthead import (ConfigError, DecoderConfig, DivergenceError, DomainError,
                     DataError, FeatureDataset, SyntheticSpec,
                     TextClassEmbeddings, TrainConfig, build_class_stats,
                     evaluate, generate_synthetic_lt, load_checkpoint, lr_at, make_rng, metrics_from_predictions,
                     parse_run_config, render_run_config, save_checkpoint,
-                    sgd_step, train_stage1, train_stage2, zero_shot_classify)
-from lthead.training import report_json, render_report
+                    sgd_step, stats_from_counts, train_stage1, train_stage2,
+                    zero_shot_classify)
+from lthead.training import EvalReport, report_json, render_report
 
 
 def small_cfg(**kw):
@@ -344,6 +349,94 @@ class TestEvaluate:
         text = render_report(rep)
         assert "overall" in text and "1.000000" in text
         assert '"overall": 1.0' in report_json(rep)
+
+
+@st.composite
+def eval_cases(draw):
+    """Labels that may miss classes, predictions that may never name some,
+    and training counts whose groups range from few only to all three."""
+    k = draw(st.integers(1, 300))
+    rng = make_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    counts = rng.integers(0, draw(st.sampled_from([20, 101, 300])), k)
+    counts[0] += 1
+    n = draw(st.integers(1, 3 * k))
+    label_pool = rng.choice(k, draw(st.integers(1, k)), replace=False)
+    pred_pool = rng.choice(k, draw(st.integers(1, k)), replace=False)
+    labels = rng.choice(label_pool, n)
+    preds = rng.choice(pred_pool, n)
+    hits = rng.random(n) < draw(st.sampled_from([0.0, 0.5, 0.9]))
+    preds[hits] = labels[hits]
+    return preds, labels, stats_from_counts(counts)
+
+
+def oracle_report(preds, labels, stats) -> EvalReport:
+    """Loop-built confusion and sequential sums over the classes present."""
+    k = stats.num_classes
+    confusion = [[0] * k for _ in range(k)]
+    for y, p in zip(labels.tolist(), preds.tolist()):
+        confusion[y][p] += 1
+
+    def seq_mean(values):
+        total = 0.0
+        for v in values:
+            total += v
+        return total / len(values) if values else float("nan")
+
+    per_class = [float("nan")] * k
+    recs, precs, f1s = [], [], []
+    groups = {"many": [], "medium": [], "few": []}
+    for j in range(k):
+        support = sum(confusion[j])
+        if support == 0:
+            continue
+        predicted = sum(confusion[i][j] for i in range(k))
+        tp = confusion[j][j]
+        rec = tp / support
+        prec = tp / predicted if predicted else 0.0
+        per_class[j] = rec
+        recs.append(rec)
+        precs.append(prec)
+        f1s.append(2 * prec * rec / (prec + rec) if prec + rec else 0.0)
+        groups[str(stats.groups[j])].append(rec)
+    return EvalReport(
+        overall=sum(confusion[j][j] for j in range(k)) / len(labels),
+        many=seq_mean(groups["many"]), medium=seq_mean(groups["medium"]),
+        few=seq_mean(groups["few"]), precision=seq_mean(precs),
+        recall=seq_mean(recs), f1=seq_mean(f1s),
+        per_class_accuracy=np.array(per_class))
+
+
+class TestMetricsFromCounts:
+    @settings(derandomize=True, deadline=None)
+    @given(eval_cases())
+    def test_matches_loop_oracle_bitwise(self, case):
+        preds, labels, stats = case
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            rep = metrics_from_predictions(preds, labels, stats)
+        want = oracle_report(preds, labels, stats)
+        for name in ("overall", "many", "medium", "few",
+                     "precision", "recall", "f1"):
+            assert struct.pack("<d", getattr(rep, name)) == \
+                struct.pack("<d", getattr(want, name)), name
+        npt.assert_array_equal(rep.per_class_accuracy.view(np.uint64),
+                               want.per_class_accuracy.view(np.uint64))
+
+    def test_peak_memory_at_inat18_shape(self):
+        # iNaturalist18: 8,142 classes, 24,426 validation images. A K x K
+        # int64 confusion matrix alone would take 530 MB.
+        k, n = 8142, 24426
+        rng = make_rng(13)
+        stats = stats_from_counts(rng.integers(1, 1000, k))
+        labels = np.concatenate([np.arange(k), rng.integers(0, k, n - k)])
+        preds = np.where(rng.random(n) < 0.6, labels, rng.integers(0, k, n))
+        tracemalloc.start()
+        try:
+            metrics_from_predictions(preds, labels, stats)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8_000_000
 
 
 class TestCheckpointRoundTrip:
