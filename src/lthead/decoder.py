@@ -7,6 +7,11 @@ recomputation; eval mode is inference only and keeps no caches, computes no
 GELU derivative and builds no dropout mask.
 Depth 0 degenerates to a linear probe: mean-pool then affine.
 
+Residual sums and gradient products are formed in place, and GELU and layer
+norm run in cache-sized tiles (see `lthead.numerics`). Every value keeps
+the operations and order of the plain whole-array expressions, so the bits
+are those of the untiled, out-of-place code.
+
 No positional embeddings are added; input tokens come from an encoder that
 already resolved position, and the blocks stay permutation-equivariant.
 """
@@ -178,7 +183,8 @@ def _block_forward_batch(params: BlockParams, x: Array, config: DecoderConfig,
         scale = 1.0 / math.sqrt(config.head_dim)
         attn = softmax_last(q @ k.transpose(0, 1, 3, 2) * scale)
         ctx = _merge_heads(attn @ v)
-    x_mid = x + _linear(ctx, params.proj_weight, params.proj_bias)
+    x_mid = _linear(ctx, params.proj_weight, params.proj_bias)
+    x_mid += x
 
     xhat2, ln2 = layer_norm(x_mid, params.ln2_gamma, params.ln2_beta)
     h_pre = _linear(xhat2, params.fc1_weight, params.fc1_bias)
@@ -188,11 +194,12 @@ def _block_forward_batch(params: BlockParams, x: Array, config: DecoderConfig,
     h_act, h_grad = gelu_with_grad(h_pre)
     mlp = _linear(h_act, params.fc2_weight, params.fc2_bias)
     mask = dropout_mask(mlp.shape, config.dropout, rng)
-    out = x_mid + mlp * mask
+    mlp *= mask
+    mlp += x_mid  # the block output, x_mid + mlp * mask
     cache = BlockCache(ln1=ln1, xhat1=xhat1, q=q, k=k, v=v, attn=attn,
                        ctx=ctx, ln2=ln2, xhat2=xhat2,
                        h_act=h_act, h_grad=h_grad, mask=mask)
-    return out, cache
+    return mlp, cache
 
 
 def _linear_backward(dout: Array, x: Array, weight: Array,
@@ -212,12 +219,12 @@ def _block_backward_batch(params: BlockParams, cache: BlockCache, dout: Array,
     dmlp = dout * cache.mask
     dh_act = _linear_backward(dmlp, cache.h_act, params.fc2_weight,
                               grads.fc2_weight, grads.fc2_bias)
-    dh_pre = dh_act * cache.h_grad
-    dxhat2 = _linear_backward(dh_pre, cache.xhat2, params.fc1_weight,
+    dh_act *= cache.h_grad  # now the gradient at the fc1 output
+    dxhat2 = _linear_backward(dh_act, cache.xhat2, params.fc1_weight,
                               grads.fc1_weight, grads.fc1_bias)
-    dx_ln2, grads.ln2_gamma[...], grads.ln2_beta[...] = layer_norm_backward(
+    dx_mid, grads.ln2_gamma[...], grads.ln2_beta[...] = layer_norm_backward(
         cache.ln2, dxhat2)
-    dx_mid = dout + dx_ln2
+    dx_mid += dout
 
     # Attention path: x_mid = x + proj(merge(attn @ v))
     dctx = _linear_backward(dx_mid, cache.ctx, params.proj_weight,
@@ -233,20 +240,25 @@ def _block_backward_batch(params: BlockParams, cache: BlockCache, dout: Array,
     else:
         dctx_h = _split_heads(dctx, config.heads)
         dattn = dctx_h @ cache.v.transpose(0, 1, 3, 2)
-        dv = cache.attn.transpose(0, 1, 3, 2) @ dctx_h
-        # softmax backward over the key axis
+        # dq, dk and dv are written through head-split views of one buffer
+        dqkv = np.empty(dctx.shape[:2] + (3 * d,))
+        dq, dk, dv = (_split_heads(dqkv[..., i * d:(i + 1) * d], config.heads)
+                      for i in range(3))
         a = cache.attn
+        np.matmul(a.transpose(0, 1, 3, 2), dctx_h, out=dv)
+        # softmax backward over the key axis
         dscores = a * (dattn - np.sum(dattn * a, axis=-1, keepdims=True))
         scale = 1.0 / math.sqrt(config.head_dim)
-        dq = dscores @ cache.k * scale
-        dk = dscores.transpose(0, 1, 3, 2) @ cache.q * scale
-        dqkv = np.concatenate(
-            [_merge_heads(dq), _merge_heads(dk), _merge_heads(dv)], axis=-1)
+        np.matmul(dscores, cache.k, out=dq)
+        dq *= scale
+        np.matmul(dscores.transpose(0, 1, 3, 2), cache.q, out=dk)
+        dk *= scale
         dxhat1 = _linear_backward(dqkv, cache.xhat1, params.qkv_weight,
                                   grads.qkv_weight, grads.qkv_bias)
-    dx_ln1, grads.ln1_gamma[...], grads.ln1_beta[...] = layer_norm_backward(
+    dx, grads.ln1_gamma[...], grads.ln1_beta[...] = layer_norm_backward(
         cache.ln1, dxhat1)
-    return dx_mid + dx_ln1
+    dx += dx_mid
+    return dx
 
 
 def forward_batch(head: DecoderHead, tokens: Array, rng,

@@ -202,18 +202,25 @@ def lade_dv_regularizer(logits: Array, labels: Array, stats: ClassStats,
 
     f = logits - bsm_biases(stats)
     batch = logits.shape[0]
-    present, members = np.unique(labels, return_counts=True)
+    present, which, members = np.unique(labels, return_inverse=True,
+                                        return_counts=True)
     n_present = present.shape[0]
-    terms = np.empty(n_present)
-    for idx, (j, m_j) in enumerate(zip(present, members)):
-        col = f[:, j]
-        col_max = col.max()
-        expcol = np.exp(col - col_max)
-        terms[idx] = (-col[labels == j].mean()
-                      + col_max + np.log(expcol.sum() / batch))
-        soft = expcol / expcol.sum()
-        dlogits[:, j] = lam / n_present * soft
-        dlogits[labels == j, j] -= lam / (n_present * m_j)
+    cols = f[:, present]
+    col_max = cols.max(axis=0)
+    # One contiguous row per present class: each row sum then adds the
+    # column's entries in the same pairwise order as a 1-D sum would.
+    expcols = np.ascontiguousarray(np.exp(cols - col_max).T)
+    expsums = expcols.sum(axis=1)
+    # Each class's own-label logits, grouped by class in row order. reduceat
+    # starts a group from its first entry; a leading zero per group makes
+    # it add the members exactly as a 1-D sum, which starts from zero, does.
+    starts = np.cumsum(members) - members
+    order = np.argsort(which, kind="stable")
+    own = np.insert(f[order, labels[order]], starts, 0.0)
+    own_mean = np.add.reduceat(own, starts + np.arange(n_present)) / members
+    terms = -own_mean + col_max + np.log(expsums / batch)
+    dlogits[:, present] = (lam / n_present * (expcols / expsums[:, None])).T
+    dlogits[np.arange(batch), labels] -= (lam / (n_present * members))[which]
     return float(lam * np.mean(terms)), dlogits
 
 

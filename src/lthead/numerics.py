@@ -113,12 +113,29 @@ class LayerNormCache:
     gamma: Array
 
 
+# Elementwise kernels run over tiles of at most this many float64 values
+# (128 KB), so that their passes hit L2 instead of streaming a whole
+# activation through memory once per operation.
+_TILE = 16384
+
+
+def _row_tiles(rows: int, row_len: int) -> tuple[int, list[slice]]:
+    """Rows per tile (at most _TILE values, one row at least) and the tiles.
+
+    The row count is the size a kernel's scratch buffers need.
+    """
+    step = max(1, _TILE // max(row_len, 1))
+    return min(rows, step), [slice(i, i + step) for i in range(0, rows, step)]
+
+
 def layer_norm(x: Array, gamma: Array, beta: Array,
                eps: float = 1e-5) -> tuple[Array, LayerNormCache]:
     """Normalize over the last axis, then scale and shift.
 
     Accepts a vector or any (..., D) stack of vectors; `gamma` and `beta`
     are (D,). Returns the output and the cache the backward pass needs.
+    Rows are processed in C order, in tiles; every row sees the same
+    operations in the same order whatever its tile or the input's layout.
     """
     x = np.asarray(x, dtype=np.float64)
     gamma = np.asarray(gamma, dtype=np.float64)
@@ -130,97 +147,130 @@ def layer_norm(x: Array, gamma: Array, beta: Array,
     if eps <= 0:
         raise DomainError("layer_norm eps must be positive")
     d = x.shape[-1]
-    mean = np.sum(x, axis=-1, keepdims=True)
-    mean /= d
-    centered = x - mean
-    var = np.sum(centered * centered, axis=-1, keepdims=True)
-    var /= d
-    var += eps
-    inv_std = 1.0 / np.sqrt(var, out=var)
-    xhat = centered
-    xhat *= inv_std
-    return gamma * xhat + beta, LayerNormCache(xhat, inv_std, gamma)
+    x2d = np.ascontiguousarray(x.reshape(math.prod(x.shape[:-1]), d))
+    y, xhat = np.empty(x2d.shape), np.empty(x2d.shape)
+    inv_std = np.empty((x2d.shape[0], 1))
+    step, tiles = _row_tiles(x2d.shape[0], d)
+    sq = np.empty((step, d))
+    for s in tiles:
+        centered, var = xhat[s], inv_std[s]
+        tsq = sq[:len(centered)]
+        mean = np.sum(x2d[s], axis=-1, keepdims=True)
+        mean /= d
+        np.subtract(x2d[s], mean, out=centered)
+        np.multiply(centered, centered, out=tsq)
+        np.sum(tsq, axis=-1, keepdims=True, out=var)
+        var /= d
+        var += eps
+        np.divide(1.0, np.sqrt(var, out=var), out=var)
+        centered *= var
+        np.multiply(gamma, centered, out=y[s])
+        y[s] += beta
+    return y.reshape(x.shape), LayerNormCache(
+        xhat.reshape(x.shape), inv_std.reshape(x.shape[:-1] + (1,)), gamma)
 
 
 def layer_norm_backward(cache: LayerNormCache,
                         dy: Array) -> tuple[Array, Array, Array]:
     """Gradients (dx, dgamma, dbeta) for a cached layer_norm call.
 
-    dgamma/dbeta are summed over all leading axes of `dy`.
+    dgamma/dbeta are summed over all leading axes of `dy` in one reduction
+    each; dx is computed in row tiles, like the forward.
     """
     xhat, inv_std, gamma = cache.xhat, cache.inv_std, cache.gamma
     lead = tuple(range(dy.ndim - 1))
     dgamma = np.sum(dy * xhat, axis=lead)
     dbeta = np.sum(dy, axis=lead)
     d = dy.shape[-1]
-    dxhat = dy * gamma
-    m1 = np.sum(dxhat, axis=-1, keepdims=True)
-    m1 /= d
-    m2 = np.sum(dxhat * xhat, axis=-1, keepdims=True)
-    m2 /= d
-    dx = dxhat
-    dx -= m1
-    dx -= xhat * m2
-    dx *= inv_std
-    return dx, dgamma, dbeta
+    rows = math.prod(dy.shape[:-1])
+    dy2d, xhat2d = dy.reshape(rows, d), xhat.reshape(rows, d)
+    inv2d = inv_std.reshape(rows, 1)
+    dx = np.empty(dy2d.shape)
+    step, tiles = _row_tiles(rows, d)
+    tmp = np.empty((step, d))
+    for s in tiles:
+        dxhat, xh = dx[s], xhat2d[s]
+        t = tmp[:len(dxhat)]
+        np.multiply(dy2d[s], gamma, out=dxhat)
+        m1 = np.sum(dxhat, axis=-1, keepdims=True)
+        m1 /= d
+        np.multiply(dxhat, xh, out=t)
+        m2 = np.sum(t, axis=-1, keepdims=True)
+        m2 /= d
+        dxhat -= m1
+        np.multiply(xh, m2, out=t)
+        dxhat -= t
+        dxhat *= inv2d[s]
+    return dx.reshape(dy.shape), dgamma, dbeta
 
 
 def gelu_with_grad(x) -> tuple[Array, Array]:
-    """tanh-approximation GELU and its derivative in one pass.
+    """tanh-approximation GELU and its derivative, computed together.
 
-    Shares the x^2 and tanh work between value and derivative; powers are
-    expanded into multiplications, which is an order of magnitude faster
-    than float64 `**` on large arrays, and intermediates are reused in place.
+    Works through the flattened input in tiles of at most _TILE values,
+    so that the 18 elementwise passes over each tile hit cache. Value and
+    derivative share each tile's x^2 and tanh; powers are expanded into
+    multiplications, which is an order of magnitude faster than float64
+    `**`. Each element sees the same operations whatever its tile, so the
+    value equals `gelu`'s bit for bit.
     """
     x = np.asarray(x, dtype=np.float64)
-    scalar = x.ndim == 0
-    if scalar:
-        x = x[None]
-    x2 = x * x
-    u = x2 * _GELU_A
-    u += 1.0
-    u *= x
-    u *= _GELU_C
-    t = np.tanh(u, out=u)
-    half_1pt = t + 1.0
-    half_1pt *= 0.5
-    value = half_1pt * x
-    du = x2
-    du *= 3.0 * _GELU_A
-    du += 1.0
-    du *= _GELU_C
-    grad = t
-    grad *= t
-    np.subtract(1.0, grad, out=grad)
-    grad *= du
-    grad *= x
-    grad *= 0.5
-    grad += half_1pt
-    if scalar:
-        return value[0], grad[0]
+    flat = x.reshape(-1)
+    value, grad = np.empty(x.shape), np.empty(x.shape)
+    vflat, gflat = value.reshape(-1), grad.reshape(-1)
+    step, tiles = _row_tiles(flat.size, 1)
+    x2_buf, t_buf, half_buf = np.empty(step), np.empty(step), np.empty(step)
+    for s in tiles:
+        xs = flat[s]
+        x2, t, half_1pt = x2_buf[:len(xs)], t_buf[:len(xs)], half_buf[:len(xs)]
+        np.multiply(xs, xs, out=x2)
+        np.multiply(x2, _GELU_A, out=t)
+        t += 1.0
+        t *= xs
+        t *= _GELU_C
+        np.tanh(t, out=t)
+        np.add(t, 1.0, out=half_1pt)
+        half_1pt *= 0.5
+        np.multiply(half_1pt, xs, out=vflat[s])
+        du = x2
+        du *= 3.0 * _GELU_A
+        du += 1.0
+        du *= _GELU_C
+        g = gflat[s]
+        np.multiply(t, t, out=g)
+        np.subtract(1.0, g, out=g)
+        g *= du
+        g *= xs
+        g *= 0.5
+        g += half_1pt
+    if x.ndim == 0:
+        return value[()], grad[()]
     return value, grad
 
 
 def gelu(x):
     """tanh-approximation GELU: 0.5*x*(1 + tanh(c*(x + a*x^3))).
 
-    The value alone, for inference. It repeats `gelu_with_grad`'s operation
-    order, so the two agree bit for bit.
+    The value alone, for inference, tiled like `gelu_with_grad`. It repeats
+    that function's operation order, so the two agree bit for bit.
     """
     x = np.asarray(x, dtype=np.float64)
-    scalar = x.ndim == 0
-    if scalar:
-        x = x[None]
-    u = x * x
-    u *= _GELU_A
-    u += 1.0
-    u *= x
-    u *= _GELU_C
-    np.tanh(u, out=u)
-    u += 1.0
-    u *= 0.5
-    u *= x
-    return u[0] if scalar else u
+    flat = x.reshape(-1)
+    out = np.empty(x.shape)
+    oflat = out.reshape(-1)
+    _, tiles = _row_tiles(flat.size, 1)
+    for s in tiles:
+        xs, u = flat[s], oflat[s]
+        np.multiply(xs, xs, out=u)
+        u *= _GELU_A
+        u += 1.0
+        u *= xs
+        u *= _GELU_C
+        np.tanh(u, out=u)
+        u += 1.0
+        u *= 0.5
+        u *= xs
+    return out[()] if x.ndim == 0 else out
 
 
 def dropout_mask(shape, rate: float, rng: np.random.Generator) -> Array:
@@ -236,7 +286,8 @@ def dropout_mask(shape, rate: float, rng: np.random.Generator) -> Array:
     if rng is None:
         raise StateError(f"train-mode dropout at rate {rate} needs an rng, got None")
     keep = 1.0 - rate
-    return (rng.random(shape) < keep).astype(np.float64) / keep
+    r = rng.random(shape)
+    return np.divide(np.less(r, keep), keep, out=r)
 
 
 @dataclass

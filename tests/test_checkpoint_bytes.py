@@ -40,6 +40,13 @@ GOLDEN = {
              "d3ecad9af56105d439d49d9f441a73613d62a933b52c83653bd5f893abb2209f"),
 }
 
+# sha256 of the parameter vector and loss log after a 4-iteration lade stage
+# one at B=64, T=8, D=64, depth 2, dropout 0.5. Its (64, 8, 256) hidden
+# activations span 8 of numerics' GELU tiles and its (512, 64) layer-norm
+# inputs 2, so the pin covers tiled kernels across several tiles. Taken from
+# the untiled code.
+MULTI_TILE = "e8a217539dc5d42ea8b20eb936acbe14a7c81528c9289320ee9464db2eb1b30f"
+
 
 def sha(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
@@ -71,6 +78,18 @@ def test_bytes_match_pinned_hashes(trained, variant, tmp_path):
     got = (sha(path.read_bytes()), sha(report.encode()),
            sha(log1.tobytes() + log2.tobytes()))
     assert got == GOLDEN[variant]
+
+
+def test_multi_tile_stage_one_matches_pinned_hash():
+    spec = SyntheticSpec(num_classes=5, head_count=64, imbalance_ratio=8.0,
+                         dim=64, tokens=8, separation=1.5, test_per_class=4,
+                         seed=23)
+    train, _ = generate_synthetic_lt(spec)
+    cfg = TrainConfig(seed=5, total_iters=4, batch_size=64, warmup_iters=1,
+                      loss="lade")
+    dc = DecoderConfig(dim=64, num_classes=5, depth=2, heads=4, dropout=0.5)
+    head, log = train_stage1(train, cfg, dc, make_rng(cfg.seed))
+    assert sha(head.params.vector.tobytes() + log.tobytes()) == MULTI_TILE
 
 
 def test_every_truncated_prefix_rejected(tmp_path):

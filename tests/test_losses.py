@@ -3,6 +3,7 @@ import math
 import numpy as np
 import numpy.testing as npt
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from lthead import (DataError, bsm_biases, build_class_stats,
                     cbw_weights, finite_diff_check, lade_dv_regularizer,
@@ -227,7 +228,63 @@ class TestLossEval:
         assert all(a > b for a, b in zip(values, values[1:]))
 
 
+def loop_lade(logits, labels, stats, lam):
+    """lade_dv_regularizer as a Python loop over the present classes."""
+    dlogits = np.zeros_like(logits)
+    f = logits - bsm_biases(stats)
+    batch = logits.shape[0]
+    present, members = np.unique(labels, return_counts=True)
+    n_present = present.shape[0]
+    terms = np.empty(n_present)
+    for idx, (j, m_j) in enumerate(zip(present, members)):
+        col = f[:, j]
+        col_max = col.max()
+        expcol = np.exp(col - col_max)
+        terms[idx] = (-col[labels == j].mean()
+                      + col_max + np.log(expcol.sum() / batch))
+        soft = expcol / expcol.sum()
+        dlogits[:, j] = lam / n_present * soft
+        dlogits[labels == j, j] -= lam / (n_present * m_j)
+    return float(lam * np.mean(terms)), dlogits
+
+
+@st.composite
+def lade_cases(draw):
+    """Logits, labels drawn from a random subset of the classes, stats, lam."""
+    k = draw(st.integers(1, 60))
+    b = draw(st.integers(1, 300))
+    used = draw(st.integers(1, k))
+    rng = make_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    scale = draw(st.sampled_from([1e-3, 1.0, 30.0]))
+    labels = rng.permutation(k)[:used][rng.integers(0, used, size=b)]
+    logits = rng.standard_normal((b, k)) * scale
+    stats = stats_for(rng.integers(1, 500, size=k))
+    return logits, labels, stats, draw(st.sampled_from([0.1, 0.7]))
+
+
 class TestLadeRegularizer:
+    @settings(derandomize=True, deadline=None, max_examples=200)
+    @given(lade_cases())
+    def test_matches_loop_bitwise(self, case):
+        logits, labels, stats, lam = case
+        value, dlogits = lade_dv_regularizer(logits, labels, stats, lam)
+        ref_value, ref_dlogits = loop_lade(logits, labels, stats, lam)
+        assert np.float64(value).tobytes() == np.float64(ref_value).tobytes()
+        assert dlogits.tobytes() == ref_dlogits.tobytes()
+
+    @settings(derandomize=True, deadline=None, max_examples=100)
+    @given(lade_cases(), st.integers(0, 59),
+           st.floats(-50.0, 50.0, allow_nan=False))
+    def test_single_column_shift_invariance(self, case, col, shift):
+        logits, labels, stats, lam = case
+        col %= logits.shape[1]
+        shifted = logits.copy()
+        shifted[:, col] += shift
+        v1, _ = lade_dv_regularizer(logits, labels, stats, lam)
+        v2, _ = lade_dv_regularizer(shifted, labels, stats, lam)
+        scale = 1.0 + abs(shift) + np.abs(logits).max()
+        assert v2 == pytest.approx(v1, rel=0, abs=1e-12 * scale)
+
     def test_all_zero_logits(self):
         stats = stats_for([10, 10])
         value, dlogits = lade_dv_regularizer(

@@ -7,7 +7,7 @@ import pytest
 from lthead import (DomainError, EvaluationError, ShapeError, dropout_mask,
                     finite_diff_check, gelu, gelu_with_grad, layer_norm,
                     layer_norm_backward, make_rng, softmax_rows)
-from lthead.numerics import logsumexp_rows
+from lthead.numerics import _GELU_A, _GELU_C, _TILE, logsumexp_rows
 
 
 def lse(v):
@@ -132,6 +132,122 @@ class TestGelu:
         v, g = gelu_with_grad(x)
         npt.assert_array_equal(v, gelu(x))
         npt.assert_array_equal(g, [gelu_with_grad(xi)[1] for xi in x])
+
+
+def untiled_layer_norm(x, gamma, beta, eps=1e-5):
+    """layer_norm as it was before tiling: whole-array passes."""
+    d = x.shape[-1]
+    mean = np.sum(x, axis=-1, keepdims=True)
+    mean /= d
+    centered = x - mean
+    var = np.sum(centered * centered, axis=-1, keepdims=True)
+    var /= d
+    var += eps
+    inv_std = 1.0 / np.sqrt(var, out=var)
+    xhat = centered
+    xhat *= inv_std
+    return gamma * xhat + beta, xhat, inv_std
+
+
+def untiled_layer_norm_backward(xhat, inv_std, gamma, dy):
+    lead = tuple(range(dy.ndim - 1))
+    dgamma = np.sum(dy * xhat, axis=lead)
+    dbeta = np.sum(dy, axis=lead)
+    d = dy.shape[-1]
+    dxhat = dy * gamma
+    m1 = np.sum(dxhat, axis=-1, keepdims=True)
+    m1 /= d
+    m2 = np.sum(dxhat * xhat, axis=-1, keepdims=True)
+    m2 /= d
+    dx = dxhat
+    dx -= m1
+    dx -= xhat * m2
+    dx *= inv_std
+    return dx, dgamma, dbeta
+
+
+def untiled_gelu_with_grad(x):
+    x2 = x * x
+    u = x2 * _GELU_A
+    u += 1.0
+    u *= x
+    u *= _GELU_C
+    t = np.tanh(u, out=u)
+    half_1pt = t + 1.0
+    half_1pt *= 0.5
+    value = half_1pt * x
+    du = x2
+    du *= 3.0 * _GELU_A
+    du += 1.0
+    du *= _GELU_C
+    grad = t
+    grad *= t
+    np.subtract(1.0, grad, out=grad)
+    grad *= du
+    grad *= x
+    grad *= 0.5
+    grad += half_1pt
+    return value, grad
+
+
+def tile_inputs():
+    """Inputs below, at and across _TILE, plus the degenerate layouts."""
+    rng = make_rng(40)
+    wide = rng.standard_normal((300, 128)) * 3
+    return {
+        "small": rng.standard_normal((3, 7)),
+        "one_tile": rng.standard_normal((_TILE // 64, 64)),
+        "tok8_hidden": rng.standard_normal((256, 8, 256)) * 3,
+        "ragged_rows": rng.standard_normal((2051, 64)),
+        "vector": rng.standard_normal(64),
+        "long_vector": rng.standard_normal(_TILE + 5),
+        "empty": np.zeros((0, 64)),
+        "strided": wide[:, ::2],
+        "transposed": wide[:64].T,
+    }
+
+
+class TestTilesMatchUntiled:
+    """The tiled kernels reproduce the whole-array code bit for bit."""
+
+    def test_shapes_span_tiles(self):
+        assert 256 * 8 * 256 > 8 * _TILE and 2051 * 64 % _TILE != 0
+
+    @pytest.mark.parametrize("name", list(tile_inputs()))
+    def test_gelu(self, name):
+        x = tile_inputs()[name]
+        v_ref, g_ref = untiled_gelu_with_grad(x)
+        v, g = gelu_with_grad(x)
+        assert v.shape == g.shape == x.shape
+        npt.assert_array_equal(v, v_ref, strict=True)
+        npt.assert_array_equal(g, g_ref, strict=True)
+        npt.assert_array_equal(gelu(x), v_ref, strict=True)
+
+    def test_gelu_scalar(self):
+        v_ref, g_ref = untiled_gelu_with_grad(np.array([-1.3]))
+        v, g = gelu_with_grad(-1.3)
+        assert v.shape == g.shape == () and v == v_ref[0] and g == g_ref[0]
+        assert gelu(np.float64(-1.3)) == v_ref[0]
+
+    @pytest.mark.parametrize("name", list(tile_inputs()))
+    def test_layer_norm(self, name):
+        x = tile_inputs()[name]
+        rng = make_rng(41)
+        d = x.shape[-1]
+        gamma, beta = rng.standard_normal(d), rng.standard_normal(d)
+        dy = rng.standard_normal(x.shape)
+        # The kernels work on C-ordered rows. The old code summed a row
+        # whose last axis is not the unit-stride one in another order, so a
+        # transposed input gets the bits of its C-contiguous copy.
+        ref_x = np.ascontiguousarray(x) if name == "transposed" else x
+        y_ref, xhat_ref, inv_ref = untiled_layer_norm(ref_x, gamma, beta)
+        y, cache = layer_norm(x, gamma, beta)
+        npt.assert_array_equal(y, y_ref, strict=True)
+        npt.assert_array_equal(cache.xhat, xhat_ref, strict=True)
+        npt.assert_array_equal(cache.inv_std, inv_ref, strict=True)
+        ref = untiled_layer_norm_backward(xhat_ref, inv_ref, gamma, dy)
+        for got, want in zip(layer_norm_backward(cache, dy), ref):
+            npt.assert_array_equal(got, want, strict=True)
 
 
 class TestDropoutMask:
