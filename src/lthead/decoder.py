@@ -3,7 +3,8 @@
 Pre-norm blocks (multi-head self-attention, then a GELU MLP with dropout on
 its output), mean pooling over tokens, and a linear classifier. Train-mode
 forward passes cache activations so the backward pass is exact without
-recomputation; eval mode is inference only and keeps no caches, computes no
+recomputation, and can overwrite the previous forward's cache block by block
+(`out=`); eval mode is inference only and keeps no caches, computes no
 GELU derivative and builds no dropout mask.
 Depth 0 degenerates to a linear probe: mean-pool then affine.
 
@@ -140,8 +141,8 @@ class BlockCache:
 @dataclass
 class ForwardCache:
     config: DecoderConfig
-    block_caches: list[BlockCache] | None  # None after an eval-mode forward
-    pooled: Array        # (B, D)
+    block_caches: list[BlockCache | None] | None  # None after an eval-mode forward
+    pooled: Array | None  # (B, D); None while a forward into this cache runs
     num_tokens: int
 
 
@@ -261,14 +262,21 @@ def _block_backward_batch(params: BlockParams, cache: BlockCache, dout: Array,
     return dx
 
 
-def forward_batch(head: DecoderHead, tokens: Array, rng,
-                  train_mode: bool) -> tuple[Array, ForwardCache]:
+def forward_batch(head: DecoderHead, tokens: Array, rng, train_mode: bool,
+                  out: ForwardCache | None = None) -> tuple[Array, ForwardCache]:
     """Run a (B, T, D) token batch through the head.
 
     Returns (B, K) logits and a cache. Train mode is the differentiable
     mode: its cache holds every activation `backward_batch` consumes, and a
     positive dropout rate draws masks from `rng`. Eval mode is inference:
     the cache holds only the pooled features, and `rng` is never touched.
+
+    `out`, a train-mode cache of a head with the same config, is filled and
+    returned instead of a fresh cache; its batch size and token count need
+    not match. Each block's old activations are dropped just before that
+    block is recomputed, so a training loop holds one cache, not two. A
+    forward that fails partway leaves `out` marked incomplete, and
+    `backward_batch` rejects it.
     """
     x = np.asarray(tokens, dtype=np.float64)
     if x.ndim != 3:
@@ -278,17 +286,24 @@ def forward_batch(head: DecoderHead, tokens: Array, rng,
     if x.shape[2] != head.config.dim:
         raise ShapeError(
             f"token dim {x.shape[2]} does not match head dim {head.config.dim}")
-    t = x.shape[1]
-    caches = []
-    for blk in head.blocks:
-        x, cache = _block_forward_batch(blk, x, head.config, rng, train_mode)
-        caches.append(cache)
-    pooled = x.mean(axis=1)
-    logits = pooled @ head.cls_weight.T
+    if out is None:
+        out = ForwardCache(head.config, [None] * len(head.blocks) if train_mode
+                           else None, None, 0)
+    elif not train_mode or out.block_caches is None:
+        raise StateError("out= takes a train-mode cache and needs a "
+                         "train-mode forward; eval mode keeps no caches")
+    elif out.config != head.config or len(out.block_caches) != len(head.blocks):
+        raise StateError("out cache does not match this head")
+    out.pooled = None
+    caches = out.block_caches if train_mode else [None] * len(head.blocks)
+    for i, blk in enumerate(head.blocks):
+        caches[i] = None  # free the old activations before recomputing them
+        x, caches[i] = _block_forward_batch(blk, x, head.config, rng, train_mode)
+    out.num_tokens = x.shape[1]
+    out.pooled = x.mean(axis=1)
+    logits = out.pooled @ head.cls_weight.T
     logits += head.cls_bias
-    return logits, ForwardCache(config=head.config,
-                                block_caches=caches if train_mode else None,
-                                pooled=pooled, num_tokens=t)
+    return logits, out
 
 
 def backward_batch(head: DecoderHead, cache: ForwardCache, dlogits: Array,
@@ -306,6 +321,9 @@ def backward_batch(head: DecoderHead, cache: ForwardCache, dlogits: Array,
                          "backward needs forward_batch(..., train_mode=True)")
     if cache.config != head.config or len(cache.block_caches) != len(head.blocks):
         raise StateError("forward cache does not match this head")
+    if cache.pooled is None:
+        raise StateError("forward cache is incomplete: the forward that "
+                         "was overwriting it did not finish")
     dlogits = np.asarray(dlogits, dtype=np.float64)
     if dlogits.ndim != 2 or dlogits.shape[1] != head.config.num_classes:
         raise ShapeError(f"dlogits must be (B, {head.config.num_classes})")

@@ -140,6 +140,9 @@ def layer_norm(x: Array, gamma: Array, beta: Array,
     x = np.asarray(x, dtype=np.float64)
     gamma = np.asarray(gamma, dtype=np.float64)
     beta = np.asarray(beta, dtype=np.float64)
+    if x.ndim == 0:
+        raise ShapeError("layer_norm needs a vector or a (..., D) stack, "
+                         "got a 0-d scalar")
     if gamma.shape != (x.shape[-1],) or beta.shape != (x.shape[-1],):
         raise ShapeError(
             f"layer_norm parameter length {gamma.shape}/{beta.shape} "

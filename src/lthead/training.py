@@ -27,7 +27,7 @@ from .exceptions import (ConfigError, DataError, DivergenceError, DomainError,
                          ShapeError)
 from .losses import (GROUP_FEW, GROUP_MANY, GROUP_MEDIUM, VARIANTS, ClassStats,
                      build_class_stats, make_loss_spec, total_loss)
-from .numerics import Array, softmax_rows
+from .numerics import Array, _row_tiles, softmax_rows
 
 EVAL_CHUNK = 512  # fixed so evaluation arithmetic never depends on dataset size
 
@@ -144,17 +144,23 @@ def sgd_step(params: Array, grads: Array, velocity: Array, lr: float,
         raise ShapeError(f"gradient {grads.shape} and velocity "
                          f"{velocity.shape} must match parameters "
                          f"{params.shape}")
-    # One scratch vector serves as the decayed gradient and then as the
-    # update: each fresh temporary of this size costs page faults.
-    if weight_decay != 0.0:
-        g = params * weight_decay
-        g += grads
-    else:
-        g = grads.copy()
-    velocity *= momentum
-    velocity += g
-    np.multiply(velocity, lr, out=g)
-    params -= g
+    # The six passes run tile by tile through one tile-sized scratch buffer,
+    # which holds the decayed gradient and then the update; each element
+    # sees the whole-vector expressions' operations in their order.
+    step, tiles = _row_tiles(params.size, 1)
+    buf = np.empty(step)
+    for s in tiles:
+        v = velocity[s]
+        g = buf[:v.size]
+        v *= momentum
+        if weight_decay != 0.0:
+            np.multiply(params[s], weight_decay, out=g)
+            g += grads[s]
+            v += g
+        else:
+            v += grads[s]
+        np.multiply(v, lr, out=g)
+        params[s] -= g
 
 
 def train_stage1(ds: FeatureDataset, cfg: TrainConfig,
@@ -176,9 +182,11 @@ def train_stage1(ds: FeatureDataset, cfg: TrainConfig,
     grads = DecoderHead(decoder_config)  # overwritten by every backward pass
     velocity = np.zeros_like(head.params.vector)
     log = np.empty(cfg.total_iters)
+    cache = None  # each forward overwrites the last one's cache block by block
     for it in range(cfg.total_iters):
         idx = sample_batch(ds, stats, INSTANCE_BALANCED, cfg.batch_size, rng)
-        logits, cache = forward_batch(head, ds.features[idx], rng, train_mode=True)
+        logits, cache = forward_batch(head, ds.features[idx], rng,
+                                      train_mode=True, out=cache)
         if not np.all(np.isfinite(logits)):
             raise DivergenceError(f"non-finite logits at iteration {it}")
         value, dlogits = total_loss(spec, logits, ds.labels[idx], stats)

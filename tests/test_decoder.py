@@ -1,6 +1,10 @@
+import dataclasses
+
 import numpy as np
 import numpy.testing as npt
 import pytest
+
+import lthead.decoder
 
 from lthead import (ConfigError, DecoderConfig, DecoderHead, ShapeError,
                     StateError, backward_batch, forward_batch, init_decoder,
@@ -291,3 +295,100 @@ class TestBackward:
         assert results["decoder.head"].passed
         assert results["decoder.block"].passed
         assert results["decoder.input"].passed
+
+
+def cache_fields(cache):
+    """(path, value) of every leaf a forward cache holds, in field order."""
+    for f in dataclasses.fields(cache):
+        value = getattr(cache, f.name)
+        if dataclasses.is_dataclass(value):
+            for path, leaf in cache_fields(value):
+                yield f"{f.name}.{path}", leaf
+        elif isinstance(value, list):
+            for i, item in enumerate(value):
+                for path, leaf in cache_fields(item):
+                    yield f"{f.name}[{i}].{path}", leaf
+        else:
+            yield f.name, value
+
+
+def assert_same_bits(a, b, path):
+    if isinstance(a, np.ndarray):
+        assert a.shape == b.shape, path
+        npt.assert_array_equal(a.view(np.uint64), b.view(np.uint64), err_msg=path)
+    else:
+        assert a == b, path
+
+
+class TestCacheReuse:
+    @pytest.mark.parametrize("t", [1, 3])
+    @pytest.mark.parametrize("depth", [0, 1, 2])
+    def test_overwritten_cache_equals_fresh_bitwise(self, depth, t):
+        cfg = DecoderConfig(dim=8, num_classes=3, depth=depth, heads=2, dropout=0.5)
+        head = init_decoder(cfg, make_rng(depth))
+        # the previous forward had another batch size and token count
+        _, prev = forward_batch(head, make_rng(20).standard_normal((7, 4 - t, 8)),
+                                make_rng(21), True)
+        tokens = make_rng(10 + t).standard_normal((5, t, 8))
+        fresh_logits, fresh = forward_batch(head, tokens, make_rng(30), True)
+        logits, cache = forward_batch(head, tokens, make_rng(30), True, out=prev)
+        assert cache is prev
+        assert_same_bits(logits, fresh_logits, "logits")
+        got, want = list(cache_fields(cache)), list(cache_fields(fresh))
+        assert [p for p, _ in got] == [p for p, _ in want]
+        for (path, a), (_, b) in zip(got, want):
+            assert_same_bits(a, b, path)
+        dlogits = make_rng(5).standard_normal((5, 3))
+        grads, dtokens = backward_batch(head, cache, dlogits)
+        want_grads, want_dtokens = backward_batch(head, fresh, dlogits)
+        assert_same_bits(grads.vector, want_grads.vector, "grads")
+        assert_same_bits(dtokens, want_dtokens, "dtokens")
+
+    def test_eval_mode_out_rejected(self):
+        cfg = DecoderConfig(dim=8, num_classes=3, depth=1, heads=2, dropout=0.0)
+        head = init_decoder(cfg, make_rng(0))
+        tokens = make_rng(1).standard_normal((2, 3, 8))
+        _, eval_cache = forward_batch(head, tokens, None, False)
+        with pytest.raises(StateError, match="train-mode"):
+            forward_batch(head, tokens, None, True, out=eval_cache)
+        _, train_cache = forward_batch(head, tokens, None, True)
+        with pytest.raises(StateError, match="train-mode"):
+            forward_batch(head, tokens, None, False, out=train_cache)
+        # a rejected call leaves the cache as it was
+        backward_batch(head, train_cache, np.zeros((2, 3)))
+
+    def test_mismatched_config_rejected(self):
+        tokens = make_rng(1).standard_normal((2, 3, 8))
+        heads = [init_decoder(DecoderConfig(dim=8, num_classes=3, depth=depth,
+                                            heads=2, dropout=0.0), make_rng(0))
+                 for depth in (1, 2)]
+        _, cache = forward_batch(heads[0], tokens, None, True)
+        with pytest.raises(StateError, match="does not match"):
+            forward_batch(heads[1], tokens, None, True, out=cache)
+
+    def test_interrupted_forward_leaves_a_rejected_cache(self, monkeypatch):
+        cfg = DecoderConfig(dim=8, num_classes=3, depth=2, heads=2, dropout=0.0)
+        head = init_decoder(cfg, make_rng(0))
+        tokens = make_rng(1).standard_normal((2, 3, 8))
+        _, cache = forward_batch(head, tokens, None, True)
+        block = lthead.decoder._block_forward_batch
+        calls = []
+
+        def fail_in_second_block(*args):
+            calls.append(1)
+            if len(calls) == 2:
+                raise MemoryError("simulated")
+            return block(*args)
+
+        monkeypatch.setattr(lthead.decoder, "_block_forward_batch",
+                            fail_in_second_block)
+        with pytest.raises(MemoryError):
+            forward_batch(head, 2.0 * tokens, None, True, out=cache)
+        monkeypatch.undo()
+        with pytest.raises(StateError, match="incomplete"):
+            backward_batch(head, cache, np.zeros((2, 3)))
+        # a finished forward into the same cache makes it whole again
+        logits, cache = forward_batch(head, tokens, None, True, out=cache)
+        want, _ = forward_batch(head, tokens, None, True)
+        assert_same_bits(logits, want, "logits")
+        backward_batch(head, cache, np.zeros((2, 3)))

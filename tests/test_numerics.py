@@ -83,6 +83,10 @@ class TestLayerNorm:
         with pytest.raises(ShapeError):
             layer_norm(np.zeros(4), np.ones(3), np.zeros(4))
 
+    def test_scalar_input_rejected(self):
+        with pytest.raises(ShapeError, match="0-d"):
+            layer_norm(np.float64(2.0), np.ones(1), np.zeros(1))
+
     def test_backward_matches_finite_differences(self):
         rng = make_rng(6)
         d = 5

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import struct
 import tracemalloc
@@ -11,10 +12,13 @@ from hypothesis import given, settings, strategies as st
 from lthead import (ConfigError, DecoderConfig, DivergenceError, DomainError,
                     DataError, FeatureDataset, SyntheticSpec,
                     TextClassEmbeddings, TrainConfig, build_class_stats,
-                    evaluate, generate_synthetic_lt, load_checkpoint, lr_at, make_rng, metrics_from_predictions,
+                    evaluate, forward_batch, generate_synthetic_lt,
+                    init_decoder, load_checkpoint, lr_at, make_rng,
+                    metrics_from_predictions,
                     parse_run_config, render_run_config, save_checkpoint,
                     sgd_step, stats_from_counts, train_stage1, train_stage2,
                     zero_shot_classify)
+from lthead.numerics import _TILE
 from lthead.training import EvalReport, report_json, render_report
 
 
@@ -98,6 +102,24 @@ class TestSgdStep:
         with pytest.raises(ShapeError):
             sgd_step(params, np.zeros(4), np.zeros(3), 0.1, 0.9, 0.0)
 
+    @pytest.mark.parametrize("weight_decay", [0.0, 5e-4])
+    @pytest.mark.parametrize("size", [1, _TILE, _TILE + 5])
+    def test_tiles_match_whole_vector_bitwise(self, size, weight_decay):
+        rng = make_rng(size)
+        params, velocity = rng.standard_normal(size), np.zeros(size)
+        want_p, want_v = params.copy(), velocity.copy()
+        for step in range(5):
+            grads = rng.standard_normal(size)
+            lr = 0.03 * (step + 1)
+            sgd_step(params, grads, velocity, lr, 0.9, weight_decay)
+            # the untiled update: g = p*wd + grad; v = v*m + g; p -= v*lr
+            g = want_p * weight_decay + grads if weight_decay else grads
+            want_v *= 0.9
+            want_v += g
+            want_p -= want_v * lr
+            npt.assert_array_equal(params.view(np.uint64), want_p.view(np.uint64))
+            npt.assert_array_equal(velocity.view(np.uint64), want_v.view(np.uint64))
+
 
 class TestRunConfig:
     def test_round_trip(self):
@@ -120,6 +142,19 @@ class TestRunConfig:
     def test_invalid_warmup(self):
         with pytest.raises(ConfigError):
             TrainConfig(total_iters=100, warmup_iters=100)
+
+
+def _cache_arrays(obj):
+    """Every activation array a forward cache holds; gamma is a parameter."""
+    if isinstance(obj, np.ndarray):
+        yield obj
+    elif isinstance(obj, list):
+        for item in obj:
+            yield from _cache_arrays(item)
+    elif dataclasses.is_dataclass(obj):
+        for f in dataclasses.fields(obj):
+            if f.name != "gamma":
+                yield from _cache_arrays(getattr(obj, f.name))
 
 
 class TestTrainStage1:
@@ -168,6 +203,29 @@ class TestTrainStage1:
         dc = DecoderConfig(dim=8, num_classes=3, depth=1, heads=2, dropout=0.0)
         _, log = train_stage1(train, cfg, dc, make_rng(2))
         assert np.mean(log[-10:]) < np.mean(log[:10])
+
+    def test_peak_memory_holds_one_forward_cache(self):
+        # Each forward overwrites the previous one's cache block by block, so
+        # stage one never holds two caches. The backward's own temporaries
+        # come to about one block, a third of the cache at depth 3.
+        spec = SyntheticSpec(num_classes=4, head_count=40, imbalance_ratio=2.0,
+                             dim=32, tokens=8, separation=2.0, noise=0.5,
+                             test_per_class=2, seed=0)
+        train, _ = generate_synthetic_lt(spec)
+        dc = DecoderConfig(dim=32, num_classes=4, depth=3, heads=4, dropout=0.5)
+        cfg = small_cfg(total_iters=4, batch_size=64, warmup_iters=1)
+        head = init_decoder(dc, make_rng(0))
+        _, cache = forward_batch(head, train.features[:64], make_rng(1), True)
+        cache_bytes = sum(a.nbytes for a in _cache_arrays(cache))
+        vectors_bytes = 3 * head.params.vector.nbytes  # params, grads, velocity
+        del head, cache
+        tracemalloc.start()
+        try:
+            train_stage1(train, cfg, dc, make_rng(0))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.5 * cache_bytes + vectors_bytes
 
 
 class TestTrainStage2:
