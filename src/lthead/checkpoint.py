@@ -24,7 +24,7 @@ import numpy as np
 
 from .calibrators import CALIBRATOR_VARIANTS, Calibrator, calibrator_layout
 from .data import expect_end, read_exact
-from .decoder import DecoderConfig, DecoderHead, param_layout
+from .decoder import DecoderConfig, DecoderHead, param_count
 from .exceptions import ConfigError, FormatError
 from .losses import ClassStats, stats_from_counts
 from .numerics import layout_size
@@ -55,8 +55,8 @@ def save_checkpoint(path, head: DecoderHead, class_counts,
             fh.write(calibrator.params.vector.astype("<f8", copy=False).tobytes())
 
 
-def _read_vector(fh, layout, what: str) -> np.ndarray:
-    buf = read_exact(fh, 8 * layout_size(layout), what)
+def _read_vector(fh, size: int, what: str) -> np.ndarray:
+    buf = read_exact(fh, 8 * size, what)
     return np.frombuffer(buf, dtype="<f8").astype(np.float64)
 
 
@@ -72,7 +72,9 @@ def load_checkpoint(path) -> tuple[DecoderHead, ClassStats, Calibrator | None]:
             config = DecoderConfig(**dict(zip(_CONFIG_FIELDS, values)))
         except ConfigError as exc:
             raise FormatError(f"bad config at byte {_HEADER.size}: {exc}") from None
-        head = DecoderHead(config, _read_vector(fh, param_layout(config),
+        # sized from the header alone: the layout grows with depth, so it is
+        # built only once the file is known to hold that many parameters
+        head = DecoderHead(config, _read_vector(fh, param_count(config),
                                                 "head parameters"))
         num_classes, dim = config.num_classes, config.dim
         counts_buf = read_exact(fh, 8 * num_classes, "class counts")
@@ -83,9 +85,9 @@ def load_checkpoint(path) -> tuple[DecoderHead, ClassStats, Calibrator | None]:
         calibrator = None
         if tag:
             variant = CALIBRATOR_VARIANTS[tag - 1]
-            layout = calibrator_layout(variant, num_classes, dim)
+            size = layout_size(calibrator_layout(variant, num_classes, dim))
             calibrator = Calibrator(variant, num_classes, dim, _read_vector(
-                fh, layout, f"{variant} parameters"))
+                fh, size, f"{variant} parameters"))
         expect_end(fh)
 
     return head, stats_from_counts(counts), calibrator

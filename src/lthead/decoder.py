@@ -8,10 +8,10 @@ recomputation, and can overwrite the previous forward's cache block by block
 GELU derivative and builds no dropout mask.
 Depth 0 degenerates to a linear probe: mean-pool then affine.
 
-Residual sums and gradient products are formed in place, and GELU and layer
-norm run in cache-sized tiles (see `lthead.numerics`). Every value keeps
-the operations and order of the plain whole-array expressions, so the bits
-are those of the untiled, out-of-place code.
+Residual sums and gradient products are formed in place, and GELU runs in
+cache-sized tiles (see `lthead.numerics`). Every value keeps the operations
+and order of the plain whole-array expressions, so the bits are those of
+the untiled, out-of-place code.
 
 No positional embeddings are added; input tokens come from an encoder that
 already resolved position, and the blocks stay permutation-equivariant.
@@ -27,7 +27,7 @@ import numpy as np
 from .exceptions import ConfigError, ShapeError, StateError
 from .numerics import (FAN_IN, Array, LayerNormCache, ParamVector, dropout_mask,
                        gelu, gelu_with_grad, layer_norm, layer_norm_backward,
-                       softmax_last)
+                       layout_size, softmax_last)
 
 
 @dataclass(frozen=True)
@@ -49,8 +49,10 @@ class DecoderConfig:
                 f"dim {self.dim} must be divisible by heads {self.heads}")
         if not 0.0 <= self.dropout < 1.0:
             raise ConfigError("dropout must lie in [0, 1)")
-        if not 0 < self.mlp_ratio < math.inf:
-            raise ConfigError("mlp_ratio must be positive and finite")
+        if not 1 <= self.mlp_ratio * self.dim < math.inf:
+            raise ConfigError(
+                f"mlp_ratio {self.mlp_ratio} at dim {self.dim} gives MLP width "
+                f"{self.mlp_ratio * self.dim}; it must be at least 1 and finite")
 
     @property
     def head_dim(self) -> int:
@@ -91,6 +93,13 @@ def param_layout(config: DecoderConfig) -> list[tuple[str, tuple, object]]:
               for i in range(config.depth)
               for name, shape, init in _block_layout(d, config.hidden)]
     return layout + [("cls_weight", (k, d), FAN_IN), ("cls_bias", (k,), 0.0)]
+
+
+def param_count(config: DecoderConfig) -> int:
+    """Length of the head's parameter vector, without building its layout."""
+    d, k = config.dim, config.num_classes
+    return (config.depth * layout_size(_block_layout(d, config.hidden))
+            + k * d + k)
 
 
 class DecoderHead:

@@ -113,19 +113,18 @@ class LayerNormCache:
     gamma: Array
 
 
-# Elementwise kernels run over tiles of at most this many float64 values
+# GELU and the SGD update run over tiles of at most this many float64 values
 # (128 KB), so that their passes hit L2 instead of streaming a whole
 # activation through memory once per operation.
 _TILE = 16384
 
 
-def _row_tiles(rows: int, row_len: int) -> tuple[int, list[slice]]:
-    """Rows per tile (at most _TILE values, one row at least) and the tiles.
+def _row_tiles(size: int) -> tuple[int, list[slice]]:
+    """Values per tile (at most _TILE) and the tiles of a flat length `size`.
 
-    The row count is the size a kernel's scratch buffers need.
+    The first number is the size a kernel's scratch buffers need.
     """
-    step = max(1, _TILE // max(row_len, 1))
-    return min(rows, step), [slice(i, i + step) for i in range(0, rows, step)]
+    return min(size, _TILE), [slice(i, i + _TILE) for i in range(0, size, _TILE)]
 
 
 def layer_norm(x: Array, gamma: Array, beta: Array,
@@ -134,10 +133,10 @@ def layer_norm(x: Array, gamma: Array, beta: Array,
 
     Accepts a vector or any (..., D) stack of vectors; `gamma` and `beta`
     are (D,). Returns the output and the cache the backward pass needs.
-    Rows are processed in C order, in tiles; every row sees the same
-    operations in the same order whatever its tile or the input's layout.
+    The input is read in C order, so every row is reduced over unit-stride
+    values whatever the input's layout.
     """
-    x = np.asarray(x, dtype=np.float64)
+    x = np.asarray(x, dtype=np.float64, order="C")
     gamma = np.asarray(gamma, dtype=np.float64)
     beta = np.asarray(beta, dtype=np.float64)
     if x.ndim == 0:
@@ -150,27 +149,17 @@ def layer_norm(x: Array, gamma: Array, beta: Array,
     if eps <= 0:
         raise DomainError("layer_norm eps must be positive")
     d = x.shape[-1]
-    x2d = np.ascontiguousarray(x.reshape(math.prod(x.shape[:-1]), d))
-    y, xhat = np.empty(x2d.shape), np.empty(x2d.shape)
-    inv_std = np.empty((x2d.shape[0], 1))
-    step, tiles = _row_tiles(x2d.shape[0], d)
-    sq = np.empty((step, d))
-    for s in tiles:
-        centered, var = xhat[s], inv_std[s]
-        tsq = sq[:len(centered)]
-        mean = np.sum(x2d[s], axis=-1, keepdims=True)
-        mean /= d
-        np.subtract(x2d[s], mean, out=centered)
-        np.multiply(centered, centered, out=tsq)
-        np.sum(tsq, axis=-1, keepdims=True, out=var)
-        var /= d
-        var += eps
-        np.divide(1.0, np.sqrt(var, out=var), out=var)
-        centered *= var
-        np.multiply(gamma, centered, out=y[s])
-        y[s] += beta
-    return y.reshape(x.shape), LayerNormCache(
-        xhat.reshape(x.shape), inv_std.reshape(x.shape[:-1] + (1,)), gamma)
+    mean = np.sum(x, axis=-1, keepdims=True)
+    mean /= d
+    xhat = x - mean
+    var = np.sum(xhat * xhat, axis=-1, keepdims=True)
+    var /= d
+    var += eps
+    inv_std = np.divide(1.0, np.sqrt(var, out=var), out=var)
+    xhat *= inv_std
+    y = gamma * xhat
+    y += beta
+    return y, LayerNormCache(xhat, inv_std, gamma)
 
 
 def layer_norm_backward(cache: LayerNormCache,
@@ -178,33 +167,23 @@ def layer_norm_backward(cache: LayerNormCache,
     """Gradients (dx, dgamma, dbeta) for a cached layer_norm call.
 
     dgamma/dbeta are summed over all leading axes of `dy` in one reduction
-    each; dx is computed in row tiles, like the forward.
+    each; dx's row sums run over C-ordered rows, like the forward's.
     """
     xhat, inv_std, gamma = cache.xhat, cache.inv_std, cache.gamma
     lead = tuple(range(dy.ndim - 1))
     dgamma = np.sum(dy * xhat, axis=lead)
     dbeta = np.sum(dy, axis=lead)
     d = dy.shape[-1]
-    rows = math.prod(dy.shape[:-1])
-    dy2d, xhat2d = dy.reshape(rows, d), xhat.reshape(rows, d)
-    inv2d = inv_std.reshape(rows, 1)
-    dx = np.empty(dy2d.shape)
-    step, tiles = _row_tiles(rows, d)
-    tmp = np.empty((step, d))
-    for s in tiles:
-        dxhat, xh = dx[s], xhat2d[s]
-        t = tmp[:len(dxhat)]
-        np.multiply(dy2d[s], gamma, out=dxhat)
-        m1 = np.sum(dxhat, axis=-1, keepdims=True)
-        m1 /= d
-        np.multiply(dxhat, xh, out=t)
-        m2 = np.sum(t, axis=-1, keepdims=True)
-        m2 /= d
-        dxhat -= m1
-        np.multiply(xh, m2, out=t)
-        dxhat -= t
-        dxhat *= inv2d[s]
-    return dx.reshape(dy.shape), dgamma, dbeta
+    dxhat = np.multiply(dy, gamma, order="C")
+    m1 = np.sum(dxhat, axis=-1, keepdims=True)
+    m1 /= d
+    m2 = np.sum(dxhat * xhat, axis=-1, keepdims=True)
+    m2 /= d
+    dx = dxhat  # formed in place
+    dx -= m1
+    dx -= xhat * m2
+    dx *= inv_std
+    return dx, dgamma, dbeta
 
 
 def gelu_with_grad(x) -> tuple[Array, Array]:
@@ -221,7 +200,7 @@ def gelu_with_grad(x) -> tuple[Array, Array]:
     flat = x.reshape(-1)
     value, grad = np.empty(x.shape), np.empty(x.shape)
     vflat, gflat = value.reshape(-1), grad.reshape(-1)
-    step, tiles = _row_tiles(flat.size, 1)
+    step, tiles = _row_tiles(flat.size)
     x2_buf, t_buf, half_buf = np.empty(step), np.empty(step), np.empty(step)
     for s in tiles:
         xs = flat[s]
@@ -261,7 +240,7 @@ def gelu(x):
     flat = x.reshape(-1)
     out = np.empty(x.shape)
     oflat = out.reshape(-1)
-    _, tiles = _row_tiles(flat.size, 1)
+    _, tiles = _row_tiles(flat.size)
     for s in tiles:
         xs, u = flat[s], oflat[s]
         np.multiply(xs, xs, out=u)

@@ -147,7 +147,7 @@ def sgd_step(params: Array, grads: Array, velocity: Array, lr: float,
     # The six passes run tile by tile through one tile-sized scratch buffer,
     # which holds the decayed gradient and then the update; each element
     # sees the whole-vector expressions' operations in their order.
-    step, tiles = _row_tiles(params.size, 1)
+    step, tiles = _row_tiles(params.size)
     buf = np.empty(step)
     for s in tiles:
         v = velocity[s]
@@ -393,12 +393,14 @@ def zero_shot_classify(image_embs: Array, class_embs: TextClassEmbeddings,
                        temperature: float = 1.0) -> tuple[Array, Array]:
     """Cosine-similarity classification against class text embeddings.
 
-    Probabilities are softmax(cos / temperature) per image; predictions are
-    the argmax. Rescaling an image embedding by any positive constant leaves
+    Predictions are the argmax of the cosine similarities, so they do not
+    depend on the temperature; probabilities are softmax(cos / temperature)
+    per image. Rescaling an image embedding by any positive constant leaves
     the result unchanged.
     """
-    if temperature <= 0:
-        raise DomainError("temperature must be positive")
+    if not 0 < temperature < math.inf:
+        raise DomainError(f"temperature must be positive and finite, "
+                          f"got {temperature}")
     image_embs = np.asarray(image_embs, dtype=np.float64)
     if image_embs.ndim != 2 or image_embs.shape[1] != class_embs.matrix.shape[1]:
         raise ShapeError("image embeddings must be (N, D) with matching D")
@@ -406,5 +408,4 @@ def zero_shot_classify(image_embs: Array, class_embs: TextClassEmbeddings,
     if np.any(norms == 0):
         raise DataError("image embeddings must have nonzero norm")
     cosine = (image_embs / norms) @ class_embs.matrix.T
-    probs = softmax_rows(cosine / temperature)
-    return np.argmax(probs, axis=1), probs
+    return np.argmax(cosine, axis=1), softmax_rows(cosine / temperature)

@@ -9,6 +9,7 @@ kernel; on another kernel, recompute them from a known-good commit.
 
 import hashlib
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -122,6 +123,24 @@ def test_invalid_header_field_rejected(tmp_path, offset, field, match):
     path.write_bytes(bytes(blob))
     with pytest.raises(FormatError, match=match):
         load_checkpoint(path)
+
+
+def test_huge_depth_rejected_before_building_layout(tmp_path):
+    # The layout holds 12 entries per block; the size check must come first.
+    path = tmp_path / "deep.ckpt"
+    dc = DecoderConfig(dim=8, num_classes=3, depth=1, heads=2)
+    save_checkpoint(path, init_decoder(dc, make_rng(0)), np.array([5, 3, 1]))
+    blob = bytearray(path.read_bytes())
+    blob[8:12] = struct.pack("<I", 20000)
+    path.write_bytes(bytes(blob))
+    tracemalloc.start()
+    try:
+        with pytest.raises(FormatError, match="truncated"):
+            load_checkpoint(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 ** 20
 
 
 def test_oversized_header_rejected(tmp_path):

@@ -100,6 +100,16 @@ class TestTrain:
         assert run(["train", "--features", str(workspace / "data.train"),
                     "--config", str(cfg), "--out", str(tmp_path / "x.ckpt")]) == 2
 
+    def test_zero_width_mlp_exit_2(self, workspace, tmp_path, capsys):
+        # mlp_ratio 0.1 at the data's D=8 truncates to a zero-width MLP
+        cfg = tmp_path / "thin.cfg"
+        cfg.write_text("seed=1\ntotal_iters=4\nbatch_size=8\nwarmup_iters=1\n"
+                       "depth=1\nheads=2\nmlp_ratio=0.1\n")
+        assert run(["train", "--features", str(workspace / "data.train"),
+                    "--config", str(cfg), "--out", str(tmp_path / "x.ckpt")]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error:") and "MLP width" in err[0]
+
     def test_divergence_exit_3(self, workspace, tmp_path):
         cfg = tmp_path / "boom.cfg"
         cfg.write_text("seed=1\ntotal_iters=30\nbatch_size=8\nwarmup_iters=2\n"
@@ -253,6 +263,19 @@ class TestZeroShot:
                     "--test-labels", str(labels),
                     "--report", str(tmp_path / "zs.report")])
 
+    @pytest.mark.parametrize("temperature", ["nan", "inf"])
+    def test_bad_temperature_exit_2(self, tmp_path, capsys, temperature):
+        class_embs = tmp_path / "classes.txt"
+        class_embs.write_text("1.0, 0.0\n0.0, 1.0\n")
+        images = tmp_path / "images.txt"
+        images.write_text("0, 1.0, 0.0\n1, 0.0, 1.0\n")
+        assert run(["zero-shot", "--image-embs", str(images),
+                    "--class-embs", str(class_embs),
+                    "--temperature", temperature,
+                    "--report", str(tmp_path / "zs.report")]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: temperature")
+
     @pytest.mark.parametrize("text, line", [
         (b"x\n", 1),
         (b"0,1,0\n", 1),
@@ -290,6 +313,17 @@ class TestReportCommand:
         rows = json.loads(capsys.readouterr().out)
         assert len(rows) == 2
         assert {r["calibrator"] for r in rows} == {"-", "marc"}
+
+    def test_overflowing_mlp_ratio_header_exit_2(self, workspace, tmp_path,
+                                                 capsys):
+        # the header's f64 mlp_ratio sits after magic, version, depth, heads
+        blob = bytearray((workspace / "model.ckpt").read_bytes())
+        blob[16:24] = struct.pack("<d", 1e308)
+        bad = tmp_path / "wide.ckpt"
+        bad.write_bytes(bytes(blob))
+        assert run(["report", "--inputs", str(bad)]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error:") and "MLP width" in err[0]
 
 
 class TestUsage:

@@ -10,7 +10,8 @@ from lthead import (ConfigError, DecoderConfig, DecoderHead, ShapeError,
                     StateError, backward_batch, forward_batch, init_decoder,
                     make_rng)
 from lthead.decoder import (BLOCK_FIELDS, _block_backward_batch,
-                            _block_forward_batch)
+                            _block_forward_batch, param_count, param_layout)
+from lthead.numerics import layout_size
 
 
 def zero_block_weights(head):
@@ -41,6 +42,23 @@ class TestConfig:
     def test_non_finite_mlp_ratio_rejected(self, ratio):
         with pytest.raises(ConfigError):
             DecoderConfig(dim=8, num_classes=2, mlp_ratio=ratio)
+
+    @pytest.mark.parametrize("ratio", [0.1, 1e308], ids=["width_0", "overflow"])
+    def test_mlp_width_below_one_or_overflowing_rejected(self, ratio):
+        # 0.1 * 8 truncates to a zero-width MLP; 1e308 * 8 overflows to inf
+        with pytest.raises(ConfigError, match="MLP width"):
+            DecoderConfig(dim=8, num_classes=3, mlp_ratio=ratio)
+
+    def test_mlp_width_one_accepted(self):
+        cfg = DecoderConfig(dim=8, num_classes=3, mlp_ratio=0.125)
+        assert cfg.hidden == 1
+        assert init_decoder(cfg, make_rng(0)).blocks[0].fc1_weight.shape == (1, 8)
+
+    @pytest.mark.parametrize("depth, ratio", [(0, 4.0), (2, 0.5), (3, 2.0)])
+    def test_param_count_matches_layout(self, depth, ratio):
+        cfg = DecoderConfig(dim=8, num_classes=3, depth=depth, heads=2,
+                            mlp_ratio=ratio)
+        assert param_count(cfg) == layout_size(param_layout(cfg))
 
 
 class TestInit:

@@ -87,6 +87,16 @@ class TestLayerNorm:
         with pytest.raises(ShapeError, match="0-d"):
             layer_norm(np.float64(2.0), np.ones(1), np.zeros(1))
 
+    def test_backward_dx_independent_of_dy_layout(self):
+        # A row sum over a column-major dy would run in another order.
+        rng = make_rng(42)
+        x, gamma = rng.standard_normal((300, 64)), rng.standard_normal(64)
+        _, cache = layer_norm(x, gamma, np.zeros(64))
+        dy_t = (rng.standard_normal((64, 300)) * 3).T
+        dx, _, _ = layer_norm_backward(cache, dy_t)
+        dx_c, _, _ = layer_norm_backward(cache, np.ascontiguousarray(dy_t))
+        npt.assert_array_equal(dx, dx_c, strict=True)
+
     def test_backward_matches_finite_differences(self):
         rng = make_rng(6)
         d = 5

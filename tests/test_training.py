@@ -603,6 +603,23 @@ class TestZeroShot:
         with pytest.raises(DomainError):
             zero_shot_classify(images, emb, temperature=0.0)
 
+    def test_predictions_independent_of_temperature(self):
+        # argmax is invariant under the monotone map cos -> cos / temperature,
+        # however far that map pushes the softmax toward uniform
+        rng = make_rng(6)
+        emb = TextClassEmbeddings.from_matrix(rng.standard_normal((5, 8)))
+        images = rng.standard_normal((200, 8))
+        cosine = (images / np.linalg.norm(images, axis=1, keepdims=True)) @ emb.matrix.T
+        for temperature in (0.05, 1.0, 1e17, 1e300):
+            preds, _ = zero_shot_classify(images, emb, temperature)
+            npt.assert_array_equal(preds, np.argmax(cosine, axis=1))
+
+    @pytest.mark.parametrize("temperature", [math.nan, math.inf])
+    def test_bad_temperature_rejected(self, temperature):
+        emb = TextClassEmbeddings.from_matrix(np.eye(3))
+        with pytest.raises(DomainError, match="temperature"):
+            zero_shot_classify(np.eye(3), emb, temperature)
+
 
 THREAD_RUN = """
 import hashlib
