@@ -28,7 +28,7 @@ from .numerics import (GradCheckReport, ParamVector, dropout_mask,
 from .training import (EvalReport, TextClassEmbeddings, TrainConfig,
                        config_fingerprint, evaluate, lr_at,
                        metrics_from_predictions, parse_run_config,
-                       render_report, render_run_config, report_json, sgd_step,
+                       render_report, report_json, sgd_step,
                        train_stage1, train_stage2, zero_shot_classify)
 
 __version__ = "0.1.0"

@@ -21,7 +21,7 @@ import numpy as np
 
 from .data import CLASS_BALANCED, INSTANCE_BALANCED
 from .exceptions import ConfigError, ShapeError, StateError
-from .numerics import FAN_IN, Array, ParamVector
+from .numerics import FAN_IN, Array, ParamVector, linear, linear_backward
 
 
 class Recipe(NamedTuple):
@@ -125,7 +125,7 @@ def apply_batch(cal: Calibrator, pooled: Array, logits: Array,
     cache = ApplyCache(variant=cal.variant, pooled=pooled, logits=logits,
                        weight_norms=weight_norms)
     if cal.variant == "crt":
-        return pooled @ cal.weight.T + cal.bias, cache
+        return linear(pooled, cal.weight, cal.bias), cache
     if cal.variant == "lws":
         return logits * cal.scales, cache
     if cal.variant == "disalign":
@@ -150,9 +150,9 @@ def backward_batch(cal: Calibrator, cache: ApplyCache,
     pooled, logits = cache.pooled, cache.logits
     grads = ParamVector(cal.params.layout)
     if cal.variant == "crt":
-        grads["weight"][...] = dadjusted.T @ pooled
-        grads["bias"][...] = dadjusted.sum(axis=0)
-        return grads, np.zeros_like(logits), dadjusted @ cal.weight
+        dpooled = linear_backward(dadjusted, pooled, cal.weight,
+                                  grads["weight"], grads["bias"])
+        return grads, np.zeros_like(logits), dpooled
     if cal.variant == "lws":
         grads["scales"][...] = np.sum(logits * dadjusted, axis=0)
         return grads, cal.scales * dadjusted, np.zeros_like(pooled)

@@ -91,7 +91,6 @@ def _build_parser() -> _Parser:
                    help="text matrix, one row of D values per class")
     p.add_argument("--test-labels",
                    help="one integer per line; overrides labels in the image file")
-    p.add_argument("--temperature", type=float, default=1.0)
     p.add_argument("--report", required=True)
 
     p = sub.add_parser("gradcheck", help="finite-difference gradient suite")
@@ -196,7 +195,7 @@ def _cmd_zero_shot(args) -> int:
     if args.test_labels:
         labels, _ = read_text_rows(args.test_labels, labeled=True, width=0)
     k = class_matrix.shape[0]
-    predictions, _ = zero_shot_classify(image_embs, embeddings, args.temperature)
+    predictions, _ = zero_shot_classify(image_embs, embeddings)
     # pad so every class exists; only group tags depend on these counts.
     # These two calls reject labels outside [0, k) or not one per image.
     stats = build_class_stats(np.concatenate([np.arange(k), labels]), k)

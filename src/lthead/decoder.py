@@ -1,11 +1,11 @@
 """Lightweight transformer decoder over frozen token features.
 
 Pre-norm blocks (multi-head self-attention, then a GELU MLP with dropout on
-its output), mean pooling over tokens, and a linear classifier. Train-mode
-forward passes cache activations so the backward pass is exact without
-recomputation, and can overwrite the previous forward's cache block by block
-(`out=`); eval mode is inference only and keeps no caches, computes no
-GELU derivative and builds no dropout mask.
+its output), mean pooling over tokens, and a linear classifier; every affine
+map is `numerics.linear`. Train-mode forward passes cache activations so the
+backward pass is exact without recomputation, and can overwrite the previous
+forward's cache block by block (`out=`); eval mode is inference only and
+keeps no caches, computes no GELU derivative and builds no dropout mask.
 Depth 0 degenerates to a linear probe: mean-pool then affine.
 
 Residual sums and gradient products are formed in place, and GELU runs in
@@ -27,7 +27,7 @@ import numpy as np
 from .exceptions import ConfigError, ShapeError, StateError
 from .numerics import (FAN_IN, Array, LayerNormCache, ParamVector, dropout_mask,
                        gelu, gelu_with_grad, layer_norm, layer_norm_backward,
-                       layout_size, softmax_last)
+                       layout_size, linear, linear_backward, softmax_last)
 
 
 @dataclass(frozen=True)
@@ -165,14 +165,6 @@ def _merge_heads(x: Array) -> Array:
     return x.transpose(0, 2, 1, 3).reshape(b, t, h * dh)
 
 
-def _linear(x: Array, weight: Array, bias: Array) -> Array:
-    # x: (B, T, in) -> (B, T, out); flattening keeps matmuls 2-D.
-    b, t, _ = x.shape
-    out = x.reshape(b * t, -1) @ weight.T
-    out += bias
-    return out.reshape(b, t, -1)
-
-
 def _block_forward_batch(params: BlockParams, x: Array, config: DecoderConfig,
                          rng, train_mode: bool) -> tuple[Array, BlockCache | None]:
     """One block. Eval mode returns no cache and adds the MLP output in place."""
@@ -184,25 +176,25 @@ def _block_forward_batch(params: BlockParams, x: Array, config: DecoderConfig,
         # One token: attention weights are exactly 1, so the context is v and
         # q/k never influence the output or any gradient.
         q = k = v = attn = None
-        ctx = _linear(xhat1, params.qkv_weight[2 * d:], params.qkv_bias[2 * d:])
+        ctx = linear(xhat1, params.qkv_weight[2 * d:], params.qkv_bias[2 * d:])
     else:
-        qkv = _linear(xhat1, params.qkv_weight, params.qkv_bias)
+        qkv = linear(xhat1, params.qkv_weight, params.qkv_bias)
         q = _split_heads(qkv[..., :d], config.heads)
         k = _split_heads(qkv[..., d:2 * d], config.heads)
         v = _split_heads(qkv[..., 2 * d:], config.heads)
         scale = 1.0 / math.sqrt(config.head_dim)
         attn = softmax_last(q @ k.transpose(0, 1, 3, 2) * scale)
         ctx = _merge_heads(attn @ v)
-    x_mid = _linear(ctx, params.proj_weight, params.proj_bias)
+    x_mid = linear(ctx, params.proj_weight, params.proj_bias)
     x_mid += x
 
     xhat2, ln2 = layer_norm(x_mid, params.ln2_gamma, params.ln2_beta)
-    h_pre = _linear(xhat2, params.fc1_weight, params.fc1_bias)
+    h_pre = linear(xhat2, params.fc1_weight, params.fc1_bias)
     if not train_mode:
-        x_mid += _linear(gelu(h_pre), params.fc2_weight, params.fc2_bias)
+        x_mid += linear(gelu(h_pre), params.fc2_weight, params.fc2_bias)
         return x_mid, None
     h_act, h_grad = gelu_with_grad(h_pre)
-    mlp = _linear(h_act, params.fc2_weight, params.fc2_bias)
+    mlp = linear(h_act, params.fc2_weight, params.fc2_bias)
     mask = dropout_mask(mlp.shape, config.dropout, rng)
     mlp *= mask
     mlp += x_mid  # the block output, x_mid + mlp * mask
@@ -212,41 +204,31 @@ def _block_forward_batch(params: BlockParams, x: Array, config: DecoderConfig,
     return mlp, cache
 
 
-def _linear_backward(dout: Array, x: Array, weight: Array,
-                     dweight: Array, dbias: Array) -> Array:
-    """Write the weight and bias gradients into `dweight`/`dbias`; return dx."""
-    b, t, _ = dout.shape
-    dflat = dout.reshape(b * t, -1)
-    np.matmul(dflat.T, x.reshape(b * t, -1), out=dweight)
-    np.sum(dflat, axis=0, out=dbias)
-    return (dflat @ weight).reshape(b, t, -1)
-
-
 def _block_backward_batch(params: BlockParams, cache: BlockCache, dout: Array,
                           config: DecoderConfig, grads: BlockParams) -> Array:
     """Write every one of the block's parameter gradients into `grads`; return dx."""
     # MLP path: out = x_mid + mask * fc2(gelu(fc1(LN2(x_mid))))
     dmlp = dout * cache.mask
-    dh_act = _linear_backward(dmlp, cache.h_act, params.fc2_weight,
-                              grads.fc2_weight, grads.fc2_bias)
+    dh_act = linear_backward(dmlp, cache.h_act, params.fc2_weight,
+                             grads.fc2_weight, grads.fc2_bias)
     dh_act *= cache.h_grad  # now the gradient at the fc1 output
-    dxhat2 = _linear_backward(dh_act, cache.xhat2, params.fc1_weight,
-                              grads.fc1_weight, grads.fc1_bias)
+    dxhat2 = linear_backward(dh_act, cache.xhat2, params.fc1_weight,
+                             grads.fc1_weight, grads.fc1_bias)
     dx_mid, grads.ln2_gamma[...], grads.ln2_beta[...] = layer_norm_backward(
         cache.ln2, dxhat2)
     dx_mid += dout
 
     # Attention path: x_mid = x + proj(merge(attn @ v))
-    dctx = _linear_backward(dx_mid, cache.ctx, params.proj_weight,
-                            grads.proj_weight, grads.proj_bias)
+    dctx = linear_backward(dx_mid, cache.ctx, params.proj_weight,
+                           grads.proj_weight, grads.proj_bias)
     d = config.dim
     if cache.attn is None:
         # Single token: dscores vanishes identically, so only the v slice of
         # the qkv projection receives gradient.
         grads.qkv_weight[:2 * d] = 0.0
         grads.qkv_bias[:2 * d] = 0.0
-        dxhat1 = _linear_backward(dctx, cache.xhat1, params.qkv_weight[2 * d:],
-                                  grads.qkv_weight[2 * d:], grads.qkv_bias[2 * d:])
+        dxhat1 = linear_backward(dctx, cache.xhat1, params.qkv_weight[2 * d:],
+                                 grads.qkv_weight[2 * d:], grads.qkv_bias[2 * d:])
     else:
         dctx_h = _split_heads(dctx, config.heads)
         dattn = dctx_h @ cache.v.transpose(0, 1, 3, 2)
@@ -263,8 +245,8 @@ def _block_backward_batch(params: BlockParams, cache: BlockCache, dout: Array,
         dq *= scale
         np.matmul(dscores.transpose(0, 1, 3, 2), cache.q, out=dk)
         dk *= scale
-        dxhat1 = _linear_backward(dqkv, cache.xhat1, params.qkv_weight,
-                                  grads.qkv_weight, grads.qkv_bias)
+        dxhat1 = linear_backward(dqkv, cache.xhat1, params.qkv_weight,
+                                 grads.qkv_weight, grads.qkv_bias)
     dx, grads.ln1_gamma[...], grads.ln1_beta[...] = layer_norm_backward(
         cache.ln1, dxhat1)
     dx += dx_mid
@@ -310,9 +292,7 @@ def forward_batch(head: DecoderHead, tokens: Array, rng, train_mode: bool,
         x, caches[i] = _block_forward_batch(blk, x, head.config, rng, train_mode)
     out.num_tokens = x.shape[1]
     out.pooled = x.mean(axis=1)
-    logits = out.pooled @ head.cls_weight.T
-    logits += head.cls_bias
-    return logits, out
+    return linear(out.pooled, head.cls_weight, head.cls_bias), out
 
 
 def backward_batch(head: DecoderHead, cache: ForwardCache, dlogits: Array,
@@ -342,9 +322,8 @@ def backward_batch(head: DecoderHead, cache: ForwardCache, dlogits: Array,
     grads = DecoderHead(head.config) if out is None else out
     if grads.config != head.config:
         raise ShapeError("gradient buffer does not match this head's config")
-    np.matmul(dlogits.T, cache.pooled, out=grads.cls_weight)
-    np.sum(dlogits, axis=0, out=grads.cls_bias)
-    dpooled = dlogits @ head.cls_weight
+    dpooled = linear_backward(dlogits, cache.pooled, head.cls_weight,
+                              grads.cls_weight, grads.cls_bias)
     t = cache.num_tokens
     dx = np.repeat(dpooled[:, None, :] / t, t, axis=1)
     for i in range(len(head.blocks) - 1, -1, -1):

@@ -68,9 +68,12 @@ def stats_from_counts(counts) -> ClassStats:
     counts = np.asarray(counts, dtype=np.int64)
     if counts.ndim != 1 or counts.size == 0:
         raise DataError("counts must be a non-empty vector")
-    if counts.min() < 0 or counts.sum() == 0:
+    total = int(np.sum(counts, dtype=object))  # Python ints: exact, never wraps
+    if counts.min() < 0 or total == 0:
         raise DataError("counts must be nonnegative with a positive total")
-    priors = counts / counts.sum()
+    if total > np.iinfo(np.int64).max:
+        raise DataError(f"class counts total {total}, more than int64 holds")
+    priors = counts / total
     groups = np.where(counts > 100, GROUP_MANY,
                       np.where(counts >= 20, GROUP_MEDIUM, GROUP_FEW))
     return ClassStats(counts=counts, priors=priors, groups=groups)

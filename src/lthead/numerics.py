@@ -1,6 +1,6 @@
 """Deterministic float64 numerics: flat parameter storage, stable reductions,
-layer building blocks with analytic backward passes, and a central-difference
-gradient checker used to validate every backward in the library.
+layers (affine, layer norm, GELU) with analytic backward passes, and a
+central-difference gradient checker that validates every backward.
 """
 
 from __future__ import annotations
@@ -104,6 +104,22 @@ def softmax_last(x: Array) -> Array:
     mx = np.max(x, axis=-1, keepdims=True)
     e = np.exp(x - mx)
     return e / np.sum(e, axis=-1, keepdims=True)
+
+
+def linear(x: Array, weight: Array, bias: Array) -> Array:
+    """x @ weight.T + bias over any (..., in) stack, as one 2-D GEMM."""
+    out = x.reshape(-1, x.shape[-1]) @ weight.T
+    out += bias
+    return out.reshape(*x.shape[:-1], weight.shape[0])
+
+
+def linear_backward(dout: Array, x: Array, weight: Array,
+                    dweight: Array, dbias: Array) -> Array:
+    """`linear`'s backward: write `dweight` and `dbias` in place; return dx."""
+    dflat = dout.reshape(-1, dout.shape[-1])
+    np.matmul(dflat.T, x.reshape(-1, x.shape[-1]), out=dweight)
+    np.sum(dflat, axis=0, out=dbias)
+    return (dflat @ weight).reshape(*dout.shape[:-1], weight.shape[1])
 
 
 @dataclass

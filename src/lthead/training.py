@@ -4,8 +4,8 @@ Stage one trains the decoder head with instance-balanced batches under the
 configured loss. Stage two freezes the head and trains only a calibrator,
 with the batch sampler and loss of its `calibrators.RECIPES` entry.
 
-Both stages use SGD with momentum, weight decay folded into the gradient,
-linear warmup, and cosine decay to zero.
+Both stages run one loop, `_sgd_loop`: SGD with momentum, weight decay
+folded into the gradient, linear warmup, and cosine decay to zero.
 """
 
 from __future__ import annotations
@@ -107,14 +107,6 @@ def parse_run_config(text: str) -> TrainConfig:
     return TrainConfig(**values)
 
 
-def render_run_config(cfg: TrainConfig) -> str:
-    lines = []
-    for f in fields(TrainConfig):
-        val = getattr(cfg, f.name)
-        lines.append(f"{f.name}={'none' if val is None else val}")
-    return "\n".join(lines) + "\n"
-
-
 def config_fingerprint(decoder_config: DecoderConfig,
                        calibrator_variant: str | None = None) -> str:
     text = f"decoder:{decoder_config}|calibrator:{calibrator_variant}"
@@ -163,6 +155,39 @@ def sgd_step(params: Array, grads: Array, velocity: Array, lr: float,
         params[s] -= g
 
 
+def _class_stats(ds: FeatureDataset, num_classes: int) -> ClassStats:
+    """The dataset's class stats, once its class count matches the head's."""
+    if ds.num_classes != num_classes:
+        raise ShapeError(f"dataset has {ds.num_classes} classes but the head "
+                         f"has {num_classes}")
+    return build_class_stats(ds.labels, ds.num_classes)
+
+
+def _sgd_loop(sched: TrainConfig, ds: FeatureDataset, stats: ClassStats,
+              strategy: str, spec, rng: np.random.Generator, params: Array,
+              forward, backward, label: str, index=None) -> Array:
+    """Run `sched`'s SGD iterations on `params`; return the loss log.
+
+    `forward(idx, previous cache or None)` returns (logits, cache), and
+    `backward(cache, dlogits)` the gradient vector in `params`' layout.
+    """
+    velocity = np.zeros_like(params)
+    log = np.empty(sched.total_iters)
+    cache = None
+    for it in range(sched.total_iters):
+        idx = sample_batch(ds, stats, strategy, sched.batch_size, rng, index=index)
+        logits, cache = forward(idx, cache)
+        if not np.all(np.isfinite(logits)):
+            raise DivergenceError(f"non-finite logits at {label} {it}")
+        value, dlogits = total_loss(spec, logits, ds.labels[idx], stats)
+        if not np.isfinite(value):
+            raise DivergenceError(f"non-finite loss at {label} {it}")
+        sgd_step(params, backward(cache, dlogits), velocity, lr_at(sched, it),
+                 sched.momentum, sched.weight_decay)
+        log[it] = value
+    return log
+
+
 def train_stage1(ds: FeatureDataset, cfg: TrainConfig,
                  decoder_config: DecoderConfig,
                  rng: np.random.Generator) -> tuple[DecoderHead, Array]:
@@ -170,32 +195,19 @@ def train_stage1(ds: FeatureDataset, cfg: TrainConfig,
 
     Returns the trained head and the per-iteration loss log.
     """
-    if ds.dim != decoder_config.dim:
-        raise ShapeError(f"dataset dim {ds.dim} does not match decoder "
-                         f"dim {decoder_config.dim}")
-    if ds.num_classes != decoder_config.num_classes:
-        raise ShapeError("dataset and decoder disagree on the class count")
-    stats = build_class_stats(ds.labels, ds.num_classes)
+    stats = _class_stats(ds, decoder_config.num_classes)
     spec = make_loss_spec(cfg.loss, stats, gamma=cfg.focal_gamma,
                           max_margin=cfg.ldam_max_margin, lam=cfg.lade_lambda)
     head = init_decoder(decoder_config, rng)
     grads = DecoderHead(decoder_config)  # overwritten by every backward pass
-    velocity = np.zeros_like(head.params.vector)
-    log = np.empty(cfg.total_iters)
-    cache = None  # each forward overwrites the last one's cache block by block
-    for it in range(cfg.total_iters):
-        idx = sample_batch(ds, stats, INSTANCE_BALANCED, cfg.batch_size, rng)
-        logits, cache = forward_batch(head, ds.features[idx], rng,
-                                      train_mode=True, out=cache)
-        if not np.all(np.isfinite(logits)):
-            raise DivergenceError(f"non-finite logits at iteration {it}")
-        value, dlogits = total_loss(spec, logits, ds.labels[idx], stats)
-        if not np.isfinite(value):
-            raise DivergenceError(f"non-finite loss at iteration {it}")
-        backward_batch(head, cache, dlogits, out=grads)
-        sgd_step(head.params.vector, grads.params.vector, velocity,
-                 lr_at(cfg, it), cfg.momentum, cfg.weight_decay)
-        log[it] = value
+    # each forward overwrites the last one's cache block by block
+    log = _sgd_loop(
+        cfg, ds, stats, INSTANCE_BALANCED, spec, rng, head.params.vector,
+        lambda idx, cache: forward_batch(head, ds.features[idx], rng,
+                                         train_mode=True, out=cache),
+        lambda cache, dlogits: backward_batch(head, cache, dlogits,
+                                              out=grads)[0].vector,
+        "iteration")
     return head, log
 
 
@@ -237,28 +249,17 @@ def train_stage2(head: DecoderHead, ds: FeatureDataset, cfg: TrainConfig,
     """
     if variant not in RECIPES:
         raise ConfigError(f"unknown calibrator variant {variant!r}")
-    stats = build_class_stats(ds.labels, ds.num_classes)
-    strategy = RECIPES[variant].sampling
+    stats = _class_stats(ds, head.config.num_classes)
     spec = make_loss_spec(RECIPES[variant].loss, stats)
     pooled, logits = _precompute_contexts(head, ds)
     norms = context_weight_norms(head.cls_weight)
     cal = init_calibrator(variant, head.config.num_classes, head.config.dim, rng)
-    velocity = np.zeros_like(cal.params.vector)
-    sched = stage2_schedule(cfg)
-    index = class_index(ds.labels, ds.num_classes)
-    log = np.empty(sched.total_iters)
-    for it in range(sched.total_iters):
-        idx = sample_batch(ds, stats, strategy, cfg.batch_size, rng, index=index)
-        adjusted, cache = cal_mod.apply_batch(cal, pooled[idx], logits[idx], norms)
-        if not np.all(np.isfinite(adjusted)):
-            raise DivergenceError(f"non-finite logits at stage-2 iteration {it}")
-        value, dadj = total_loss(spec, adjusted, ds.labels[idx], stats)
-        if not np.isfinite(value):
-            raise DivergenceError(f"non-finite loss at stage-2 iteration {it}")
-        grads, _, _ = cal_mod.backward_batch(cal, cache, dadj)
-        sgd_step(cal.params.vector, grads.vector, velocity, lr_at(sched, it),
-                 cfg.momentum, cfg.weight_decay)
-        log[it] = value
+    log = _sgd_loop(
+        stage2_schedule(cfg), ds, stats, RECIPES[variant].sampling, spec, rng,
+        cal.params.vector,
+        lambda idx, _: cal_mod.apply_batch(cal, pooled[idx], logits[idx], norms),
+        lambda cache, dadj: cal_mod.backward_batch(cal, cache, dadj)[0].vector,
+        "stage-2 iteration", index=class_index(ds.labels, ds.num_classes))
     return cal, log
 
 

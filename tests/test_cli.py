@@ -4,7 +4,7 @@ import struct
 import numpy as np
 import pytest
 
-from lthead import load_checkpoint, load_features
+from lthead import load_checkpoint, load_features, save_checkpoint
 from lthead.cli import main
 
 
@@ -165,6 +165,29 @@ class TestCalibrate:
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and "--method" in err
 
+    def test_divergence_exit_3(self, workspace, tmp_path, capsys):
+        with np.errstate(over="ignore", invalid="ignore"):
+            code, out = self._calibrate(
+                workspace, tmp_path, "boom", "stage2_iters=20\nlr0=1e308\n"
+                "weight_decay=0.0\nwarmup_iters=0\n", "--method", "marc")
+        assert code == 3 and not out.exists()
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: non-finite")
+        assert "stage-2 iteration" in err[0]
+
+    def test_class_count_mismatch_exit_2(self, workspace, tmp_path, capsys):
+        # a K=5 feature file against the K=4 checkpoint
+        assert run(["gen-data", "--classes", "5", "--head-count", "20",
+                    "--ratio", "4", "--dim", "8", "--test-per-class", "2",
+                    "--out", str(tmp_path / "k5")]) == 0
+        capsys.readouterr()
+        code = run(["calibrate", "--ckpt", str(workspace / "model.ckpt"),
+                    "--features", str(tmp_path / "k5.train"),
+                    "--method", "marc", "--out", str(tmp_path / "x.ckpt")])
+        assert code == 2
+        err = capsys.readouterr().err.splitlines()
+        assert err == ["error: dataset has 5 classes but the head has 4"]
+
     def test_out_of_memory_exit_2(self, workspace, tmp_path, capsys,
                                   monkeypatch):
         def exhausted(*args, **kwargs):
@@ -263,18 +286,18 @@ class TestZeroShot:
                     "--test-labels", str(labels),
                     "--report", str(tmp_path / "zs.report")])
 
-    @pytest.mark.parametrize("temperature", ["nan", "inf"])
-    def test_bad_temperature_exit_2(self, tmp_path, capsys, temperature):
+    def test_temperature_flag_is_usage_error(self, tmp_path, capsys):
+        # predictions are the cosine argmax, so no temperature changes them
         class_embs = tmp_path / "classes.txt"
         class_embs.write_text("1.0, 0.0\n0.0, 1.0\n")
         images = tmp_path / "images.txt"
         images.write_text("0, 1.0, 0.0\n1, 0.0, 1.0\n")
         assert run(["zero-shot", "--image-embs", str(images),
                     "--class-embs", str(class_embs),
-                    "--temperature", temperature,
-                    "--report", str(tmp_path / "zs.report")]) == 2
-        err = capsys.readouterr().err.splitlines()
-        assert len(err) == 1 and err[0].startswith("error: temperature")
+                    "--temperature", "0.5",
+                    "--report", str(tmp_path / "zs.report")]) == 1
+        assert "--temperature" in capsys.readouterr().err
+        assert not (tmp_path / "zs.report").exists()
 
     @pytest.mark.parametrize("text, line", [
         (b"x\n", 1),
@@ -324,6 +347,18 @@ class TestReportCommand:
         assert run(["report", "--inputs", str(bad)]) == 2
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("error:") and "MLP width" in err[0]
+
+    def test_class_counts_beyond_int64_exit_2(self, workspace, tmp_path,
+                                              capsys):
+        # each u64 count fits in int64, but their total does not
+        head, _, _ = load_checkpoint(workspace / "model.ckpt")
+        bad = tmp_path / "huge_counts.ckpt"
+        save_checkpoint(bad, head, np.full(4, 2 ** 62, dtype=np.uint64))
+        assert run(["report", "--inputs", str(bad)]) == 2
+        captured = capsys.readouterr()
+        err = captured.err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error:") and "int64" in err[0]
+        assert "train_samples" not in captured.out
 
 
 class TestUsage:

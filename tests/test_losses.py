@@ -45,6 +45,15 @@ class TestClassStats:
         with pytest.raises(DataError):
             build_class_stats(np.array([0, 5]), 3)
 
+    def test_total_beyond_int64_rejected(self):
+        # each count fits in int64, but their int64 sum wraps to -2**62
+        with pytest.raises(DataError, match="int64"):
+            stats_for([2 ** 62] * 3)
+
+    def test_total_at_int64_max_accepted(self):
+        stats = stats_for([2 ** 62, 2 ** 62 - 1])
+        npt.assert_array_equal(stats.priors, [0.5, 0.5])
+
 
 class TestCbwWeights:
     def test_balanced_counts(self):

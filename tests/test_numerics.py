@@ -7,7 +7,8 @@ import pytest
 from lthead import (DomainError, EvaluationError, ShapeError, dropout_mask,
                     finite_diff_check, gelu, gelu_with_grad, layer_norm,
                     layer_norm_backward, make_rng, softmax_rows)
-from lthead.numerics import _GELU_A, _GELU_C, _TILE, logsumexp_rows
+from lthead.numerics import (_GELU_A, _GELU_C, _TILE, linear, linear_backward,
+                             logsumexp_rows)
 
 
 def lse(v):
@@ -68,6 +69,31 @@ class TestSoftmaxRows:
         rng = make_rng(5)
         p = softmax_rows(rng.standard_normal((100, 4)))
         assert np.all(p > 0) and np.all(p < 1)
+
+
+def bits(a):
+    return np.asarray(a).view(np.uint64)
+
+
+class TestLinear:
+    """The affine pair keeps the bits of the inline expressions it replaced:
+    `x @ W.T + b`, `dout.T @ x`, `dout.sum(axis=0)` and `dout @ W` on rows."""
+
+    @pytest.mark.parametrize("lead", [(37,), (13, 3)], ids=["B_in", "B_T_in"])
+    def test_bits_match_row_expressions(self, lead):
+        rng = make_rng(7)
+        x = rng.standard_normal(lead + (48,))
+        w, b = rng.standard_normal((40, 48)), rng.standard_normal(40)
+        dout = rng.standard_normal(lead + (40,))
+        rows, drows = x.reshape(-1, 48), dout.reshape(-1, 40)
+        npt.assert_array_equal(bits(linear(x, w, b)),
+                               bits((rows @ w.T + b).reshape(lead + (40,))))
+        grads = np.zeros(40 * 48 + 40)  # views into one vector, as in a head
+        dw, db = grads[:40 * 48].reshape(40, 48), grads[40 * 48:]
+        dx = linear_backward(dout, x, w, dw, db)
+        npt.assert_array_equal(bits(dw), bits(drows.T @ rows))
+        npt.assert_array_equal(bits(db), bits(drows.sum(axis=0)))
+        npt.assert_array_equal(bits(dx), bits((drows @ w).reshape(x.shape)))
 
 
 class TestLayerNorm:

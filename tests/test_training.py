@@ -9,13 +9,14 @@ import numpy.testing as npt
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from lthead import (ConfigError, DecoderConfig, DivergenceError, DomainError,
+from lthead import (CALIBRATOR_VARIANTS, ConfigError, DecoderConfig,
+                    DivergenceError, DomainError, ShapeError,
                     DataError, FeatureDataset, SyntheticSpec,
                     TextClassEmbeddings, TrainConfig, build_class_stats,
                     evaluate, forward_batch, generate_synthetic_lt,
                     init_decoder, load_checkpoint, lr_at, make_rng,
                     metrics_from_predictions,
-                    parse_run_config, render_run_config, save_checkpoint,
+                    parse_run_config, save_checkpoint,
                     sgd_step, stats_from_counts, train_stage1, train_stage2,
                     zero_shot_classify)
 from lthead.numerics import _TILE
@@ -123,9 +124,21 @@ class TestSgdStep:
 
 class TestRunConfig:
     def test_round_trip(self):
-        cfg = TrainConfig(seed=3, loss="bsm", stage2_method="marc", depth=2)
-        parsed = parse_run_config(render_run_config(cfg))
-        assert parsed == cfg
+        text = ("seed=3\ntotal_iters=100\nbatch_size=32\nlr0=0.05\n"
+                "warmup_iters=10\nmomentum=0.8\nweight_decay=0.001\nloss=bsm\n"
+                "focal_gamma=1.5\nldam_max_margin=0.3\nlade_lambda=0.2\n"
+                "stage2_method=marc\nstage2_iters=64\ndepth=2\nheads=2\n"
+                "mlp_ratio=2.0\ndropout=0.25\n")
+        want = TrainConfig(seed=3, total_iters=100, batch_size=32, lr0=0.05,
+                           warmup_iters=10, momentum=0.8, weight_decay=0.001,
+                           loss="bsm", focal_gamma=1.5, ldam_max_margin=0.3,
+                           lade_lambda=0.2, stage2_method="marc",
+                           stage2_iters=64, depth=2, heads=2, mlp_ratio=2.0,
+                           dropout=0.25)
+        # the literal sets every field, each away from its default
+        assert all(getattr(want, f.name) != f.default
+                   for f in dataclasses.fields(TrainConfig))
+        assert parse_run_config(text) == want
 
     def test_unknown_key_rejected(self):
         with pytest.raises(ConfigError, match="unknown key"):
@@ -281,6 +294,31 @@ class TestTrainStage2:
         head, _ = self._trained_head(train)
         with pytest.raises(ConfigError):
             train_stage2(head, train, small_cfg(), "platt", make_rng(0))
+
+    @pytest.mark.parametrize("variant", CALIBRATOR_VARIANTS)
+    def test_divergence_raises(self, variant):
+        # a fresh head keeps every variant's loss, and so its gradient, large
+        train, _ = tiny_problem()
+        dc = DecoderConfig(dim=8, num_classes=3, depth=1, heads=2, dropout=0.0)
+        head = init_decoder(dc, make_rng(0))
+        cfg = small_cfg(lr0=1e308, weight_decay=0.0, warmup_iters=0,
+                        stage2_iters=30)
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(DivergenceError, match="stage-2 iteration"):
+                train_stage2(head, train, cfg, variant, make_rng(0))
+
+    def test_class_count_mismatch_rejected_before_any_forward(self,
+                                                              monkeypatch):
+        train, _ = tiny_problem()
+        head, _ = self._trained_head(train)
+        other, _ = tiny_problem(num_classes=4)
+
+        def forward(*args, **kwargs):
+            raise AssertionError("a forward pass ran")
+        monkeypatch.setattr("lthead.training.forward_batch", forward)
+        with pytest.raises(ShapeError, match="dataset has 4 classes but "
+                                             "the head has 3"):
+            train_stage2(head, other, small_cfg(), "marc", make_rng(0))
 
 
 class TestEvaluate:
