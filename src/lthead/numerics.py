@@ -5,7 +5,6 @@ central-difference gradient checker that validates every backward.
 
 from __future__ import annotations
 
-import ctypes
 import math
 from collections.abc import Mapping
 from dataclasses import dataclass
@@ -107,46 +106,9 @@ def softmax_last(x: Array) -> Array:
     return e / np.sum(e, axis=-1, keepdims=True)
 
 
-def _openblas_threads():
-    """(get, set) thread-count calls of the OpenBLAS in numpy's wheels, or None.
-
-    The library is found through the process's memory map, so on Linux.
-    """
-    try:
-        with open("/proc/self/maps") as fh:
-            lib = ctypes.CDLL(next(ln.split()[-1] for ln in fh if "openblas" in ln))
-        return (lib.scipy_openblas_get_num_threads64_,
-                lib.scipy_openblas_set_num_threads64_)
-    except (OSError, StopIteration, AttributeError):
-        return None
-
-
-_BLAS_THREADS = _openblas_threads()
-# OpenBLAS threads every GEMM above 262,144 multiply-adds. Up to this many
-# (a (256, 64) @ (64, 256) product) threads gain little: 9% on a quiet
-# 2-core host at T=1. But the idle worker spins between calls, so with one
-# other busy process on 2 cores a threaded T=1 stage one ran 2.5-2.8x slower
-# than a serial one. Each thread computes whole output blocks, so the
-# thread count never changes the bits.
-_SERIAL_GEMM = 1 << 22
-
-
-def _gemm(a: Array, b: Array, out: Array | None = None) -> Array:
-    """a @ b for 2-D operands, on one OpenBLAS thread unless it is large."""
-    if _BLAS_THREADS is None or a.shape[0] * a.shape[1] * b.shape[1] > _SERIAL_GEMM:
-        return np.matmul(a, b, out=out)
-    get, put = _BLAS_THREADS
-    threads = get()
-    put(1)
-    try:
-        return np.matmul(a, b, out=out)
-    finally:
-        put(threads)
-
-
 def linear(x: Array, weight: Array, bias: Array) -> Array:
     """x @ weight.T + bias over any (..., in) stack, as one 2-D GEMM."""
-    out = _gemm(x.reshape(-1, x.shape[-1]), weight.T)
+    out = x.reshape(-1, x.shape[-1]) @ weight.T
     out += bias
     return out.reshape(*x.shape[:-1], weight.shape[0])
 
@@ -155,9 +117,9 @@ def linear_backward(dout: Array, x: Array, weight: Array,
                     dweight: Array, dbias: Array) -> Array:
     """`linear`'s backward: write `dweight` and `dbias` in place; return dx."""
     dflat = dout.reshape(-1, dout.shape[-1])
-    _gemm(dflat.T, x.reshape(-1, x.shape[-1]), out=dweight)
+    np.matmul(dflat.T, x.reshape(-1, x.shape[-1]), out=dweight)
     np.sum(dflat, axis=0, out=dbias)
-    return _gemm(dflat, weight).reshape(*dout.shape[:-1], weight.shape[1])
+    return (dflat @ weight).reshape(*dout.shape[:-1], weight.shape[1])
 
 
 @dataclass

@@ -7,7 +7,6 @@ import pytest
 from lthead import (DomainError, EvaluationError, ShapeError, dropout_mask,
                     finite_diff_check, gelu, gelu_with_grad, layer_norm,
                     layer_norm_backward, make_rng, softmax_rows)
-from lthead import numerics
 from lthead.numerics import (_GELU_A, _GELU_C, _TILE, linear, linear_backward,
                              logsumexp_rows)
 
@@ -95,28 +94,6 @@ class TestLinear:
         npt.assert_array_equal(bits(dw), bits(drows.T @ rows))
         npt.assert_array_equal(bits(db), bits(drows.sum(axis=0)))
         npt.assert_array_equal(bits(dx), bits((drows @ w).reshape(x.shape)))
-
-    def test_small_gemms_run_on_one_blas_thread(self, monkeypatch):
-        # up to 2**22 multiply-adds OpenBLAS gets one thread, then the
-        # caller's count back; larger GEMMs keep the caller's count
-        calls = []
-        monkeypatch.setattr(numerics, "_BLAS_THREADS", (lambda: 3, calls.append))
-        w, b = np.ones((256, 64)), np.zeros(256)
-        linear(np.ones((256, 64)), w, b)
-        assert calls == [1, 3]
-        linear(np.ones((257, 64)), w, b)
-        assert calls == [1, 3]
-        linear_backward(np.ones((256, 256)), np.ones((256, 64)), w,
-                        np.empty((256, 64)), np.empty(256))
-        assert calls == [1, 3] * 3
-
-    def test_blas_thread_count_restored(self):
-        if numerics._BLAS_THREADS is None:  # not numpy's OpenBLAS: no-op
-            return
-        get, _ = numerics._BLAS_THREADS
-        before = get()
-        linear(np.ones((8, 4)), np.ones((3, 4)), np.zeros(3))
-        assert get() == before
 
 
 class TestLayerNorm:
