@@ -8,42 +8,20 @@ Four variants:
               exactly 2K parameters
 
 Except for CRT, each variant initializes at an identity configuration that
-reproduces the original logits bit for bit. Each variant's recipe also
-names the batch sampler and the loss that stage two trains it with.
+reproduces the original logits bit for bit. Each variant is one `RECIPES`
+entry: its parameter layout, the batch sampler and the loss that stage two
+trains it with, and its forward, which returns its own backward.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import NamedTuple
+from typing import Callable, NamedTuple
 
 import numpy as np
 
 from .data import CLASS_BALANCED, INSTANCE_BALANCED
 from .exceptions import ConfigError, ShapeError, StateError
 from .numerics import FAN_IN, Array, ParamVector, linear, linear_backward
-
-
-class Recipe(NamedTuple):
-    layout: tuple   # (name, shape, initial value) per parameter, storage order
-    sampling: str   # stage-two batch sampler, a `data` strategy
-    loss: str       # stage-two loss, a `losses.VARIANTS` name
-
-
-# Shapes are in units of K (classes) and D (pooled feature dim); every
-# variant but CRT starts at its identity. The order is the checkpoint's tag
-# order: tag = position + 1, and 0 means no calibrator.
-RECIPES = {
-    "crt": Recipe((("weight", ("K", "D"), FAN_IN), ("bias", ("K",), 0.0)),
-                  CLASS_BALANCED, "ce"),
-    "lws": Recipe((("scales", ("K",), 1.0),), CLASS_BALANCED, "ce"),
-    "disalign": Recipe((("alpha", ("K",), 1.0), ("beta", ("K",), 0.0),
-                        ("conf_weight", ("D",), 0.0), ("conf_bias", (1,), 0.0)),
-                       INSTANCE_BALANCED, "cbw"),
-    "marc": Recipe((("omega", ("K",), 1.0), ("beta", ("K",), 0.0)),
-                   INSTANCE_BALANCED, "bsm"),
-}
-CALIBRATOR_VARIANTS = tuple(RECIPES)
 
 
 def calibrator_layout(variant: str, num_classes: int, dim: int) -> list:
@@ -100,14 +78,72 @@ def _sigmoid(x: Array) -> Array:
     return out
 
 
-@dataclass
-class ApplyCache:
+def _crt(cal, pooled, logits, weight_norms):
+    def backward(grads, dadjusted):
+        return np.zeros_like(logits), linear_backward(
+            dadjusted, pooled, cal.weight, grads["weight"], grads["bias"])
+    return linear(pooled, cal.weight, cal.bias), backward
+
+
+def _lws(cal, pooled, logits, weight_norms):
+    def backward(grads, dadjusted):
+        grads["scales"][...] = np.sum(logits * dadjusted, axis=0)
+        return cal.scales * dadjusted, np.zeros_like(pooled)
+    return logits * cal.scales, backward
+
+
+def _disalign(cal, pooled, logits, weight_norms):
+    sigma = _sigmoid(pooled @ cal.conf_weight + cal.conf_bias[0])
+    gated = cal.alpha * logits + cal.beta
+
+    def backward(grads, dadjusted):
+        dsigma = np.sum(dadjusted * (gated - logits), axis=1)
+        dpre = dsigma * sigma * (1.0 - sigma)
+        grads["alpha"][...] = np.sum(sigma[:, None] * logits * dadjusted, axis=0)
+        grads["beta"][...] = np.sum(sigma[:, None] * dadjusted, axis=0)
+        grads["conf_weight"][...] = pooled.T @ dpre
+        grads["conf_bias"][...] = dpre.sum()
+        dlogits = dadjusted * (sigma[:, None] * cal.alpha + (1.0 - sigma)[:, None])
+        return dlogits, dpre[:, None] * cal.conf_weight
+    return sigma[:, None] * gated + (1.0 - sigma)[:, None] * logits, backward
+
+
+def _marc(cal, pooled, logits, weight_norms):
+    def backward(grads, dadjusted):
+        grads["omega"][...] = np.sum(logits * dadjusted, axis=0)
+        grads["beta"][...] = np.sum(weight_norms * dadjusted, axis=0)
+        return cal.omega * dadjusted, np.zeros_like(pooled)
+    return cal.omega * logits + cal.beta * weight_norms, backward
+
+
+class Recipe(NamedTuple):
+    layout: tuple     # (name, shape, initial value) per parameter, storage order
+    sampling: str     # stage-two batch sampler, a `data` strategy
+    loss: str         # stage-two loss, a `losses.VARIANTS` name
+    apply: Callable   # (cal, pooled, logits, weight_norms) -> (adjusted logits,
+                      # backward(grads, dadjusted) -> (dlogits, dpooled))
+
+
+# Shapes are in units of K (classes) and D (pooled feature dim); every
+# variant but CRT starts at its identity. The order is the checkpoint's tag
+# order: tag = position + 1, and 0 means no calibrator.
+RECIPES = {
+    "crt": Recipe((("weight", ("K", "D"), FAN_IN), ("bias", ("K",), 0.0)),
+                  CLASS_BALANCED, "ce", _crt),
+    "lws": Recipe((("scales", ("K",), 1.0),), CLASS_BALANCED, "ce", _lws),
+    "disalign": Recipe((("alpha", ("K",), 1.0), ("beta", ("K",), 0.0),
+                        ("conf_weight", ("D",), 0.0), ("conf_bias", (1,), 0.0)),
+                       INSTANCE_BALANCED, "cbw", _disalign),
+    "marc": Recipe((("omega", ("K",), 1.0), ("beta", ("K",), 0.0)),
+                   INSTANCE_BALANCED, "bsm", _marc),
+}
+CALIBRATOR_VARIANTS = tuple(RECIPES)
+
+
+class ApplyCache(NamedTuple):
     variant: str
-    pooled: Array
-    logits: Array
-    weight_norms: Array
-    sigma: Array | None = None   # disalign gate, (B,)
-    gated: Array | None = None   # disalign alpha*eta+beta, (B, K)
+    shape: tuple        # the adjusted logits' shape
+    backward: Callable  # the variant's backward over this batch
 
 
 def apply_batch(cal: Calibrator, pooled: Array, logits: Array,
@@ -122,18 +158,8 @@ def apply_batch(cal: Calibrator, pooled: Array, logits: Array,
             or weight_norms.shape != (cal.num_classes,):
         raise ShapeError(f"{cal.variant} calibrator expects {cal.dim}-dim pooled "
                          f"features and {cal.num_classes} logits and norms")
-    cache = ApplyCache(variant=cal.variant, pooled=pooled, logits=logits,
-                       weight_norms=weight_norms)
-    if cal.variant == "crt":
-        return linear(pooled, cal.weight, cal.bias), cache
-    if cal.variant == "lws":
-        return logits * cal.scales, cache
-    if cal.variant == "disalign":
-        sigma = _sigmoid(pooled @ cal.conf_weight + cal.conf_bias[0])
-        gated = cal.alpha * logits + cal.beta
-        cache.sigma, cache.gated = sigma, gated
-        return sigma[:, None] * gated + (1.0 - sigma)[:, None] * logits, cache
-    return cal.omega * logits + cal.beta * weight_norms, cache  # marc
+    adjusted, backward = RECIPES[cal.variant].apply(cal, pooled, logits, weight_norms)
+    return adjusted, ApplyCache(cal.variant, logits.shape, backward)
 
 
 def backward_batch(cal: Calibrator, cache: ApplyCache,
@@ -145,30 +171,7 @@ def backward_batch(cal: Calibrator, cache: ApplyCache,
     if cache.variant != cal.variant:
         raise StateError("cache was produced by a different calibrator variant")
     dadjusted = np.asarray(dadjusted, dtype=np.float64)
-    if dadjusted.shape != cache.logits.shape:
+    if dadjusted.shape != cache.shape:
         raise StateError("gradient shape does not match the cached apply")
-    pooled, logits = cache.pooled, cache.logits
     grads = ParamVector(cal.params.layout)
-    if cal.variant == "crt":
-        dpooled = linear_backward(dadjusted, pooled, cal.weight,
-                                  grads["weight"], grads["bias"])
-        return grads, np.zeros_like(logits), dpooled
-    if cal.variant == "lws":
-        grads["scales"][...] = np.sum(logits * dadjusted, axis=0)
-        return grads, cal.scales * dadjusted, np.zeros_like(pooled)
-    if cal.variant == "disalign":
-        sigma, gated = cache.sigma, cache.gated
-        if sigma is None or gated is None:
-            raise StateError("disalign cache is missing its gate activations")
-        dsigma = np.sum(dadjusted * (gated - logits), axis=1)
-        dpre = dsigma * sigma * (1.0 - sigma)
-        grads["alpha"][...] = np.sum(sigma[:, None] * logits * dadjusted, axis=0)
-        grads["beta"][...] = np.sum(sigma[:, None] * dadjusted, axis=0)
-        grads["conf_weight"][...] = pooled.T @ dpre
-        grads["conf_bias"][...] = dpre.sum()
-        dlogits = dadjusted * (sigma[:, None] * cal.alpha + (1.0 - sigma)[:, None])
-        dpooled = dpre[:, None] * cal.conf_weight
-        return grads, dlogits, dpooled
-    grads["omega"][...] = np.sum(logits * dadjusted, axis=0)  # marc
-    grads["beta"][...] = np.sum(cache.weight_norms * dadjusted, axis=0)
-    return grads, cal.omega * dadjusted, np.zeros_like(pooled)
+    return (grads, *cache.backward(grads, dadjusted))

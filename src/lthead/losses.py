@@ -157,8 +157,6 @@ def make_loss_spec(variant: str, stats: ClassStats, *, gamma: float = 2.0,
         margins = ldam_margins(stats, max_margin)
     elif variant in ("bsm", "lade"):
         biases = bsm_biases(stats)
-    elif variant not in ("ce", "focal"):
-        raise ConfigError(f"unknown loss variant {variant!r}")
     return LossSpec(variant=variant, weights=weights, biases=biases,
                     margins=margins, gamma=gamma, lam=lam)
 

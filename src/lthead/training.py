@@ -155,11 +155,13 @@ def sgd_step(params: Array, grads: Array, velocity: Array, lr: float,
         params[s] -= g
 
 
-def _class_stats(ds: FeatureDataset, num_classes: int) -> ClassStats:
-    """The dataset's class stats, once its class count matches the head's."""
-    if ds.num_classes != num_classes:
+def _class_stats(ds: FeatureDataset, config: DecoderConfig) -> ClassStats:
+    """The dataset's class stats, once its classes and width match the head's."""
+    if ds.num_classes != config.num_classes:
         raise ShapeError(f"dataset has {ds.num_classes} classes but the head "
-                         f"has {num_classes}")
+                         f"has {config.num_classes}")
+    if ds.dim != config.dim:
+        raise ShapeError(f"dataset has dim {ds.dim} but the head has dim {config.dim}")
     return build_class_stats(ds.labels, ds.num_classes)
 
 
@@ -195,7 +197,7 @@ def train_stage1(ds: FeatureDataset, cfg: TrainConfig,
 
     Returns the trained head and the per-iteration loss log.
     """
-    stats = _class_stats(ds, decoder_config.num_classes)
+    stats = _class_stats(ds, decoder_config)
     spec = make_loss_spec(cfg.loss, stats, gamma=cfg.focal_gamma,
                           max_margin=cfg.ldam_max_margin, lam=cfg.lade_lambda)
     head = init_decoder(decoder_config, rng)
@@ -247,13 +249,11 @@ def train_stage2(head: DecoderHead, ds: FeatureDataset, cfg: TrainConfig,
     constant, so they are computed once up front; iterations then touch only
     calibrator parameters.
     """
-    if variant not in RECIPES:
-        raise ConfigError(f"unknown calibrator variant {variant!r}")
-    stats = _class_stats(ds, head.config.num_classes)
+    cal = init_calibrator(variant, head.config.num_classes, head.config.dim, rng)
+    stats = _class_stats(ds, head.config)
     spec = make_loss_spec(RECIPES[variant].loss, stats)
     pooled, logits = _precompute_contexts(head, ds)
     norms = context_weight_norms(head.cls_weight)
-    cal = init_calibrator(variant, head.config.num_classes, head.config.dim, rng)
     log = _sgd_loop(
         stage2_schedule(cfg), ds, stats, RECIPES[variant].sampling, spec, rng,
         cal.params.vector,

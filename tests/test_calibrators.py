@@ -1,8 +1,10 @@
+import itertools
+
 import numpy as np
 import numpy.testing as npt
 import pytest
 
-from lthead import (CALIBRATOR_VARIANTS, ConfigError, ShapeError,
+from lthead import (CALIBRATOR_VARIANTS, ConfigError, ShapeError, StateError,
                     context_weight_norms, init_calibrator, make_rng)
 from lthead.calibrators import apply_batch, backward_batch
 
@@ -140,6 +142,23 @@ class TestBackward:
         grads, _, _ = backward_batch(cal, cache, upstream[None])
         npt.assert_allclose(grads["scales"], ctx[1][0] * upstream,
                             rtol=0, atol=1e-15)
+
+    @pytest.mark.parametrize("made_by, given_to",
+                             itertools.permutations(CALIBRATOR_VARIANTS, 2))
+    def test_cache_from_another_variant_rejected(self, made_by, given_to):
+        ctx = random_ctx(15)
+        _, cache = apply_batch(init_calibrator(made_by, 4, 6, make_rng(0)), *ctx)
+        cal = init_calibrator(given_to, 4, 6, make_rng(0))
+        with pytest.raises(StateError, match="different calibrator variant"):
+            backward_batch(cal, cache, np.ones((1, 4)))
+
+    @pytest.mark.parametrize("variant", CALIBRATOR_VARIANTS)
+    def test_gradient_of_wrong_shape_rejected(self, variant):
+        cal = init_calibrator(variant, 4, 6, make_rng(0))
+        _, cache = apply_batch(cal, *random_ctx(16))
+        for bad in (np.ones((2, 4)), np.ones((1, 3)), np.ones(4)):
+            with pytest.raises(StateError, match="gradient shape"):
+                backward_batch(cal, cache, bad)
 
     @pytest.mark.parametrize("variant", CALIBRATOR_VARIANTS)
     def test_parameters_match_finite_differences(self, variant):

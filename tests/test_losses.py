@@ -5,7 +5,7 @@ import numpy.testing as npt
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from lthead import (DataError, bsm_biases, build_class_stats,
+from lthead import (ConfigError, DataError, bsm_biases, build_class_stats,
                     cbw_weights, finite_diff_check, lade_dv_regularizer,
                     ldam_margins, make_loss_spec, make_rng,
                     softmax_rows, stats_from_counts, total_loss)
@@ -161,6 +161,10 @@ class TestLossEval:
             vc, gc = total_loss(spec_c, logits, labels, stats)
             assert abs(vf - vc) < 1e-12
             npt.assert_allclose(gf, gc, rtol=0, atol=1e-12)
+
+    def test_unknown_variant_rejected(self):
+        with pytest.raises(ConfigError, match="unknown loss variant 'hinge'"):
+            make_loss_spec("hinge", stats_for([5, 5]))
 
     def test_label_out_of_range(self):
         stats = stats_for([5, 5])

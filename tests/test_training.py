@@ -182,6 +182,14 @@ class TestTrainStage1:
             npt.assert_array_equal(a, b)
         assert log.size == 0
 
+    def test_width_mismatch_rejected_without_iterations(self):
+        train, _ = tiny_problem(dim=8)
+        cfg = small_cfg(total_iters=0, warmup_iters=0)
+        dc = DecoderConfig(dim=16, num_classes=3, depth=1, heads=2, dropout=0.0)
+        with pytest.raises(ShapeError, match="dataset has dim 8 but the head "
+                                             "has dim 16"):
+            train_stage1(train, cfg, dc, make_rng(0))
+
     def test_single_sample_memorization(self):
         ds = FeatureDataset(features=make_rng(0).standard_normal((1, 1, 6)),
                             labels=np.array([1]), num_classes=2, role="train")
@@ -289,10 +297,18 @@ class TestTrainStage2:
         rep = evaluate(head, cal, test, stats)
         assert rep.overall > 0.5  # the fresh classifier actually learned
 
-    def test_unknown_variant(self):
+    @staticmethod
+    def _forbid_forward(monkeypatch):
+        def forward(*args, **kwargs):
+            raise AssertionError("a forward pass ran")
+        monkeypatch.setattr("lthead.training.forward_batch", forward)
+
+    def test_unknown_variant(self, monkeypatch):
         train, _ = tiny_problem()
         head, _ = self._trained_head(train)
-        with pytest.raises(ConfigError):
+        self._forbid_forward(monkeypatch)
+        with pytest.raises(ConfigError, match="unknown calibrator variant "
+                                              "'platt'"):
             train_stage2(head, train, small_cfg(), "platt", make_rng(0))
 
     @pytest.mark.parametrize("variant", CALIBRATOR_VARIANTS)
@@ -312,13 +328,20 @@ class TestTrainStage2:
         train, _ = tiny_problem()
         head, _ = self._trained_head(train)
         other, _ = tiny_problem(num_classes=4)
-
-        def forward(*args, **kwargs):
-            raise AssertionError("a forward pass ran")
-        monkeypatch.setattr("lthead.training.forward_batch", forward)
+        self._forbid_forward(monkeypatch)
         with pytest.raises(ShapeError, match="dataset has 4 classes but "
                                              "the head has 3"):
             train_stage2(head, other, small_cfg(), "marc", make_rng(0))
+
+    def test_width_mismatch_rejected_before_any_forward(self, monkeypatch):
+        # crt draws its fresh classifier before the dataset is checked
+        train, _ = tiny_problem()
+        head, _ = self._trained_head(train)
+        narrow, _ = tiny_problem(dim=4)
+        self._forbid_forward(monkeypatch)
+        with pytest.raises(ShapeError, match="dataset has dim 4 but the head "
+                                             "has dim 8"):
+            train_stage2(head, narrow, small_cfg(), "crt", make_rng(0))
 
 
 class TestEvaluate:
