@@ -121,8 +121,8 @@ def ldam_margins(stats: ClassStats, max_margin: float = 0.5) -> Array:
 class LossSpec:
     """A loss variant with its derived per-class vectors.
 
-    `weights`, `biases`, and `margins` always have length K; variants that
-    do not use a vector leave it at its identity value.
+    `weights`, `biases`, and `margins` are finite vectors of length K;
+    variants that do not use a vector leave it at its identity value.
     """
     variant: str
     weights: Array
@@ -134,6 +134,11 @@ class LossSpec:
     def __post_init__(self):
         if self.variant not in VARIANTS:
             raise ConfigError(f"unknown loss variant {self.variant!r}")
+        vecs = (self.weights, self.biases, self.margins)
+        if ({np.shape(v) for v in vecs} != {(np.size(self.weights),)}
+                or not np.isfinite(vecs).all()):
+            raise ConfigError("loss weights, biases and margins must be finite "
+                              "vectors of one length")
         if np.any(self.weights <= 0):
             raise ConfigError("loss weights must be positive")
         if np.any(self.margins < 0):
@@ -171,15 +176,6 @@ def _check_batch(logits: Array, labels: Array, num_classes: int):
         raise DataError(f"labels must lie in [0, {num_classes})")
     if not np.all(np.isfinite(logits)):
         raise DataError("logits must be finite")
-
-
-def _safe_pow(base: Array, exponent: float) -> Array:
-    # 0 ** negative would blow up; those entries are always multiplied by a
-    # factor that is exactly zero there, so returning 0 keeps the product exact.
-    out = np.zeros_like(base)
-    pos = base > 0
-    out[pos] = base[pos] ** exponent
-    return out
 
 
 def lade_dv_regularizer(logits: Array, labels: Array, stats: ClassStats,
@@ -229,8 +225,8 @@ def total_loss(spec: LossSpec, logits: Array, labels: Array,
                stats: ClassStats) -> tuple[float, Array]:
     """Mean loss over the batch and its exact gradient w.r.t. the logits.
 
-    This is each variant's complete objective: LADE is its balanced-softmax
-    part plus `lade_dv_regularizer` at weight `spec.lam`.
+    The complete objective: LADE adds `lade_dv_regularizer` at weight
+    `spec.lam`. The gradient is a fresh array that the caller owns.
     """
     logits = np.asarray(logits, dtype=np.float64)
     labels = np.asarray(labels, dtype=np.int64)
@@ -241,32 +237,31 @@ def total_loss(spec: LossSpec, logits: Array, labels: Array,
 
     batch = logits.shape[0]
     rows = np.arange(batch)
-    adjusted = logits + spec.biases
+    # z is in turn the adjusted logits, the log-probs, the probs and the gradient
+    z = logits + spec.biases
     if np.any(spec.margins > 0):
-        adjusted[rows, labels] -= spec.margins[labels]
-
-    logp = adjusted - logsumexp_rows(adjusted)
-    probs = np.exp(logp)
-    ce = -logp[rows, labels]
-    grad_base = probs.copy()
-    grad_base[rows, labels] -= 1.0
-
+        z[rows, labels] -= spec.margins[labels]
+    z -= logsumexp_rows(z)
+    ce = -z[rows, labels]
+    np.exp(z, out=z)
     if spec.variant == "focal":
-        pt = probs[rows, labels]
+        pt = z[rows, labels]
         one_minus = 1.0 - pt
-        mod = one_minus ** spec.gamma
-        value = float(np.mean(mod * ce))
+        weight = one_minus ** spec.gamma
         if spec.gamma == 0.0:
             coef = np.ones(batch)
         else:
-            coef = mod + spec.gamma * pt * ce * _safe_pow(one_minus, spec.gamma - 1.0)
-        dlogits = grad_base * coef[:, None] / batch
+            # 0 ** negative is inf; the term's limit at pt == 1 is 0
+            coef = weight + spec.gamma * pt * ce * np.power(
+                one_minus, spec.gamma - 1.0, where=one_minus > 0, out=np.zeros(batch))
     else:
-        w = spec.weights[labels]
-        value = float(np.mean(w * ce))
-        dlogits = grad_base * w[:, None] / batch
+        weight = coef = spec.weights[labels]
+    value = float(np.mean(weight * ce))
+    z[rows, labels] -= 1.0
+    z *= coef[:, None]
+    z /= batch
     if spec.variant == "lade":
         reg, dreg = lade_dv_regularizer(logits, labels, stats, spec.lam)
         value += reg
-        dlogits += dreg
-    return value, dlogits
+        z += dreg
+    return value, z

@@ -1,4 +1,6 @@
+import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import numpy.testing as npt
@@ -9,6 +11,8 @@ from lthead import (ConfigError, DataError, bsm_biases, build_class_stats,
                     cbw_weights, finite_diff_check, lade_dv_regularizer,
                     ldam_margins, make_loss_spec, make_rng,
                     softmax_rows, stats_from_counts, total_loss)
+from lthead.losses import VARIANTS
+from lthead.numerics import logsumexp_rows
 
 LN2 = math.log(2.0)
 
@@ -239,6 +243,131 @@ class TestLossEval:
             value, _ = total_loss(spec, logits, labels, stats)
             values.append(value)
         assert all(a > b for a, b in zip(values, values[1:]))
+
+
+def out_of_place_total_loss(spec, logits, labels, stats):
+    """total_loss as it was before its single buffer: one array per step."""
+    batch = logits.shape[0]
+    rows = np.arange(batch)
+    adjusted = logits + spec.biases
+    if np.any(spec.margins > 0):
+        adjusted[rows, labels] -= spec.margins[labels]
+    logp = adjusted - logsumexp_rows(adjusted)
+    probs = np.exp(logp)
+    ce = -logp[rows, labels]
+    grad_base = probs.copy()
+    grad_base[rows, labels] -= 1.0
+    if spec.variant == "focal":
+        pt = probs[rows, labels]
+        one_minus = 1.0 - pt
+        mod = one_minus ** spec.gamma
+        value = float(np.mean(mod * ce))
+        if spec.gamma == 0.0:
+            coef = np.ones(batch)
+        else:
+            safe_pow = np.zeros_like(one_minus)
+            pos = one_minus > 0
+            safe_pow[pos] = one_minus[pos] ** (spec.gamma - 1.0)
+            coef = mod + spec.gamma * pt * ce * safe_pow
+        dlogits = grad_base * coef[:, None] / batch
+    else:
+        w = spec.weights[labels]
+        value = float(np.mean(w * ce))
+        dlogits = grad_base * w[:, None] / batch
+    if spec.variant == "lade":
+        reg, dreg = lade_dv_regularizer(logits, labels, stats, spec.lam)
+        value += reg
+        dlogits += dreg
+    return value, dlogits
+
+
+class TestTotalLossBits:
+    COUNTS = [300, 120, 80, 41, 15, 7, 3, 1]
+
+    def assert_matches_reference(self, spec, logits, labels, stats):
+        before = logits.copy()
+        value, dlogits = total_loss(spec, logits, labels, stats)
+        ref_value, ref_dlogits = out_of_place_total_loss(spec, logits, labels,
+                                                         stats)
+        npt.assert_array_equal(logits, before, strict=True)
+        assert np.float64(value).tobytes() == np.float64(ref_value).tobytes()
+        npt.assert_array_equal(dlogits, ref_dlogits, strict=True)
+        assert dlogits.tobytes() == ref_dlogits.tobytes()
+
+    @pytest.mark.parametrize("variant", VARIANTS)
+    def test_every_variant_bitwise(self, variant):
+        stats = stats_for(self.COUNTS)
+        spec = make_loss_spec(variant, stats)
+        rng = make_rng(16)
+        for scale in (1e-3, 1.0, 30.0):
+            for batch in (1, 9, 64):
+                logits = rng.standard_normal((batch, 8)) * scale
+                labels = rng.integers(0, 8, size=batch)
+                self.assert_matches_reference(spec, logits, labels, stats)
+
+    @pytest.mark.parametrize("gamma", [0.0, 0.5, 1.0, 2.0])
+    def test_focal_bitwise_with_certain_row(self, gamma):
+        stats = stats_for(self.COUNTS)
+        spec = make_loss_spec("focal", stats, gamma=gamma)
+        rng = make_rng(17)
+        for _ in range(20):
+            logits = rng.standard_normal((12, 8)) * 4
+            labels = rng.integers(0, 8, size=12)
+            # row 0's true class takes all the mass: p_true == 1 exactly
+            logits[0] = -1000.0
+            logits[0, labels[0]] = 0.0
+            self.assert_matches_reference(spec, logits, labels, stats)
+        _, dlogits = total_loss(spec, logits, labels, stats)
+        assert np.all(np.isfinite(dlogits))
+        npt.assert_array_equal(dlogits[0], 0.0)
+
+
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_peak_memory_three_batch_arrays(variant):
+    # the adjusted logits' buffer (returned as the gradient) plus the two
+    # temporaries of logsumexp_rows; lade's regularizer fits in the same room
+    batch, k = 128, 4096
+    rng = make_rng(18)
+    stats = stats_from_counts(rng.integers(1, 1000, size=k))
+    spec = make_loss_spec(variant, stats)
+    logits = rng.standard_normal((batch, k)) * 3
+    labels = rng.integers(0, k, size=batch)
+    total_loss(spec, logits, labels, stats)
+    tracemalloc.start()
+    try:
+        total_loss(spec, logits, labels, stats)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 3.25 * batch * k * 8, peak / (batch * k * 8)
+
+
+class TestLossSpecValidation:
+    STATS = stats_for([30, 10, 5])
+
+    @pytest.mark.parametrize("field", ["weights", "biases", "margins"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_rejected(self, field, bad):
+        spec = make_loss_spec("ce", self.STATS)
+        vec = getattr(spec, field).copy()
+        vec[1] = bad
+        with pytest.raises(ConfigError, match="finite vectors of one length"):
+            dataclasses.replace(spec, **{field: vec})
+
+    @pytest.mark.parametrize("field", ["weights", "biases", "margins"])
+    @pytest.mark.parametrize("shape", [(), (1,), (2,), (4,), (3, 1)])
+    def test_wrong_shape_rejected(self, field, shape):
+        spec = make_loss_spec("ce", self.STATS)
+        vec = np.full(shape, 0.5)
+        with pytest.raises(ConfigError, match="finite vectors of one length"):
+            dataclasses.replace(spec, **{field: vec})
+
+    def test_existing_messages_kept(self):
+        spec = make_loss_spec("ce", self.STATS)
+        with pytest.raises(ConfigError, match="loss weights must be positive"):
+            dataclasses.replace(spec, weights=np.array([1.0, 0.0, 1.0]))
+        with pytest.raises(ConfigError, match="margins must be nonnegative"):
+            dataclasses.replace(spec, margins=np.array([0.0, -0.1, 0.0]))
 
 
 def loop_lade(logits, labels, stats, lam):
