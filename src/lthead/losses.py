@@ -108,8 +108,8 @@ def bsm_biases(stats: ClassStats) -> Array:
 
 def ldam_margins(stats: ClassStats, max_margin: float = 0.5) -> Array:
     """Margins C / n_j^(1/4), scaled so the rarest class gets `max_margin`."""
-    if max_margin < 0:
-        raise DomainError("max_margin must be >= 0")
+    if not 0 <= max_margin < np.inf:
+        raise DomainError(f"max_margin must be {'>= 0' if max_margin < 0 else 'finite'}")
     counts = _require_positive_counts(stats, "margin computation")
     if max_margin == 0.0:
         return np.zeros_like(counts)
@@ -143,10 +143,9 @@ class LossSpec:
             raise ConfigError("loss weights must be positive")
         if np.any(self.margins < 0):
             raise ConfigError("margins must be nonnegative")
-        if self.gamma < 0:
-            raise ConfigError("focal gamma must be >= 0")
-        if self.lam < 0:
-            raise ConfigError("lade lambda must be >= 0")
+        for name, value in (("focal gamma", self.gamma), ("lade lambda", self.lam)):
+            if not 0 <= value < np.inf:
+                raise ConfigError(f"{name} must be {'>= 0' if value < 0 else 'finite'}")
 
 
 def make_loss_spec(variant: str, stats: ClassStats, *, gamma: float = 2.0,
@@ -191,8 +190,8 @@ def lade_dv_regularizer(logits: Array, labels: Array, stats: ClassStats,
     logits = np.asarray(logits, dtype=np.float64)
     labels = np.asarray(labels, dtype=np.int64)
     _check_batch(logits, labels, stats.num_classes)
-    if lam < 0:
-        raise DomainError("lade lambda must be >= 0")
+    if not 0 <= lam < np.inf:
+        raise DomainError(f"lade lambda must be {'>= 0' if lam < 0 else 'finite'}")
     dlogits = np.zeros_like(logits)
     if lam == 0.0:
         return 0.0, dlogits

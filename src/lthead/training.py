@@ -27,7 +27,7 @@ from .exceptions import (ConfigError, DataError, DivergenceError, DomainError,
                          ShapeError)
 from .losses import (GROUP_FEW, GROUP_MANY, GROUP_MEDIUM, VARIANTS, ClassStats,
                      build_class_stats, make_loss_spec, total_loss)
-from .numerics import Array, _row_tiles, softmax_rows
+from .numerics import Array, _row_tiles, linear, softmax_rows
 
 EVAL_CHUNK = 512  # fixed so evaluation arithmetic never depends on dataset size
 
@@ -213,19 +213,12 @@ def train_stage1(ds: FeatureDataset, cfg: TrainConfig,
     return head, log
 
 
-def _precompute_contexts(head: DecoderHead,
-                         ds: FeatureDataset) -> tuple[Array, Array]:
-    """Eval-mode pooled features and logits for the whole dataset."""
-    n = ds.num_samples
-    pooled = np.empty((n, head.config.dim))
-    logits = np.empty((n, head.config.num_classes))
-    for start in range(0, n, EVAL_CHUNK):
-        stop = min(start + EVAL_CHUNK, n)
-        lg, cache = forward_batch(head, ds.features[start:stop], None,
-                                  train_mode=False)
-        pooled[start:stop] = cache.pooled
-        logits[start:stop] = lg
-    return pooled, logits
+def _frozen_batches(head: DecoderHead, ds: FeatureDataset):
+    """Eval-mode (rows, pooled features, logits), EVAL_CHUNK samples at a time."""
+    for start in range(0, ds.num_samples, EVAL_CHUNK):
+        rows = slice(start, min(start + EVAL_CHUNK, ds.num_samples))
+        logits, cache = forward_batch(head, ds.features[rows], None, train_mode=False)
+        yield rows, cache.pooled, logits
 
 
 def stage2_schedule(cfg: TrainConfig) -> TrainConfig:
@@ -245,19 +238,25 @@ def train_stage2(head: DecoderHead, ds: FeatureDataset, cfg: TrainConfig,
                  ) -> tuple[Calibrator, Array]:
     """Stage two: freeze the head and train only the calibrator.
 
-    The frozen head makes every sample's pooled feature and raw logits
-    constant, so they are computed once up front; iterations then touch only
-    calibrator parameters.
+    The frozen head makes every sample's pooled feature constant, so the
+    (N, D) features are computed once up front and each batch's logits come
+    from the head's classifier; iterations touch only calibrator parameters.
     """
     cal = init_calibrator(variant, head.config.num_classes, head.config.dim, rng)
     stats = _class_stats(ds, head.config)
     spec = make_loss_spec(RECIPES[variant].loss, stats)
-    pooled, logits = _precompute_contexts(head, ds)
+    pooled = np.empty((ds.num_samples, head.config.dim))
+    for rows, chunk, _ in _frozen_batches(head, ds):
+        pooled[rows] = chunk
     norms = context_weight_norms(head.cls_weight)
+
+    def forward(idx, _):
+        batch = pooled[idx]
+        return cal_mod.apply_batch(
+            cal, batch, linear(batch, head.cls_weight, head.cls_bias), norms)
     log = _sgd_loop(
         stage2_schedule(cfg), ds, stats, RECIPES[variant].sampling, spec, rng,
-        cal.params.vector,
-        lambda idx, _: cal_mod.apply_batch(cal, pooled[idx], logits[idx], norms),
+        cal.params.vector, forward,
         lambda cache, dadj: cal_mod.backward_batch(cal, cache, dadj)[0].vector,
         "stage-2 iteration", index=class_index(ds.labels, ds.num_classes))
     return cal, log
@@ -342,11 +341,12 @@ def evaluate(head: DecoderHead, calibrator: Calibrator | None,
     if test_ds.role == "test" and not test_ds.is_class_balanced():
         warnings.warn("test set is not class-balanced; overall accuracy and "
                       "macro recall will diverge")
-    pooled, logits = _precompute_contexts(head, test_ds)
-    if calibrator is not None:
-        norms = context_weight_norms(head.cls_weight)
-        logits, _ = cal_mod.apply_batch(calibrator, pooled, logits, norms)
-    predictions = np.argmax(logits, axis=1)
+    norms = context_weight_norms(head.cls_weight)
+    predictions = np.empty(test_ds.num_samples, dtype=np.int64)
+    for rows, pooled, logits in _frozen_batches(head, test_ds):
+        if calibrator is not None:
+            logits, _ = cal_mod.apply_batch(calibrator, pooled, logits, norms)
+        predictions[rows] = np.argmax(logits, axis=1)
     fp = config_fingerprint(head.config,
                             None if calibrator is None else calibrator.variant)
     return metrics_from_predictions(predictions, test_ds.labels, stats,

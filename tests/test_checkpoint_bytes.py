@@ -18,7 +18,7 @@ from lthead import (DecoderConfig, FormatError, SyntheticSpec, TrainConfig,
                     build_class_stats, evaluate, generate_synthetic_lt,
                     init_calibrator, init_decoder, load_checkpoint, make_rng,
                     save_checkpoint, train_stage1, train_stage2)
-from lthead.training import report_json
+from lthead.training import EVAL_CHUNK, report_json
 
 # variant -> sha256 of (checkpoint bytes, report_json, stage-one and
 # stage-two loss logs)
@@ -47,6 +47,20 @@ GOLDEN = {
 # inputs 2, so the pin covers tiled kernels across several tiles. Taken from
 # the untiled code.
 MULTI_TILE = "e8a217539dc5d42ea8b20eb936acbe14a7c81528c9289320ee9464db2eb1b30f"
+
+# variant -> sha256 of the calibrator vector, stage-two loss log and
+# report_json after a 6-iteration stage two at B=64 on 1,324 train rows and
+# an evaluate on 1,120 test rows. Both sets span three EVAL_CHUNKs (GOLDEN's
+# fit in one), so the pin covers stage two's batch logits and evaluate's
+# per-chunk calibration and argmax. Taken from the code that held the whole
+# (N, K) logit matrix.
+MULTI_CHUNK = {
+    None: "d63798d8c99e12ab4b7a9f4dff9ac92add19b44dfb91a7770e5f48edcf85e5a9",
+    "crt": "5b5e2e41d6bd738596ece9dd8064e4b6ed67ba6059d51090b13f6b8e7a245adc",
+    "lws": "f07240de2df30b63ed2f6ddc5c0812b88201ed8caf75a65495c8e431a3a2e0a1",
+    "disalign": "18b731305d0e48f0e0af04aa039689b0a0f2f7cf37d3707be4a3957f95f4bd0a",
+    "marc": "33a0717caafdde67216c3cc9fb53f5685b0ef216eada399049c6f6ecb7ca3d90",
+}
 
 
 def sha(data: bytes) -> str:
@@ -91,6 +105,32 @@ def test_multi_tile_stage_one_matches_pinned_hash():
     dc = DecoderConfig(dim=64, num_classes=5, depth=2, heads=4, dropout=0.5)
     head, log = train_stage1(train, cfg, dc, make_rng(cfg.seed))
     assert sha(head.params.vector.tobytes() + log.tobytes()) == MULTI_TILE
+
+
+@pytest.fixture(scope="module")
+def multi_chunk():
+    spec = SyntheticSpec(num_classes=8, head_count=400, imbalance_ratio=10.0,
+                         dim=16, tokens=2, separation=1.5, test_per_class=140,
+                         seed=29)
+    train, test = generate_synthetic_lt(spec)
+    assert min(train.num_samples, test.num_samples) > 2 * EVAL_CHUNK
+    cfg = TrainConfig(seed=7, total_iters=6, batch_size=64, warmup_iters=1,
+                      loss="ce", stage2_iters=6)
+    dc = DecoderConfig(dim=16, num_classes=8, depth=1, heads=2, dropout=0.5)
+    head, _ = train_stage1(train, cfg, dc, make_rng(cfg.seed))
+    return train, test, cfg, head
+
+
+@pytest.mark.parametrize("variant", list(MULTI_CHUNK))
+def test_multi_chunk_stage_two_and_eval_match_pinned_hash(multi_chunk, variant):
+    train, test, cfg, head = multi_chunk
+    cal, blob = None, b""
+    if variant is not None:
+        cal, log2 = train_stage2(head, train, cfg, variant, make_rng(8))
+        blob = cal.params.vector.tobytes() + log2.tobytes()
+    report = report_json(evaluate(head, cal, test,
+                                  build_class_stats(train.labels, 8)))
+    assert sha(blob + report.encode()) == MULTI_CHUNK[variant]
 
 
 def test_every_truncated_prefix_rejected(tmp_path):

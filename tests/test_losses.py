@@ -7,7 +7,7 @@ import numpy.testing as npt
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from lthead import (ConfigError, DataError, bsm_biases, build_class_stats,
+from lthead import (ConfigError, DataError, DomainError, bsm_biases, build_class_stats,
                     cbw_weights, finite_diff_check, lade_dv_regularizer,
                     ldam_margins, make_loss_spec, make_rng,
                     softmax_rows, stats_from_counts, total_loss)
@@ -368,6 +368,43 @@ class TestLossSpecValidation:
             dataclasses.replace(spec, weights=np.array([1.0, 0.0, 1.0]))
         with pytest.raises(ConfigError, match="margins must be nonnegative"):
             dataclasses.replace(spec, margins=np.array([0.0, -0.1, 0.0]))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    @pytest.mark.parametrize("variant, field", [("focal", "gamma"),
+                                                ("lade", "lam")])
+    def test_non_finite_scalar_rejected(self, variant, field, bad):
+        with pytest.raises(ConfigError, match="must be finite"):
+            make_loss_spec(variant, self.STATS, **{field: bad})
+
+    @pytest.mark.parametrize("bad", [-0.5, -np.inf])
+    def test_negative_scalar_messages_kept(self, bad):
+        with pytest.raises(ConfigError, match="^focal gamma must be >= 0$"):
+            make_loss_spec("focal", self.STATS, gamma=bad)
+        with pytest.raises(ConfigError, match="^lade lambda must be >= 0$"):
+            make_loss_spec("lade", self.STATS, lam=bad)
+
+
+class TestScalarDomains:
+    STATS = stats_for([30, 10, 5])
+    LOGITS = np.zeros((2, 3))
+    LABELS = np.array([0, 2])
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_max_margin_rejected(self, bad):
+        with pytest.raises(DomainError, match="max_margin must be finite"):
+            ldam_margins(self.STATS, bad)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_lade_lambda_rejected(self, bad):
+        with pytest.raises(DomainError, match="lade lambda must be finite"):
+            lade_dv_regularizer(self.LOGITS, self.LABELS, self.STATS, bad)
+
+    @pytest.mark.parametrize("bad", [-0.5, -np.inf])
+    def test_negative_messages_kept(self, bad):
+        with pytest.raises(DomainError, match="^max_margin must be >= 0$"):
+            ldam_margins(self.STATS, bad)
+        with pytest.raises(DomainError, match="^lade lambda must be >= 0$"):
+            lade_dv_regularizer(self.LOGITS, self.LABELS, self.STATS, bad)
 
 
 def loop_lade(logits, labels, stats, lam):

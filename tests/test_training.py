@@ -1,6 +1,7 @@
 import dataclasses
 import math
 import struct
+import sys
 import tracemalloc
 import warnings
 
@@ -717,3 +718,52 @@ class TestThreadInvariance:
             assert proc.returncode == 0, proc.stderr
             hashes.append(proc.stdout.split())
         assert hashes[0] == hashes[1]
+
+
+LARGE_K_RUN = """
+import resource
+from lthead import (DecoderConfig, SyntheticSpec, TrainConfig,
+                    build_class_stats, evaluate, generate_synthetic_lt,
+                    init_decoder, make_rng, train_stage2)
+k = 8142
+spec = SyntheticSpec(num_classes=k, head_count=10, imbalance_ratio=10.0,
+                     dim=16, test_per_class=3, seed=3)
+train, test = generate_synthetic_lt(spec)
+head = init_decoder(DecoderConfig(dim=16, num_classes=k, depth=1, heads=2),
+                    make_rng(0))
+stats = build_class_stats(train.labels, k)
+cfg = TrainConfig(total_iters=0, warmup_iters=0, stage2_iters=3)
+base = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+evaluate(head, None, test, stats)
+for variant in ("marc", "crt", "disalign"):
+    cal, _ = train_stage2(head, train, cfg, variant, make_rng(1))
+    evaluate(head, cal, test, stats)
+print(train.num_samples, test.num_samples, base,
+      resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)
+"""
+
+
+class TestLargeClassCount:
+    @pytest.mark.skipif(sys.platform != "linux",
+                        reason="ru_maxrss is in KiB on Linux only")
+    def test_stage_two_and_eval_memory_independent_of_n_times_k(self):
+        # iNaturalist18's 8,142 classes. Stage two keeps the (N, D) pooled
+        # features and evaluate one EVAL_CHUNK of logits, so the peak may
+        # grow with N*D and EVAL_CHUNK*K; an (N, K) logit matrix is 2 GB here.
+        import os
+        import subprocess
+        from pathlib import Path
+        from lthead.training import EVAL_CHUNK
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            p for p in (src, env.get("PYTHONPATH")) if p)
+        proc = subprocess.run([sys.executable, "-c", LARGE_K_RUN], env=env,
+                              capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        n_train, n_test, base_kib, peak_kib = map(int, proc.stdout.split())
+        k, d = 8142, 16
+        assert n_train > 30_000 and n_test > 24_000
+        limit = 8 * (2 * n_train * d + 8 * EVAL_CHUNK * k)
+        assert limit < 8 * n_test * k / 4  # far below either (N, K) matrix
+        assert (peak_kib - base_kib) * 1024 <= limit, (base_kib, peak_kib)
