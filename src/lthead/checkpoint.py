@@ -26,7 +26,7 @@ from .calibrators import CALIBRATOR_VARIANTS, Calibrator, calibrator_layout
 from .data import expect_end, read_exact
 from .decoder import DecoderConfig, DecoderHead, param_count
 from .exceptions import ConfigError, FormatError
-from .losses import ClassStats, stats_from_counts
+from .losses import ClassStats, _checked_counts, stats_from_counts
 from .numerics import layout_size
 
 MAGIC = b"LTFH"
@@ -39,10 +39,16 @@ _CONFIG = struct.Struct("<IIddII")
 
 def save_checkpoint(path, head: DecoderHead, class_counts,
                     calibrator: Calibrator | None = None) -> None:
-    counts = np.asarray(class_counts, dtype=np.uint64)
-    if counts.shape != (head.config.num_classes,):
-        raise FormatError("class counts length must equal num_classes")
+    """Write a checkpoint, rejecting first what `load_checkpoint` would refuse."""
     cfg = head.config
+    if np.shape(class_counts) != (cfg.num_classes,):
+        raise FormatError("class counts length must equal num_classes")
+    counts, _ = _checked_counts(class_counts)
+    if calibrator is not None and (calibrator.num_classes, calibrator.dim) != (
+            cfg.num_classes, cfg.dim):
+        raise FormatError(
+            f"calibrator is for {calibrator.num_classes} classes at dim "
+            f"{calibrator.dim}; the head has {cfg.num_classes} at dim {cfg.dim}")
     with open(path, "wb") as fh:
         fh.write(_HEADER.pack(MAGIC, VERSION))
         fh.write(_CONFIG.pack(*(getattr(cfg, f) for f in _CONFIG_FIELDS)))

@@ -15,6 +15,7 @@ Binary feature file layout (all little-endian):
 
 from __future__ import annotations
 
+import math
 import os
 import struct
 from dataclasses import dataclass
@@ -94,6 +95,9 @@ class SyntheticSpec:
     seed: int = 0
 
     def __post_init__(self):
+        for name in ("imbalance_ratio", "separation", "noise"):
+            if not math.isfinite(value := getattr(self, name)):
+                raise ConfigError(f"{name} must be finite, got {value}")
         if self.num_classes < 1:
             raise ConfigError("num_classes must be >= 1")
         if self.imbalance_ratio < 1:

@@ -168,8 +168,6 @@ def _merge_heads(x: Array) -> Array:
 def _block_forward_batch(params: BlockParams, x: Array, config: DecoderConfig,
                          rng, train_mode: bool) -> tuple[Array, BlockCache | None]:
     """One block. Eval mode returns no cache and adds the MLP output in place."""
-    if x.ndim != 3 or x.shape[2] != config.dim:
-        raise ShapeError(f"block input must be (B, T, {config.dim}), got {x.shape}")
     xhat1, ln1 = layer_norm(x, params.ln1_gamma, params.ln1_beta)
     d = config.dim
     if x.shape[1] == 1:

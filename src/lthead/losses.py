@@ -63,16 +63,23 @@ def build_class_stats(labels, num_classes: int) -> ClassStats:
     return stats_from_counts(counts)
 
 
-def stats_from_counts(counts) -> ClassStats:
-    """ClassStats from a precomputed count vector (e.g. a checkpoint)."""
+def _checked_counts(counts) -> tuple[Array, int]:
+    """`counts` as int64 and its exact total, if every class-count rule holds."""
     counts = np.asarray(counts, dtype=np.int64)
     if counts.ndim != 1 or counts.size == 0:
         raise DataError("counts must be a non-empty vector")
-    total = int(np.sum(counts, dtype=object))  # Python ints: exact, never wraps
-    if counts.min() < 0 or total == 0:
+    values = counts.tolist()  # Python ints: exact, and cheap on short vectors
+    total = sum(values)
+    if min(values) < 0 or total == 0:
         raise DataError("counts must be nonnegative with a positive total")
     if total > np.iinfo(np.int64).max:
         raise DataError(f"class counts total {total}, more than int64 holds")
+    return counts, total
+
+
+def stats_from_counts(counts) -> ClassStats:
+    """ClassStats from a precomputed count vector (e.g. a checkpoint)."""
+    counts, total = _checked_counts(counts)
     priors = counts / total
     groups = np.where(counts > 100, GROUP_MANY,
                       np.where(counts >= 20, GROUP_MEDIUM, GROUP_FEW))
@@ -111,8 +118,6 @@ def ldam_margins(stats: ClassStats, max_margin: float = 0.5) -> Array:
     if not 0 <= max_margin < np.inf:
         raise DomainError(f"max_margin must be {'>= 0' if max_margin < 0 else 'finite'}")
     counts = _require_positive_counts(stats, "margin computation")
-    if max_margin == 0.0:
-        return np.zeros_like(counts)
     raw = counts ** -0.25
     return max_margin * raw / raw.max()
 
@@ -238,8 +243,7 @@ def total_loss(spec: LossSpec, logits: Array, labels: Array,
     rows = np.arange(batch)
     # z is in turn the adjusted logits, the log-probs, the probs and the gradient
     z = logits + spec.biases
-    if np.any(spec.margins > 0):
-        z[rows, labels] -= spec.margins[labels]
+    z[rows, labels] -= spec.margins[labels]
     z -= logsumexp_rows(z)
     ce = -z[rows, labels]
     np.exp(z, out=z)
@@ -247,12 +251,9 @@ def total_loss(spec: LossSpec, logits: Array, labels: Array,
         pt = z[rows, labels]
         one_minus = 1.0 - pt
         weight = one_minus ** spec.gamma
-        if spec.gamma == 0.0:
-            coef = np.ones(batch)
-        else:
-            # 0 ** negative is inf; the term's limit at pt == 1 is 0
-            coef = weight + spec.gamma * pt * ce * np.power(
-                one_minus, spec.gamma - 1.0, where=one_minus > 0, out=np.zeros(batch))
+        # 0 ** negative is inf; the term's limit at pt == 1 is 0
+        coef = weight + spec.gamma * pt * ce * np.power(
+            one_minus, spec.gamma - 1.0, where=one_minus > 0, out=np.zeros(batch))
     else:
         weight = coef = spec.weights[labels]
     value = float(np.mean(weight * ce))

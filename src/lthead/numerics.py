@@ -202,73 +202,61 @@ def layer_norm_backward(cache: LayerNormCache,
     return dx, dgamma, dbeta
 
 
-def gelu_with_grad(x) -> tuple[Array, Array]:
-    """tanh-approximation GELU and its derivative, computed together.
+def _gelu(x, derivative: bool) -> tuple:
+    """The tiled tanh-GELU pass: (value,) or (value, derivative).
 
-    Works through the flattened input in tiles of at most _TILE values,
-    so that the 18 elementwise passes over each tile hit cache. Value and
-    derivative share each tile's x^2 and tanh; powers are expanded into
-    multiplications, which is an order of magnitude faster than float64
-    `**`. Each element sees the same operations whatever its tile, so the
-    value equals `gelu`'s bit for bit.
+    Works through the flattened input in tiles of at most _TILE values, so
+    that every elementwise pass over a tile hits cache. Powers are expanded
+    into multiplications, an order of magnitude faster than float64 `**`.
+    The derivative reuses each tile's x^2 and tanh; without it, the value is
+    formed in place in the output. 0-d input gives scalars.
     """
     x = np.asarray(x, dtype=np.float64)
     flat = x.reshape(-1)
-    value, grad = np.empty(x.shape), np.empty(x.shape)
-    vflat, gflat = value.reshape(-1), grad.reshape(-1)
+    value = np.empty(x.shape)
+    outs = (value, np.empty(x.shape)) if derivative else (value,)
+    vflat, gflat = value.reshape(-1), outs[-1].reshape(-1)
     step, tiles = _row_tiles(flat.size)
-    x2_buf, t_buf, half_buf = np.empty(step), np.empty(step), np.empty(step)
+    x2_buf, t_buf = (np.empty(step), np.empty(step)) if derivative else (None, None)
     for s in tiles:
-        xs = flat[s]
-        x2, t, half_1pt = x2_buf[:len(xs)], t_buf[:len(xs)], half_buf[:len(xs)]
+        xs, v = flat[s], vflat[s]
+        x2, t = (x2_buf[:len(xs)], t_buf[:len(xs)]) if derivative else (v, v)
         np.multiply(xs, xs, out=x2)
         np.multiply(x2, _GELU_A, out=t)
         t += 1.0
         t *= xs
         t *= _GELU_C
         np.tanh(t, out=t)
-        np.add(t, 1.0, out=half_1pt)
-        half_1pt *= 0.5
-        np.multiply(half_1pt, xs, out=vflat[s])
-        du = x2
-        du *= 3.0 * _GELU_A
-        du += 1.0
-        du *= _GELU_C
-        g = gflat[s]
-        np.multiply(t, t, out=g)
-        np.subtract(1.0, g, out=g)
-        g *= du
-        g *= xs
-        g *= 0.5
-        g += half_1pt
-    if x.ndim == 0:
-        return value[()], grad[()]
-    return value, grad
+        np.add(t, 1.0, out=v)
+        v *= 0.5  # 0.5 * (1 + tanh), also the derivative's last term
+        if derivative:
+            du = x2
+            du *= 3.0 * _GELU_A
+            du += 1.0
+            du *= _GELU_C
+            g = gflat[s]
+            np.multiply(t, t, out=g)
+            np.subtract(1.0, g, out=g)
+            g *= du
+            g *= xs
+            g *= 0.5
+            g += v
+        v *= xs
+    return tuple(o[()] for o in outs) if x.ndim == 0 else outs
+
+
+def gelu_with_grad(x) -> tuple[Array, Array]:
+    """tanh-approximation GELU and its derivative, computed together."""
+    return _gelu(x, True)
 
 
 def gelu(x):
     """tanh-approximation GELU: 0.5*x*(1 + tanh(c*(x + a*x^3))).
 
-    The value alone, for inference, tiled like `gelu_with_grad`. It repeats
-    that function's operation order, so the two agree bit for bit.
+    The value alone, for inference: `gelu_with_grad`'s pass without the
+    derivative steps, so the two agree bit for bit.
     """
-    x = np.asarray(x, dtype=np.float64)
-    flat = x.reshape(-1)
-    out = np.empty(x.shape)
-    oflat = out.reshape(-1)
-    _, tiles = _row_tiles(flat.size)
-    for s in tiles:
-        xs, u = flat[s], oflat[s]
-        np.multiply(xs, xs, out=u)
-        u *= _GELU_A
-        u += 1.0
-        u *= xs
-        u *= _GELU_C
-        np.tanh(u, out=u)
-        u += 1.0
-        u *= 0.5
-        u *= xs
-    return out[()] if x.ndim == 0 else out
+    return _gelu(x, False)[0]
 
 
 def dropout_mask(shape, rate: float, rng: np.random.Generator) -> Array:

@@ -14,7 +14,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from lthead import (DecoderConfig, FormatError, SyntheticSpec, TrainConfig,
+from lthead import (DataError, DecoderConfig, FormatError, SyntheticSpec, TrainConfig,
                     build_class_stats, evaluate, generate_synthetic_lt,
                     init_calibrator, init_decoder, load_checkpoint, make_rng,
                     save_checkpoint, train_stage1, train_stage2)
@@ -146,6 +146,35 @@ def test_every_truncated_prefix_rejected(tmp_path):
         cut.write_bytes(blob[:n])
         with pytest.raises(FormatError):
             load_checkpoint(cut)
+
+
+@pytest.mark.parametrize("counts, error, match", [
+    (np.array([-1, 2, 3]), DataError, "nonnegative"),
+    (np.array([-1, 2, 3]).astype(np.uint64), DataError, "nonnegative"),
+    (np.zeros(3, dtype=np.int64), DataError, "positive total"),
+    (np.full(3, 2 ** 62, dtype=np.uint64), DataError, "more than int64 holds"),
+    (np.array([5, 3]), FormatError, "length must equal num_classes"),
+], ids=["negative", "wrapped_u64", "all_zero", "total_beyond_int64", "short"])
+def test_save_rejects_counts_load_would_reject(tmp_path, counts, error, match):
+    dc = DecoderConfig(dim=8, num_classes=3, depth=1, heads=2)
+    path = tmp_path / "model.ckpt"
+    with pytest.raises(error, match=match):
+        save_checkpoint(path, init_decoder(dc, make_rng(0)), counts)
+    assert not path.exists()
+
+
+@pytest.mark.parametrize("num_classes, dim", [(4, 8), (3, 6)])
+@pytest.mark.parametrize("variant", ["crt", "lws", "disalign", "marc"])
+def test_save_rejects_calibrator_of_another_shape(tmp_path, variant,
+                                                  num_classes, dim):
+    dc = DecoderConfig(dim=8, num_classes=3, depth=1, heads=2)
+    cal = init_calibrator(variant, num_classes, dim, make_rng(1))
+    path = tmp_path / "model.ckpt"
+    with pytest.raises(FormatError, match=f"calibrator is for {num_classes} "
+                                          f"classes at dim {dim}"):
+        save_checkpoint(path, init_decoder(dc, make_rng(0)), np.array([5, 3, 1]),
+                        calibrator=cal)
+    assert not path.exists()
 
 
 @pytest.mark.parametrize("offset, field, match", [

@@ -1,10 +1,11 @@
 import json
 import struct
+import warnings
 
 import numpy as np
 import pytest
 
-from lthead import load_checkpoint, load_features, save_checkpoint
+from lthead import FeatureDataset, load_checkpoint, load_features, save_features
 from lthead.cli import main
 
 
@@ -40,6 +41,27 @@ class TestGenData:
         assert test.role == "test"
         counts = np.bincount(test.labels, minlength=4)
         assert np.all(counts == 6)
+
+
+    @pytest.mark.parametrize("flag, value, field", [
+        ("--ratio", "nan", "imbalance_ratio"),
+        ("--ratio", "inf", "imbalance_ratio"),
+        ("--separation", "nan", "separation"),
+        ("--noise", "inf", "noise"),
+    ])
+    @pytest.mark.parametrize("classes", ["1", "3"])
+    def test_non_finite_float_exit_2(self, tmp_path, capsys, flag, value, field,
+                                     classes):
+        opts = {"--classes": classes, "--head-count": "40", "--ratio": "8",
+                "--dim": "2", "--out": str(tmp_path / "d"), flag: value}
+        argv = ["gen-data", *(x for pair in opts.items() for x in pair)]
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert run(argv) == 2
+        assert not caught
+        err = capsys.readouterr().err.splitlines()
+        assert err == [f"error: {field} must be finite, got {value}"]
+        assert not list(tmp_path.iterdir())
 
 
 class TestTrain:
@@ -317,6 +339,21 @@ class TestZeroShot:
         assert self._run_with_labels(tmp_path, text) == 2
 
 
+    def test_multi_token_image_file_exit_2(self, tmp_path, capsys):
+        class_embs = tmp_path / "classes.txt"
+        class_embs.write_text("1.0, 0.0\n0.0, 1.0\n")
+        images = tmp_path / "images.imbf"
+        save_features(FeatureDataset(features=np.ones((2, 2, 2)),
+                                     labels=np.array([0, 1]), num_classes=2,
+                                     role="test"), images)
+        assert run(["zero-shot", "--image-embs", str(images),
+                    "--class-embs", str(class_embs),
+                    "--report", str(tmp_path / "zs.report")]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert err == ["error: zero-shot expects one embedding per image (T=1)"]
+        assert not (tmp_path / "zs.report").exists()
+
+
 class TestGradcheckCommand:
     def test_losses_module_passes(self, capsys):
         assert run(["gradcheck", "--module", "losses", "--tol", "1e-5"]) == 0
@@ -350,10 +387,13 @@ class TestReportCommand:
 
     def test_class_counts_beyond_int64_exit_2(self, workspace, tmp_path,
                                               capsys):
-        # each u64 count fits in int64, but their total does not
-        head, _, _ = load_checkpoint(workspace / "model.ckpt")
+        # each u64 count fits in int64, but their total does not. save_checkpoint
+        # refuses such counts, so they are written over the saved ones: the
+        # 4 counts sit just before the last byte, the calibrator tag.
+        blob = bytearray((workspace / "model.ckpt").read_bytes())
+        blob[-33:-1] = np.full(4, 2 ** 62, dtype="<u8").tobytes()
         bad = tmp_path / "huge_counts.ckpt"
-        save_checkpoint(bad, head, np.full(4, 2 ** 62, dtype=np.uint64))
+        bad.write_bytes(bytes(blob))
         assert run(["report", "--inputs", str(bad)]) == 2
         captured = capsys.readouterr()
         err = captured.err.splitlines()

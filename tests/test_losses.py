@@ -321,6 +321,26 @@ class TestTotalLossBits:
         assert np.all(np.isfinite(dlogits))
         npt.assert_array_equal(dlogits[0], 0.0)
 
+    @pytest.mark.parametrize("variant, kwargs", [("ldam", {"max_margin": 0.0}),
+                                                 ("focal", {"gamma": 0.0})])
+    def test_reduction_to_ce_bitwise(self, variant, kwargs):
+        # zero margins and gamma 0 run the general expressions, which must
+        # give the reference's special-cased bits
+        stats = stats_for(self.COUNTS)
+        spec = make_loss_spec(variant, stats, **kwargs)
+        rng = make_rng(19)
+        for scale in (1e-3, 1.0, 30.0, 700.0):
+            for batch in (1, 9, 64):
+                logits = rng.standard_normal((batch, 8)) * scale
+                logits[rng.random(logits.shape) < 0.2] = -0.0
+                labels = rng.integers(0, 8, size=batch)
+                self.assert_matches_reference(spec, logits, labels, stats)
+
+    def test_zero_max_margin_is_positive_zeros(self):
+        margins = ldam_margins(stats_for(self.COUNTS), 0.0)
+        assert margins.dtype == np.float64
+        assert margins.tobytes() == np.zeros(len(self.COUNTS)).tobytes()
+
 
 @pytest.mark.parametrize("variant", VARIANTS)
 def test_peak_memory_three_batch_arrays(variant):
