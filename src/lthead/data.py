@@ -1,6 +1,9 @@
 """Long-tailed feature datasets: synthetic generation, binary persistence,
 text-row ingestion, and the two batch samplers.
 
+Every binary file, checkpoints included, is framed here: `read_header`,
+`read_array` (size-checked, in place) and `write_binary` (copy-free).
+
 Binary feature file layout (all little-endian):
     magic   4 bytes  "IMBF"
     version u32      1
@@ -29,7 +32,8 @@ Array = np.ndarray
 
 MAGIC = b"IMBF"
 VERSION = 1
-_HEADER = struct.Struct("<4sIQIIIB")
+_PREAMBLE = struct.Struct("<4sI")
+_FIELDS = struct.Struct("<QIIIB")  # N, T, D, K, role
 
 ROLE_TRAIN = "train"
 ROLE_TEST = "test"
@@ -163,31 +167,45 @@ def generate_synthetic_lt(spec: SyntheticSpec) -> tuple[FeatureDataset, FeatureD
 
 def save_features(ds: FeatureDataset, path) -> None:
     """Write the binary feature file; round trips are bit-exact."""
+    write_binary(path, MAGIC, VERSION,
+                 _FIELDS.pack(ds.num_samples, ds.tokens_per_sample, ds.dim,
+                              ds.num_classes, _ROLE_CODES[ds.role]),
+                 (ds.labels, "<u4"), (ds.features, "<f8"))
+
+
+def write_binary(path, magic: bytes, version: int, fields: bytes, *arrays) -> None:
+    """Write the preamble, packed `fields`, then each (array, dtype) copy-free."""
     with open(path, "wb") as fh:
-        fh.write(_HEADER.pack(MAGIC, VERSION, ds.num_samples,
-                              ds.tokens_per_sample, ds.dim, ds.num_classes,
-                              _ROLE_CODES[ds.role]))
-        fh.write(ds.labels.astype("<u4").tobytes())
-        fh.write(ds.features.astype("<f8").tobytes())
+        fh.write(_PREAMBLE.pack(magic, version) + fields)
+        fh.writelines(np.ascontiguousarray(a, dtype) for a, dtype in arrays)
 
 
-def read_exact(fh, nbytes: int, what: str) -> bytes:
-    """Read `nbytes` of `what` from a binary file opened for reading.
+def read_header(fh, magic: bytes, version: int, kind: str,
+                fields: struct.Struct) -> tuple:
+    """Check the magic (first, to name short foreign files), then the version."""
+    if (found := fh.read(len(magic))) != magic:
+        raise FormatError(f"bad magic {found!r} at byte 0, expected {magic!r}")
+    if (found := read_array(fh, "<u4", 1, "version")[0]) != version:
+        raise FormatError(f"unsupported {kind} version {found} at byte 4")
+    return fields.unpack(read_array(fh, np.uint8, fields.size, f"{kind} header"))
 
-    The count is checked against the bytes left in the file before anything
-    is read or allocated, so a header that claims more data than the file
-    holds raises FormatError instead of exhausting memory.
-    """
+
+def read_array(fh, dtype, count: int, what: str) -> Array:
+    """Read `count` items of `dtype` (`what`) into a new native-order array.
+
+    The size is checked against the file first, so a header that claims more
+    than the file holds is a FormatError, never an out-of-memory failure."""
+    nbytes = np.dtype(dtype).itemsize * count
     offset = fh.tell()
     left = os.fstat(fh.fileno()).st_size - offset
     if nbytes > left:
         raise FormatError(f"{fh.name}: truncated at byte {offset}: {what} "
                           f"needs {nbytes} bytes, {left} remain")
-    buf = fh.read(nbytes)
-    if len(buf) != nbytes:
+    out = np.empty(count, dtype)
+    if fh.readinto(out) != nbytes:
         raise FormatError(f"{fh.name}: {what} at byte {offset} shrank while "
                           "being read")
-    return buf
+    return out.astype(out.dtype.newbyteorder("="), copy=False)
 
 
 def expect_end(fh) -> None:
@@ -199,22 +217,14 @@ def expect_end(fh) -> None:
 def load_features(path) -> FeatureDataset:
     """Read a binary feature file written by `save_features`."""
     with open(path, "rb") as fh:
-        header = read_exact(fh, _HEADER.size, "header")
-        magic, version, n, t, d, k, role_code = _HEADER.unpack(header)
-        if magic != MAGIC:
-            raise FormatError(f"bad magic {magic!r} at byte 0, expected {MAGIC!r}")
-        if version != VERSION:
-            raise FormatError(f"unsupported feature file version {version} at byte 4")
-        if role_code not in _ROLE_NAMES:
-            raise FormatError(f"unknown role code {role_code} at byte "
-                              f"{_HEADER.size - 1}")
-        labels_bytes = read_exact(fh, 4 * n, "labels")
-        feats_bytes = read_exact(fh, 8 * n * t * d, "features")
+        n, t, d, k, role = read_header(fh, MAGIC, VERSION, "feature file", _FIELDS)
+        if role not in _ROLE_NAMES:
+            raise FormatError(f"unknown role code {role} at byte {fh.tell() - 1}")
+        labels = read_array(fh, "<u4", n, "labels")
+        feats = read_array(fh, "<f8", n * t * d, "features").reshape(n, t, d)
         expect_end(fh)
-    labels = np.frombuffer(labels_bytes, dtype="<u4").astype(np.int64)
-    feats = np.frombuffer(feats_bytes, dtype="<f8").reshape(n, t, d)
     return FeatureDataset(features=feats, labels=labels, num_classes=k,
-                          role=_ROLE_NAMES[role_code])
+                          role=_ROLE_NAMES[role])
 
 
 def read_text_rows(path, labeled: bool = False,

@@ -65,7 +65,12 @@ def build_class_stats(labels, num_classes: int) -> ClassStats:
 
 def _checked_counts(counts) -> tuple[Array, int]:
     """`counts` as int64 and its exact total, if every class-count rule holds."""
-    counts = np.asarray(counts, dtype=np.int64)
+    counts = np.asarray(counts)
+    # a float's cast to int64 would drop its fraction or turn nan into garbage
+    if counts.dtype.kind == "f" and not np.all(
+            (np.trunc(counts) == counts) & (abs(counts) < 2.0 ** 63)):
+        raise DataError("counts must be whole numbers below 2^63")
+    counts = counts.astype(np.int64, copy=False)
     if counts.ndim != 1 or counts.size == 0:
         raise DataError("counts must be a non-empty vector")
     values = counts.tolist()  # Python ints: exact, and cheap on short vectors
@@ -251,8 +256,9 @@ def total_loss(spec: LossSpec, logits: Array, labels: Array,
         pt = z[rows, labels]
         one_minus = 1.0 - pt
         weight = one_minus ** spec.gamma
-        # 0 ** negative is inf; the term's limit at pt == 1 is 0
-        coef = weight + spec.gamma * pt * ce * np.power(
+        # the term is 0 at pt == 1 (0 ** negative is inf) and pt == 0 (ce may be inf)
+        term = np.multiply(spec.gamma * pt, ce, where=pt > 0, out=np.zeros(batch))
+        coef = weight + term * np.power(
             one_minus, spec.gamma - 1.0, where=one_minus > 0, out=np.zeros(batch))
     else:
         weight = coef = spec.weights[labels]

@@ -58,6 +58,17 @@ class TestClassStats:
         stats = stats_for([2 ** 62, 2 ** 62 - 1])
         npt.assert_array_equal(stats.priors, [0.5, 0.5])
 
+    @pytest.mark.parametrize("counts", [[1.5, 2, 3], [np.nan, 2, 3],
+                                        [2, -np.inf, 3], [2, 3, 2.0 ** 63]])
+    def test_counts_that_are_not_whole_rejected(self, counts):
+        with pytest.raises(DataError, match="whole numbers"):
+            stats_from_counts(counts)
+
+    def test_whole_float_counts_accepted(self):
+        stats = stats_from_counts([4.0, 2.0, 2.0 ** 62])
+        assert stats.counts.dtype == np.int64
+        npt.assert_array_equal(stats.counts, [4, 2, 2 ** 62])
+
 
 class TestCbwWeights:
     def test_balanced_counts(self):
@@ -165,6 +176,19 @@ class TestLossEval:
             vc, gc = total_loss(spec_c, logits, labels, stats)
             assert abs(vf - vc) < 1e-12
             npt.assert_allclose(gf, gc, rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("gamma", [0.0, 0.5, 1.0, 2.0, 3.0])
+    def test_focal_gradient_at_overflowed_true_class_equals_ce(self, gamma):
+        # p_true is exactly 0 and ce is inf: focal's extra term must be 0
+        stats = stats_for([1, 1])
+        logits, labels = np.array([[1e308, -1e308]]), np.array([1])
+        with np.errstate(over="ignore"):
+            _, grad_f = total_loss(make_loss_spec("focal", stats, gamma=gamma),
+                                   logits, labels, stats)
+            _, grad_c = total_loss(make_loss_spec("ce", stats), logits, labels,
+                                   stats)
+        npt.assert_array_equal(grad_c, [[1.0, -1.0]])
+        npt.assert_array_equal(grad_f, grad_c)
 
     def test_unknown_variant_rejected(self):
         with pytest.raises(ConfigError, match="unknown loss variant 'hinge'"):
