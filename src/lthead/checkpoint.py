@@ -49,8 +49,8 @@ def save_checkpoint(path, head: DecoderHead, class_counts,
             f"calibrator is for {calibrator.num_classes} classes at dim "
             f"{calibrator.dim}; the head has {cfg.num_classes} at dim {cfg.dim}")
     tag = 0 if calibrator is None else CALIBRATOR_VARIANTS.index(calibrator.variant) + 1
-    write_binary(path, MAGIC, VERSION,
-                 _CONFIG.pack(*(getattr(cfg, f) for f in _CONFIG_FIELDS)),
+    write_binary(path, MAGIC, VERSION, _CONFIG,
+                 {f: getattr(cfg, f) for f in _CONFIG_FIELDS},
                  (head.params.vector, "<f8"), (counts, "<u8"), ([tag], "u1"),
                  *([] if calibrator is None else [(calibrator.params.vector, "<f8")]))
 

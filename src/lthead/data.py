@@ -167,16 +167,25 @@ def generate_synthetic_lt(spec: SyntheticSpec) -> tuple[FeatureDataset, FeatureD
 
 def save_features(ds: FeatureDataset, path) -> None:
     """Write the binary feature file; round trips are bit-exact."""
-    write_binary(path, MAGIC, VERSION,
-                 _FIELDS.pack(ds.num_samples, ds.tokens_per_sample, ds.dim,
-                              ds.num_classes, _ROLE_CODES[ds.role]),
-                 (ds.labels, "<u4"), (ds.features, "<f8"))
+    write_binary(path, MAGIC, VERSION, _FIELDS, {
+        "num_samples": ds.num_samples, "tokens_per_sample": ds.tokens_per_sample,
+        "dim": ds.dim, "num_classes": ds.num_classes, "role": _ROLE_CODES[ds.role]},
+        (ds.labels, "<u4"), (ds.features, "<f8"))
 
 
-def write_binary(path, magic: bytes, version: int, fields: bytes, *arrays) -> None:
-    """Write the preamble, packed `fields`, then each (array, dtype) copy-free."""
+def write_binary(path, magic: bytes, version: int, fields: struct.Struct,
+                 values: dict, *arrays) -> None:
+    """Write the preamble, `values` packed by `fields`, then each (array,
+    dtype) copy-free. A value its code cannot hold is a FormatError naming
+    the field, raised before the file is opened."""
+    for (name, value), code in zip(values.items(), fields.format[1:]):
+        try:
+            struct.pack("<" + code, value)
+        except struct.error as exc:
+            raise FormatError(
+                f"header field {name}={value!r} does not fit: {exc}") from None
     with open(path, "wb") as fh:
-        fh.write(_PREAMBLE.pack(magic, version) + fields)
+        fh.write(_PREAMBLE.pack(magic, version) + fields.pack(*values.values()))
         fh.writelines(np.ascontiguousarray(a, dtype) for a, dtype in arrays)
 
 

@@ -2,16 +2,19 @@
 
 Pre-norm blocks (multi-head self-attention, then a GELU MLP with dropout on
 its output), mean pooling over tokens, and a linear classifier; every affine
-map is `numerics.linear`. Train-mode forward passes cache activations so the
-backward pass is exact without recomputation, and can overwrite the previous
-forward's cache block by block (`out=`); eval mode is inference only and
-keeps no caches, computes no GELU derivative and builds no dropout mask.
+map is `numerics.linear`. Train-mode forward passes cache the activations the
+backward pass needs, except the layer-norm outputs, which the backward
+recomputes with the forward's own operations (so its gradients stay exact),
+and can overwrite the previous forward's cache block by block (`out=`); eval
+mode is inference only and keeps no caches, computes no GELU derivative and
+builds no dropout mask.
 Depth 0 degenerates to a linear probe: mean-pool then affine.
 
-Residual sums and gradient products are formed in place, and GELU runs in
-cache-sized tiles (see `lthead.numerics`). Every value keeps the operations
-and order of the plain whole-array expressions, so the bits are those of
-the untiled, out-of-place code.
+Residual sums and gradient products are formed in place, GELU runs in
+cache-sized tiles over the fc1 output (see `lthead.numerics`), and the
+backward drops each intermediate gradient once it is consumed. Every value
+keeps the operations and order of the plain whole-array expressions, so the
+bits are those of the untiled, out-of-place code.
 
 No positional embeddings are added; input tokens come from an encoder that
 already resolved position, and the blocks stay permutation-equivariant.
@@ -133,16 +136,14 @@ def init_decoder(config: DecoderConfig, rng: np.random.Generator) -> DecoderHead
 
 @dataclass
 class BlockCache:
-    ln1: LayerNormCache
-    xhat1: Array         # (B, T, D)
+    ln1: LayerNormCache  # its output is recomputed by the backward
     q: Array | None      # (B, h, T, dh); None on the single-token fast path
     k: Array | None
     v: Array | None
     attn: Array | None   # (B, h, T, T) softmax weights
     ctx: Array           # (B, T, D) merged attention context
     ln2: LayerNormCache
-    xhat2: Array
-    h_act: Array         # (B, T, H) gelu output
+    h_act: Array         # (B, T, H) gelu output, over the fc1 output
     h_grad: Array        # (B, T, H) gelu derivative at the fc1 output
     mask: Array          # (B, T, D) dropout mask
 
@@ -183,37 +184,42 @@ def _block_forward_batch(params: BlockParams, x: Array, config: DecoderConfig,
         scale = 1.0 / math.sqrt(config.head_dim)
         attn = softmax_last(q @ k.transpose(0, 1, 3, 2) * scale)
         ctx = _merge_heads(attn @ v)
+    del xhat1  # not cached: the backward recomputes it
     x_mid = linear(ctx, params.proj_weight, params.proj_bias)
     x_mid += x
 
     xhat2, ln2 = layer_norm(x_mid, params.ln2_gamma, params.ln2_beta)
     h_pre = linear(xhat2, params.fc1_weight, params.fc1_bias)
+    del xhat2
     if not train_mode:
-        x_mid += linear(gelu(h_pre), params.fc2_weight, params.fc2_bias)
+        x_mid += linear(gelu(h_pre, out=h_pre), params.fc2_weight, params.fc2_bias)
         return x_mid, None
-    h_act, h_grad = gelu_with_grad(h_pre)
+    h_act, h_grad = gelu_with_grad(h_pre, out=h_pre)
     mlp = linear(h_act, params.fc2_weight, params.fc2_bias)
     mask = dropout_mask(mlp.shape, config.dropout, rng)
     mlp *= mask
     mlp += x_mid  # the block output, x_mid + mlp * mask
-    cache = BlockCache(ln1=ln1, xhat1=xhat1, q=q, k=k, v=v, attn=attn,
-                       ctx=ctx, ln2=ln2, xhat2=xhat2,
+    cache = BlockCache(ln1=ln1, q=q, k=k, v=v, attn=attn, ctx=ctx, ln2=ln2,
                        h_act=h_act, h_grad=h_grad, mask=mask)
     return mlp, cache
 
 
 def _block_backward_batch(params: BlockParams, cache: BlockCache, dout: Array,
                           config: DecoderConfig, grads: BlockParams) -> Array:
-    """Write every one of the block's parameter gradients into `grads`; return dx."""
+    """Write every one of the block's parameter gradients into `grads`; return dx.
+
+    Drops each intermediate gradient once consumed and recomputes each
+    layer-norm output where it is read; writes neither `dout` nor `cache`."""
     # MLP path: out = x_mid + mask * fc2(gelu(fc1(LN2(x_mid))))
-    dmlp = dout * cache.mask
-    dh_act = linear_backward(dmlp, cache.h_act, params.fc2_weight,
+    dh_act = linear_backward(dout * cache.mask, cache.h_act, params.fc2_weight,
                              grads.fc2_weight, grads.fc2_bias)
     dh_act *= cache.h_grad  # now the gradient at the fc1 output
-    dxhat2 = linear_backward(dh_act, cache.xhat2, params.fc1_weight,
-                             grads.fc1_weight, grads.fc1_bias)
+    dxhat2 = linear_backward(dh_act, cache.ln2.output(params.ln2_beta),
+                             params.fc1_weight, grads.fc1_weight, grads.fc1_bias)
+    del dh_act
     dx_mid, grads.ln2_gamma[...], grads.ln2_beta[...] = layer_norm_backward(
         cache.ln2, dxhat2)
+    del dxhat2
     dx_mid += dout
 
     # Attention path: x_mid = x + proj(merge(attn @ v))
@@ -225,8 +231,9 @@ def _block_backward_batch(params: BlockParams, cache: BlockCache, dout: Array,
         # the qkv projection receives gradient.
         grads.qkv_weight[:2 * d] = 0.0
         grads.qkv_bias[:2 * d] = 0.0
-        dxhat1 = linear_backward(dctx, cache.xhat1, params.qkv_weight[2 * d:],
-                                 grads.qkv_weight[2 * d:], grads.qkv_bias[2 * d:])
+        dqkv, weight = dctx, params.qkv_weight[2 * d:]
+        dweight, dbias = grads.qkv_weight[2 * d:], grads.qkv_bias[2 * d:]
+        del dctx
     else:
         dctx_h = _split_heads(dctx, config.heads)
         dattn = dctx_h @ cache.v.transpose(0, 1, 3, 2)
@@ -236,17 +243,23 @@ def _block_backward_batch(params: BlockParams, cache: BlockCache, dout: Array,
                       for i in range(3))
         a = cache.attn
         np.matmul(a.transpose(0, 1, 3, 2), dctx_h, out=dv)
+        del dctx, dctx_h
         # softmax backward over the key axis
         dscores = a * (dattn - np.sum(dattn * a, axis=-1, keepdims=True))
+        del dattn
         scale = 1.0 / math.sqrt(config.head_dim)
         np.matmul(dscores, cache.k, out=dq)
         dq *= scale
         np.matmul(dscores.transpose(0, 1, 3, 2), cache.q, out=dk)
         dk *= scale
-        dxhat1 = linear_backward(dqkv, cache.xhat1, params.qkv_weight,
-                                 grads.qkv_weight, grads.qkv_bias)
+        del dscores, dq, dk, dv
+        weight, dweight, dbias = params.qkv_weight, grads.qkv_weight, grads.qkv_bias
+    dxhat1 = linear_backward(dqkv, cache.ln1.output(params.ln1_beta), weight,
+                             dweight, dbias)
+    del dqkv
     dx, grads.ln1_gamma[...], grads.ln1_beta[...] = layer_norm_backward(
         cache.ln1, dxhat1)
+    del dxhat1
     dx += dx_mid
     return dx
 

@@ -66,11 +66,15 @@ def build_class_stats(labels, num_classes: int) -> ClassStats:
 def _checked_counts(counts) -> tuple[Array, int]:
     """`counts` as int64 and its exact total, if every class-count rule holds."""
     counts = np.asarray(counts)
+    not_whole = "counts must be whole numbers below 2^63"
     # a float's cast to int64 would drop its fraction or turn nan into garbage
     if counts.dtype.kind == "f" and not np.all(
             (np.trunc(counts) == counts) & (abs(counts) < 2.0 ** 63)):
-        raise DataError("counts must be whole numbers below 2^63")
-    counts = counts.astype(np.int64, copy=False)
+        raise DataError(not_whole)
+    try:
+        counts = counts.astype(np.int64, copy=False)
+    except OverflowError:  # a Python int beyond int64, in an object array
+        raise DataError(not_whole) from None
     if counts.ndim != 1 or counts.size == 0:
         raise DataError("counts must be a non-empty vector")
     values = counts.tolist()  # Python ints: exact, and cheap on short vectors

@@ -86,7 +86,9 @@ class ParamVector(Mapping):
 def logsumexp_rows(m: Array) -> Array:
     """Row-wise log-sum-exp of a 2-D array, returned as shape (rows, 1)."""
     mx = np.max(m, axis=1, keepdims=True)
-    return mx + np.log(np.sum(np.exp(m - mx), axis=1, keepdims=True))
+    e = m - mx  # the one (rows, cols) temporary
+    np.exp(e, out=e)
+    return mx + np.log(np.sum(e, axis=1, keepdims=True))
 
 
 def softmax_rows(logits: Array) -> Array:
@@ -127,6 +129,12 @@ class LayerNormCache:
     xhat: Array
     inv_std: Array
     gamma: Array
+
+    def output(self, beta: Array) -> Array:
+        """The layer norm's output, formed by the forward's own operations."""
+        y = self.gamma * self.xhat
+        y += beta
+        return y
 
 
 # GELU and the SGD update run over tiles of at most this many float64 values
@@ -173,9 +181,8 @@ def layer_norm(x: Array, gamma: Array, beta: Array,
     var += eps
     inv_std = np.divide(1.0, np.sqrt(var, out=var), out=var)
     xhat *= inv_std
-    y = gamma * xhat
-    y += beta
-    return y, LayerNormCache(xhat, inv_std, gamma)
+    cache = LayerNormCache(xhat, inv_std, gamma)
+    return cache.output(beta), cache
 
 
 def layer_norm_backward(cache: LayerNormCache,
@@ -202,33 +209,41 @@ def layer_norm_backward(cache: LayerNormCache,
     return dx, dgamma, dbeta
 
 
-def _gelu(x, derivative: bool) -> tuple:
+def _gelu(x, derivative: bool, out: Array | None = None) -> tuple:
     """The tiled tanh-GELU pass: (value,) or (value, derivative).
 
     Works through the flattened input in tiles of at most _TILE values, so
     that every elementwise pass over a tile hits cache. Powers are expanded
     into multiplications, an order of magnitude faster than float64 `**`.
-    The derivative reuses each tile's x^2 and tanh; without it, the value is
-    formed in place in the output. 0-d input gives scalars.
+    The derivative reuses each tile's x^2 and tanh. Each tile's value is
+    written last, in one pass that reads the input for the last time, so
+    `out` (a C-contiguous float64 array of x's shape) may be x itself.
+    0-d input without `out` gives scalars.
     """
     x = np.asarray(x, dtype=np.float64)
-    flat = x.reshape(-1)
-    value = np.empty(x.shape)
+    value = np.empty(x.shape) if out is None else out
+    if out is not None and (
+            not isinstance(out, np.ndarray) or out.shape != x.shape
+            or out.dtype != np.float64 or not out.flags.c_contiguous
+            or out is not x and np.may_share_memory(out, x)):
+        raise ShapeError(f"gelu out= must be a C-contiguous float64 {x.shape} "
+                         "array: the input itself or one disjoint from it")
     outs = (value, np.empty(x.shape)) if derivative else (value,)
-    vflat, gflat = value.reshape(-1), outs[-1].reshape(-1)
+    flat, vflat, gflat = x.reshape(-1), value.reshape(-1), outs[-1].reshape(-1)
     step, tiles = _row_tiles(flat.size)
-    x2_buf, t_buf = (np.empty(step), np.empty(step)) if derivative else (None, None)
+    t_buf = np.empty(step)
+    x2_buf, h_buf = (np.empty(step), np.empty(step)) if derivative else (t_buf, t_buf)
     for s in tiles:
-        xs, v = flat[s], vflat[s]
-        x2, t = (x2_buf[:len(xs)], t_buf[:len(xs)]) if derivative else (v, v)
+        xs = flat[s]
+        x2, t, h = x2_buf[:len(xs)], t_buf[:len(xs)], h_buf[:len(xs)]
         np.multiply(xs, xs, out=x2)
         np.multiply(x2, _GELU_A, out=t)
         t += 1.0
         t *= xs
         t *= _GELU_C
         np.tanh(t, out=t)
-        np.add(t, 1.0, out=v)
-        v *= 0.5  # 0.5 * (1 + tanh), also the derivative's last term
+        np.add(t, 1.0, out=h)
+        h *= 0.5  # 0.5 * (1 + tanh), also the derivative's last term
         if derivative:
             du = x2
             du *= 3.0 * _GELU_A
@@ -240,23 +255,24 @@ def _gelu(x, derivative: bool) -> tuple:
             g *= du
             g *= xs
             g *= 0.5
-            g += v
-        v *= xs
-    return tuple(o[()] for o in outs) if x.ndim == 0 else outs
+            g += h
+        np.multiply(h, xs, out=vflat[s])
+    return tuple(o[()] for o in outs) if x.ndim == 0 and out is None else outs
 
 
-def gelu_with_grad(x) -> tuple[Array, Array]:
-    """tanh-approximation GELU and its derivative, computed together."""
-    return _gelu(x, True)
+def gelu_with_grad(x, out: Array | None = None) -> tuple[Array, Array]:
+    """tanh-approximation GELU and its derivative; the value goes into `out`
+    when given, which may be `x` itself."""
+    return _gelu(x, True, out)
 
 
-def gelu(x):
+def gelu(x, out: Array | None = None):
     """tanh-approximation GELU: 0.5*x*(1 + tanh(c*(x + a*x^3))).
 
     The value alone, for inference: `gelu_with_grad`'s pass without the
-    derivative steps, so the two agree bit for bit.
+    derivative steps, so the two agree bit for bit. `out` is as there.
     """
-    return _gelu(x, False)[0]
+    return _gelu(x, False, out)[0]
 
 
 def dropout_mask(shape, rate: float, rng: np.random.Generator) -> Array:

@@ -9,6 +9,7 @@ import math
 import time
 
 import numpy as np
+import pytest
 
 from lthead import (DecoderConfig, SyntheticSpec, TextClassEmbeddings,
                     TrainConfig, build_class_stats, evaluate, generate_synthetic_lt, init_calibrator,
@@ -127,6 +128,7 @@ def test_criterion_4_sampler_statistics():
                      f"{elapsed:.2f}s)", ok)
 
 
+@pytest.mark.slow
 def test_criterion_5_synthetic_longtail_benchmark():
     start = time.perf_counter()
     spec = SyntheticSpec(num_classes=50, head_count=500, imbalance_ratio=100.0,

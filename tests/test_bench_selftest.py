@@ -10,9 +10,12 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 ROOT = Path(__file__).resolve().parents[1]
 
 
+@pytest.mark.slow
 def test_benchmark_selftest_passes():
     proc = subprocess.run([sys.executable, "benchmarks/selftest.py"], cwd=ROOT,
                           capture_output=True, text=True, timeout=600)

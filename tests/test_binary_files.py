@@ -131,3 +131,21 @@ def test_save_checkpoint_rejects_counts_that_are_not_whole(tmp_path, counts):
     with pytest.raises(DataError, match="whole numbers"):
         save_checkpoint(path, init_decoder(dc, make_rng(0)), counts)
     assert not path.exists()
+
+
+def test_header_field_that_does_not_fit_rejected_before_open(tmp_path):
+    # FeatureDataset accepts any class count; the header holds it in a u32
+    ds = FeatureDataset(features=np.ones((2, 1, 3)), labels=[0, 1],
+                        num_classes=2 ** 32)
+    path = tmp_path / "data.train"
+    with pytest.raises(FormatError, match="num_classes=4294967296"):
+        save_features(ds, path)
+    assert not path.exists()
+
+
+def test_save_checkpoint_rejects_python_int_counts_beyond_int64(tmp_path):
+    dc = DecoderConfig(dim=8, num_classes=3, depth=1, heads=2)
+    path = tmp_path / "model.ckpt"
+    with pytest.raises(DataError, match="whole numbers"):
+        save_checkpoint(path, init_decoder(dc, make_rng(0)), [2 ** 70, 1, 1])
+    assert not path.exists()

@@ -1,4 +1,5 @@
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import numpy.testing as npt
@@ -410,3 +411,40 @@ class TestCacheReuse:
         want, _ = forward_batch(head, tokens, None, True)
         assert_same_bits(logits, want, "logits")
         backward_batch(head, cache, np.zeros((2, 3)))
+
+
+class TestBackwardMemory:
+    def test_backward_writes_neither_dout_nor_cache(self):
+        cfg = DecoderConfig(dim=8, num_classes=3, depth=1, heads=2, dropout=0.5)
+        head = init_decoder(cfg, make_rng(0))
+        for t in (1, 3):
+            _, cache = forward_batch(head, make_rng(t).standard_normal((4, t, 8)),
+                                     make_rng(2), True)
+            dout = make_rng(3).standard_normal((4, t, 8))
+            before = [(p, np.copy(v)) for p, v in cache_fields(cache)]
+            dout_before = dout.copy()
+            _block_backward_batch(head.blocks[0], cache.block_caches[0], dout,
+                                  cfg, DecoderHead(cfg).blocks[0])
+            assert_same_bits(dout, dout_before, "dout")
+            for (path, a), (_, b) in zip(cache_fields(cache), before):
+                assert_same_bits(a, b, path)
+
+    def test_backward_peak_under_a_quarter_of_the_cache(self):
+        # Stage one's shape at T=8. Each intermediate gradient is dropped once
+        # consumed, so the backward's temporaries and its gradient vector
+        # stay under a quarter of the forward cache.
+        cfg = DecoderConfig(dim=64, num_classes=50, depth=3, heads=4, dropout=0.5)
+        head = init_decoder(cfg, make_rng(0))
+        _, cache = forward_batch(head, make_rng(1).standard_normal((256, 8, 64)),
+                                 make_rng(2), True)
+        dlogits = make_rng(3).standard_normal((256, 50))
+        cache_bytes = sum(leaf.nbytes for path, leaf in cache_fields(cache)
+                          if isinstance(leaf, np.ndarray)
+                          and not path.endswith("gamma"))
+        tracemalloc.start()
+        try:
+            backward_batch(head, cache, dlogits)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 0.25 * cache_bytes

@@ -64,6 +64,12 @@ class TestClassStats:
         with pytest.raises(DataError, match="whole numbers"):
             stats_from_counts(counts)
 
+    @pytest.mark.parametrize("big", [2 ** 70, -2 ** 70])
+    def test_python_int_counts_beyond_int64_rejected(self, big):
+        # an object array, whose int64 cast overflows
+        with pytest.raises(DataError, match="whole numbers"):
+            stats_from_counts([big, 1])
+
     def test_whole_float_counts_accepted(self):
         stats = stats_from_counts([4.0, 2.0, 2.0 ** 62])
         assert stats.counts.dtype == np.int64

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import numpy.testing as npt
@@ -42,6 +43,27 @@ class TestLogSumExp:
             v = rng.standard_normal(7) * 5
             c = float(rng.standard_normal()) * 10
             assert lse(v + c) == pytest.approx(lse(v) + c, abs=1e-12)
+
+    @pytest.mark.parametrize("shape", [(1, 1), (3, 7), (256, 50), (17, 8142)])
+    @pytest.mark.parametrize("scale", [1e-3, 1.0, 700.0])
+    def test_bits_match_two_temporary_expression(self, shape, scale):
+        m = scale * make_rng(shape[1]).standard_normal(shape)
+        if shape[1] > 1:
+            m[0, -1] = -np.inf  # exp gives exactly 0 either way
+        mx = np.max(m, axis=1, keepdims=True)
+        want = mx + np.log(np.sum(np.exp(m - mx), axis=1, keepdims=True))
+        npt.assert_array_equal(logsumexp_rows(m).view(np.uint64),
+                               want.view(np.uint64))
+
+    def test_peak_is_one_temporary(self):
+        m = make_rng(0).standard_normal((256, 2000))
+        tracemalloc.start()
+        try:
+            logsumexp_rows(m)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.1 * m.nbytes
 
 
 class TestSoftmaxRows:
@@ -288,6 +310,65 @@ class TestTilesMatchUntiled:
         ref = untiled_layer_norm_backward(xhat_ref, inv_ref, gamma, dy)
         for got, want in zip(layer_norm_backward(cache, dy), ref):
             npt.assert_array_equal(got, want, strict=True)
+
+
+class TestLayerNormOutput:
+    @pytest.mark.parametrize("name", list(tile_inputs()))
+    def test_recomputed_output_equals_forward_bitwise(self, name):
+        # the decoder's backward recomputes the output instead of caching it
+        x = tile_inputs()[name]
+        rng = make_rng(42)
+        gamma, beta = rng.standard_normal(x.shape[-1]), rng.standard_normal(x.shape[-1])
+        y, cache = layer_norm(x, gamma, beta)
+        npt.assert_array_equal(cache.output(beta), y, strict=True)
+
+
+class TestGeluOut:
+    """`out=` takes the value; it may be the input itself, with the same bits."""
+
+    SIZES = [1, _TILE - 1, _TILE, _TILE + 1, 3 * _TILE + 5]
+
+    @staticmethod
+    def inputs(n, special):
+        x = 4.0 * make_rng(n).standard_normal(n)
+        for i in (0, n - 1, _TILE - 1, _TILE):  # both ends and a tile edge
+            if i < n:
+                x[i] = special
+        return x
+
+    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+    @pytest.mark.parametrize("special", [0.0, -0.0, np.inf, -np.inf, np.nan])
+    @pytest.mark.parametrize("n", SIZES)
+    def test_in_place_equals_fresh_bitwise(self, n, special):
+        x = self.inputs(n, special)
+        v_ref, g_ref = gelu_with_grad(x)
+        y = x.copy()
+        v, g = gelu_with_grad(y, out=y)
+        assert v is y
+        npt.assert_array_equal(v.view(np.uint64), v_ref.view(np.uint64))
+        npt.assert_array_equal(g.view(np.uint64), g_ref.view(np.uint64))
+        z = x.copy()
+        assert gelu(z, out=z) is z
+        npt.assert_array_equal(z.view(np.uint64), v_ref.view(np.uint64))
+
+    def test_separate_out_leaves_input(self):
+        x = self.inputs(_TILE + 1, np.nan)
+        x_before, out = x.copy(), np.empty_like(x)
+        assert gelu(x, out=out) is out
+        npt.assert_array_equal(out.view(np.uint64), gelu(x).view(np.uint64))
+        npt.assert_array_equal(x.view(np.uint64), x_before.view(np.uint64))
+
+    @pytest.mark.parametrize("fn", [gelu, gelu_with_grad])
+    def test_bad_out_rejected(self, fn):
+        x = make_rng(0).standard_normal((4, 6))
+        buf = np.empty(48)
+        for out in (np.empty((4, 5)), np.empty(24), np.empty((4, 6), np.float32),
+                    buf[::2].reshape(4, 6), [[0.0] * 6] * 4):
+            with pytest.raises(ShapeError, match="out="):
+                fn(x, out=out)
+        overlapping = np.empty(25)
+        with pytest.raises(ShapeError, match="out="):
+            fn(overlapping[:24].reshape(4, 6), out=overlapping[1:].reshape(4, 6))
 
 
 class TestDropoutMask:
