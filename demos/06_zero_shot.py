@@ -2,8 +2,9 @@
 """Zero-shot classification from embeddings alone.
 
 Given one unit vector per class (text embeddings of class prompts, in the
-real pipeline) and image embeddings in the same space, the prediction is a
-softmax over cosine similarities. No training happens anywhere.
+real pipeline) and image embeddings in the same space, the prediction is the
+class of highest cosine similarity and the probabilities are a softmax over
+the cosines. No training happens anywhere.
 """
 
 import math

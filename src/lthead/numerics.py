@@ -98,7 +98,8 @@ def softmax_rows(logits: Array) -> Array:
         raise ShapeError(f"softmax_rows expects a 2-D array, got {logits.shape}")
     if not np.all(np.isfinite(logits)):
         raise DomainError("softmax_rows requires finite logits")
-    return np.exp(logits - logsumexp_rows(logits))
+    out = logits - logsumexp_rows(logits)  # the result's one buffer
+    return np.exp(out, out=out)
 
 
 def softmax_last(x: Array) -> Array:
@@ -151,12 +152,12 @@ def _row_tiles(size: int) -> tuple[int, list[slice]]:
     return min(size, _TILE), [slice(i, i + _TILE) for i in range(0, size, _TILE)]
 
 
-def layer_norm(x: Array, gamma: Array, beta: Array,
-               eps: float = 1e-5) -> tuple[Array, LayerNormCache]:
+def layer_norm(x: Array, gamma: Array, beta: Array) -> tuple[Array, LayerNormCache]:
     """Normalize over the last axis, then scale and shift.
 
     Accepts a vector or any (..., D) stack of vectors; `gamma` and `beta`
-    are (D,). Returns the output and the cache the backward pass needs.
+    are (D,); 1e-5 is added to each variance. Returns the output and the
+    cache the backward pass needs.
     The input is read in C order, so every row is reduced over unit-stride
     values whatever the input's layout.
     """
@@ -170,15 +171,13 @@ def layer_norm(x: Array, gamma: Array, beta: Array,
         raise ShapeError(
             f"layer_norm parameter length {gamma.shape}/{beta.shape} "
             f"does not match feature size {x.shape[-1]}")
-    if eps <= 0:
-        raise DomainError("layer_norm eps must be positive")
     d = x.shape[-1]
     mean = np.sum(x, axis=-1, keepdims=True)
     mean /= d
     xhat = x - mean
     var = np.sum(xhat * xhat, axis=-1, keepdims=True)
     var /= d
-    var += eps
+    var += 1e-5
     inv_std = np.divide(1.0, np.sqrt(var, out=var), out=var)
     xhat *= inv_std
     cache = LayerNormCache(xhat, inv_std, gamma)
@@ -301,18 +300,16 @@ class GradCheckReport:
 
 
 def finite_diff_check(f: Callable[[Array], tuple[float, Array]],
-                      params: Array,
-                      eps: float = 1e-5,
-                      tol: float = 1e-5,
-                      floor: float = 1e-4) -> GradCheckReport:
+                      params: Array, tol: float = 1e-5) -> GradCheckReport:
     """Compare f's analytic gradient with central finite differences.
 
     `f` maps a flat float64 parameter vector to (value, gradient). Every
-    coordinate is perturbed by +/- eps and the centered difference is
+    coordinate is perturbed by +/- 1e-5 and the centered difference is
     compared against the analytic gradient at the unperturbed point.
-    Relative error uses max(|analytic|, |numeric|, floor) as denominator, so
-    coordinates whose gradient is below `floor` are judged absolutely.
+    Relative error uses max(|analytic|, |numeric|, 1e-4) as denominator, so
+    coordinates whose gradient is below 1e-4 are judged absolutely.
     """
+    eps, floor = 1e-5, 1e-4
     params = np.asarray(params, dtype=np.float64)
     if params.ndim != 1:
         raise ShapeError("finite_diff_check expects a flat parameter vector")

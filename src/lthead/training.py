@@ -374,6 +374,14 @@ def report_json(report: EvalReport) -> str:
     return json.dumps(report.to_dict(), indent=2, sort_keys=True) + "\n"
 
 
+def _unit_rows(matrix: Array, what: str) -> Array:
+    """`matrix`'s rows divided by their norms, which must be finite and nonzero."""
+    norms = np.sqrt(np.sum(matrix ** 2, axis=1, keepdims=True))
+    if not np.all(np.isfinite(norms) & (norms > 0)):
+        raise DataError(f"{what} must have finite, nonzero norms")
+    return matrix / norms
+
+
 @dataclass(frozen=True)
 class TextClassEmbeddings:
     """Unit-normalized class text embeddings, one row per class."""
@@ -384,29 +392,21 @@ class TextClassEmbeddings:
         matrix = np.asarray(matrix, dtype=np.float64)
         if matrix.ndim != 2:
             raise ShapeError("class embeddings must be a (K, D) matrix")
-        norms = np.sqrt(np.sum(matrix ** 2, axis=1, keepdims=True))
-        if not np.all(np.isfinite(norms) & (norms > 0)):
-            raise DataError("class embeddings must have finite, nonzero norms")
-        return TextClassEmbeddings(matrix=matrix / norms)
+        return TextClassEmbeddings(matrix=_unit_rows(matrix, "class embeddings"))
 
 
-def zero_shot_classify(image_embs: Array, class_embs: TextClassEmbeddings,
-                       temperature: float = 1.0) -> tuple[Array, Array]:
+def zero_shot_classify(image_embs: Array,
+                       class_embs: TextClassEmbeddings) -> tuple[Array, Array]:
     """Cosine-similarity classification against class text embeddings.
 
-    Predictions are the argmax of the cosine similarities, so they do not
-    depend on the temperature; probabilities are softmax(cos / temperature)
-    per image. Rescaling an image embedding by any positive constant leaves
-    the result unchanged.
+    Returns the argmax of the cosine similarities and softmax(cos) per
+    image. Image rows follow the class rows' rule: finite, nonzero norms.
+    Rescaling an image embedding by a positive constant leaves the result
+    unchanged up to rounding, while its squared norm stays finite and
+    nonzero. The peak is two (N, K) arrays: the cosines and the result.
     """
-    if not 0 < temperature < math.inf:
-        raise DomainError(f"temperature must be positive and finite, "
-                          f"got {temperature}")
     image_embs = np.asarray(image_embs, dtype=np.float64)
     if image_embs.ndim != 2 or image_embs.shape[1] != class_embs.matrix.shape[1]:
         raise ShapeError("image embeddings must be (N, D) with matching D")
-    norms = np.sqrt(np.sum(image_embs ** 2, axis=1, keepdims=True))
-    if np.any(norms == 0):
-        raise DataError("image embeddings must have nonzero norm")
-    cosine = (image_embs / norms) @ class_embs.matrix.T
-    return np.argmax(cosine, axis=1), softmax_rows(cosine / temperature)
+    cosine = _unit_rows(image_embs, "image embeddings") @ class_embs.matrix.T
+    return np.argmax(cosine, axis=1), softmax_rows(cosine)

@@ -20,6 +20,11 @@ class TestExponentialProfile:
     def test_balanced_degenerate(self):
         npt.assert_array_equal(exponential_profile(64, 1.0, 5), [64] * 5)
 
+    def test_single_class_is_head_count(self):
+        counts = exponential_profile(7, 3.0, 1)
+        assert counts.dtype == np.int64
+        npt.assert_array_equal(counts, [7])
+
     def test_endpoints(self):
         counts = exponential_profile(500, 100.0, 50)
         assert counts[0] == 500

@@ -1,16 +1,21 @@
 """Raise sites that no other test reaches: each call must fail with the
 given exception type and message."""
 
+import math
+import os
+
 import numpy as np
 import pytest
 
 from lthead import (CLASS_BALANCED, ConfigError, DataError, DecoderConfig,
-                    DomainError, FeatureDataset, ShapeError, StateError,
-                    TextClassEmbeddings, TrainConfig, backward_batch,
-                    forward_batch, init_calibrator, init_decoder,
-                    make_loss_spec, make_rng, metrics_from_predictions,
-                    parse_run_config, sample_batch, stats_from_counts,
-                    total_loss, zero_shot_classify)
+                    DomainError, EvaluationError, FeatureDataset, FormatError,
+                    ShapeError, StateError, SyntheticSpec, TextClassEmbeddings,
+                    TrainConfig, backward_batch, build_class_stats,
+                    finite_diff_check, forward_batch, init_calibrator,
+                    init_decoder, make_loss_spec, make_rng,
+                    metrics_from_predictions, parse_run_config, read_text_rows,
+                    run_gradcheck, sample_batch, softmax_rows,
+                    stats_from_counts, total_loss, zero_shot_classify)
 from lthead.calibrators import apply_batch
 
 STATS = stats_from_counts([5, 3, 1])
@@ -22,6 +27,7 @@ CACHE = forward_batch(HEAD, np.ones((2, 1, 8)), make_rng(1), True)[1]
 CAL = init_calibrator("marc", 3, 8, make_rng(2))
 DS = FeatureDataset(features=np.ones((3, 1, 2)), labels=[0, 1, 2], num_classes=3)
 EMB = TextClassEmbeddings.from_matrix(np.eye(3))
+SPEC_KW = dict(num_classes=3, head_count=10, imbalance_ratio=2.0, dim=2)
 
 CASES = {
     "loss_logits_not_k_wide": (
@@ -128,6 +134,65 @@ CASES = {
     "class_embeddings_1d": (
         lambda: TextClassEmbeddings.from_matrix(np.ones(3)),
         ShapeError, r"class embeddings must be a \(K, D\) matrix"),
+    "dataset_features_2d": (
+        lambda: FeatureDataset(features=np.ones((3, 2)), labels=[0, 1, 2],
+                               num_classes=3),
+        DataError, r"features must be \(N, T, D\), got \(3, 2\)"),
+    "dataset_labels_too_short": (
+        lambda: FeatureDataset(features=np.ones((3, 1, 2)), labels=[0, 1],
+                               num_classes=3),
+        DataError, "labels length must match the sample count"),
+    "dataset_no_classes": (
+        lambda: FeatureDataset(features=np.ones((3, 1, 2)), labels=[0, 0, 0],
+                               num_classes=0),
+        DataError, "num_classes must be >= 1"),
+    "dataset_unknown_role": (
+        lambda: FeatureDataset(features=np.ones((3, 1, 2)), labels=[0, 1, 2],
+                               num_classes=3, role="validation"),
+        DataError, r"role must be one of \['test', 'train'\]"),
+    "synthetic_ratio_below_1": (
+        lambda: SyntheticSpec(**{**SPEC_KW, "imbalance_ratio": 0.5}),
+        ConfigError, "imbalance ratio must be >= 1"),
+    "synthetic_head_below_ratio": (
+        lambda: SyntheticSpec(**{**SPEC_KW, "head_count": 1}),
+        ConfigError, "head_count must be >= imbalance_ratio"),
+    "synthetic_zero_tokens": (
+        lambda: SyntheticSpec(**SPEC_KW, tokens=0),
+        ConfigError, "dim and tokens must be >= 1"),
+    "synthetic_negative_test_per_class": (
+        lambda: SyntheticSpec(**SPEC_KW, test_per_class=-1),
+        ConfigError, "test_per_class must be >= 0"),
+    "text_rows_empty_file": (
+        lambda: read_text_rows(os.devnull),
+        FormatError, "no data rows"),
+    "decoder_negative_depth": (
+        lambda: DecoderConfig(dim=8, num_classes=3, depth=-1),
+        ConfigError, "depth must be >= 0"),
+    "gradcheck_unknown_module": (
+        lambda: run_gradcheck("optimizers"),
+        ConfigError, "unknown gradcheck module 'optimizers'"),
+    "class_stats_zero_labels": (
+        lambda: build_class_stats(np.array([], dtype=np.int64), 3),
+        DataError, "cannot build class statistics from zero labels"),
+    "counts_empty": (
+        lambda: stats_from_counts([]),
+        DataError, "counts must be a non-empty vector"),
+    "softmax_rows_1d": (
+        lambda: softmax_rows(np.zeros(3)),
+        ShapeError, r"softmax_rows expects a 2-D array, got \(3,\)"),
+    "softmax_rows_inf": (
+        lambda: softmax_rows(np.array([[0.0, math.inf]])),
+        DomainError, "softmax_rows requires finite logits"),
+    "finite_diff_params_2d": (
+        lambda: finite_diff_check(lambda p: (0.0, p), np.zeros((2, 2))),
+        ShapeError, "finite_diff_check expects a flat parameter vector"),
+    "finite_diff_gradient_too_long": (
+        lambda: finite_diff_check(lambda p: (0.0, np.zeros(3)), np.zeros(2)),
+        ShapeError, "analytic gradient length does not match parameters"),
+    "finite_diff_perturbed_value_inf": (
+        lambda: finite_diff_check(
+            lambda p: (0.0 if p[0] == 0 else math.inf, np.zeros(1)), np.zeros(1)),
+        EvaluationError, "non-finite value at coordinate 0"),
 }
 
 

@@ -374,8 +374,8 @@ class TestTotalLossBits:
 
 @pytest.mark.parametrize("variant", VARIANTS)
 def test_peak_memory_three_batch_arrays(variant):
-    # the adjusted logits' buffer (returned as the gradient) plus the two
-    # temporaries of logsumexp_rows; lade's regularizer fits in the same room
+    # the adjusted logits' buffer (returned as the gradient) plus the one
+    # temporary of logsumexp_rows; lade's regularizer fits in the same room
     batch, k = 128, 4096
     rng = make_rng(18)
     stats = stats_from_counts(rng.integers(1, 1000, size=k))
@@ -390,6 +390,27 @@ def test_peak_memory_three_batch_arrays(variant):
     finally:
         tracemalloc.stop()
     assert peak <= 3.25 * batch * k * 8, peak / (batch * k * 8)
+
+
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_peak_memory_two_batch_arrays_but_lade(variant):
+    # 3.25 above would pass a return to three arrays; only lade's column-wise
+    # regularizer needs the third
+    batch, k = 128, 4096
+    rng = make_rng(18)
+    stats = stats_from_counts(rng.integers(1, 1000, size=k))
+    spec = make_loss_spec(variant, stats)
+    logits = rng.standard_normal((batch, k)) * 3
+    labels = rng.integers(0, k, size=batch)
+    total_loss(spec, logits, labels, stats)
+    tracemalloc.start()
+    try:
+        total_loss(spec, logits, labels, stats)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    bound = 3.25 if variant == "lade" else 2.25
+    assert peak <= bound * batch * k * 8, peak / (batch * k * 8)
 
 
 class TestLossSpecValidation:

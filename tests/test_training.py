@@ -22,7 +22,8 @@ from lthead import (CALIBRATOR_VARIANTS, ConfigError, DecoderConfig,
                     zero_shot_classify)
 from lthead.decoder import param_count
 from lthead.numerics import _TILE
-from lthead.training import EvalReport, report_json, render_report
+from lthead.training import (EvalReport, report_json, render_report,
+                             stage2_schedule)
 
 
 def small_cfg(**kw):
@@ -65,6 +66,11 @@ class TestLrSchedule:
             lr_at(self.CFG, 8192)
         with pytest.raises(DomainError):
             lr_at(self.CFG, -1)
+
+    def test_stage2_schedule_after_empty_stage_one(self):
+        cfg = stage2_schedule(TrainConfig(total_iters=0, warmup_iters=0,
+                                          stage2_iters=8))
+        assert (cfg.total_iters, cfg.warmup_iters) == (8, 0)
 
 
 class TestSgdStep:
@@ -628,7 +634,7 @@ class TestZeroShot:
         class_mat = rng.standard_normal((k, d))
         images = rng.standard_normal((n, d))
         emb = TextClassEmbeddings.from_matrix(class_mat)
-        _, probs = zero_shot_classify(images, emb, temperature=1.0)
+        _, probs = zero_shot_classify(images, emb)
 
         for i in range(n):
             cos = np.empty(k)
@@ -657,32 +663,37 @@ class TestZeroShot:
         norms = np.linalg.norm(emb.matrix, axis=1)
         npt.assert_allclose(norms, 1.0, rtol=0, atol=1e-9)
 
-    def test_temperature_sharpens(self):
-        rng = make_rng(5)
-        emb = TextClassEmbeddings.from_matrix(rng.standard_normal((3, 4)))
-        images = rng.standard_normal((5, 4))
-        _, p_hot = zero_shot_classify(images, emb, temperature=0.05)
-        _, p_base = zero_shot_classify(images, emb, temperature=1.0)
-        assert p_hot.max(axis=1).min() >= p_base.max(axis=1).min()
-        with pytest.raises(DomainError):
-            zero_shot_classify(images, emb, temperature=0.0)
-
-    def test_predictions_independent_of_temperature(self):
-        # argmax is invariant under the monotone map cos -> cos / temperature,
-        # however far that map pushes the softmax toward uniform
+    def test_predictions_equal_cosine_argmax(self):
         rng = make_rng(6)
         emb = TextClassEmbeddings.from_matrix(rng.standard_normal((5, 8)))
         images = rng.standard_normal((200, 8))
         cosine = (images / np.linalg.norm(images, axis=1, keepdims=True)) @ emb.matrix.T
-        for temperature in (0.05, 1.0, 1e17, 1e300):
-            preds, _ = zero_shot_classify(images, emb, temperature)
-            npt.assert_array_equal(preds, np.argmax(cosine, axis=1))
+        preds, _ = zero_shot_classify(images, emb)
+        npt.assert_array_equal(preds, np.argmax(cosine, axis=1))
 
-    @pytest.mark.parametrize("temperature", [math.nan, math.inf])
-    def test_bad_temperature_rejected(self, temperature):
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, 1e200])
+    def test_non_finite_images_rejected(self, bad):
+        # 1e200 is finite, but its squared norm overflows to inf
         emb = TextClassEmbeddings.from_matrix(np.eye(3))
-        with pytest.raises(DomainError, match="temperature"):
-            zero_shot_classify(np.eye(3), emb, temperature)
+        images = np.eye(3)
+        images[1] = [0.0, 0.0, bad]
+        with np.errstate(over="ignore"), pytest.raises(
+                DataError, match="image embeddings must have finite, nonzero norms"):
+            zero_shot_classify(images, emb)
+
+    def test_peak_two_result_arrays(self):
+        # the cosines and the probabilities; the softmax exponentiates in place
+        n, k, d = 2048, 2000, 64
+        rng = make_rng(7)
+        emb = TextClassEmbeddings.from_matrix(rng.standard_normal((k, d)))
+        images = rng.standard_normal((n, d))
+        tracemalloc.start()
+        try:
+            zero_shot_classify(images, emb)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2.25 * n * k * 8, peak / (n * k * 8)
 
 
 THREAD_RUN = """
