@@ -2,12 +2,12 @@
 
 Pre-norm blocks (multi-head self-attention, then a GELU MLP with dropout on
 its output), mean pooling over tokens, and a linear classifier; every affine
-map is `numerics.linear`. Train-mode forward passes cache the activations the
-backward pass needs, except the layer-norm outputs, which the backward
-recomputes with the forward's own operations (so its gradients stay exact),
-and can overwrite the previous forward's cache block by block (`out=`); eval
-mode is inference only and keeps no caches, computes no GELU derivative and
-builds no dropout mask.
+map is `numerics.linear`. Train-mode forward passes cache what the backward
+needs, the dropout mask as bools, but neither the layer-norm outputs nor, at
+T>1, the attention context: the backward rebuilds those with the forward's
+own operations, so its gradients stay exact. A train-mode forward can
+overwrite the previous one's cache block by block (`out=`); eval mode keeps
+no caches, computes no GELU derivative and builds no dropout mask.
 Depth 0 degenerates to a linear probe: mean-pool then affine.
 
 Residual sums and gradient products are formed in place, GELU runs in
@@ -29,8 +29,9 @@ import numpy as np
 
 from .exceptions import ConfigError, ShapeError, StateError
 from .numerics import (FAN_IN, Array, LayerNormCache, ParamVector, dropout_mask,
-                       gelu, gelu_with_grad, layer_norm, layer_norm_backward,
-                       layout_size, linear, linear_backward, softmax_last)
+                       dropout_scale, gelu, gelu_with_grad, layer_norm,
+                       layer_norm_backward, layout_size, linear, linear_backward,
+                       softmax_last)
 
 
 @dataclass(frozen=True)
@@ -141,11 +142,11 @@ class BlockCache:
     k: Array | None
     v: Array | None
     attn: Array | None   # (B, h, T, T) softmax weights
-    ctx: Array           # (B, T, D) merged attention context
+    ctx: Array | None    # (B, T, D) value projection at T=1; None at T>1 (rebuilt)
     ln2: LayerNormCache
     h_act: Array         # (B, T, H) gelu output, over the fc1 output
     h_grad: Array        # (B, T, H) gelu derivative at the fc1 output
-    mask: Array          # (B, T, D) dropout mask
+    mask: Array          # (B, T, D) bool kept-mask; see `dropout_scale`
 
 
 @dataclass
@@ -187,6 +188,7 @@ def _block_forward_batch(params: BlockParams, x: Array, config: DecoderConfig,
     del xhat1  # not cached: the backward recomputes it
     x_mid = linear(ctx, params.proj_weight, params.proj_bias)
     x_mid += x
+    ctx = ctx if attn is None else None  # T>1: the backward rebuilds it
 
     xhat2, ln2 = layer_norm(x_mid, params.ln2_gamma, params.ln2_beta)
     h_pre = linear(xhat2, params.fc1_weight, params.fc1_bias)
@@ -200,7 +202,7 @@ def _block_forward_batch(params: BlockParams, x: Array, config: DecoderConfig,
     mlp *= mask
     mlp += x_mid  # the block output, x_mid + mlp * mask
     cache = BlockCache(ln1=ln1, q=q, k=k, v=v, attn=attn, ctx=ctx, ln2=ln2,
-                       h_act=h_act, h_grad=h_grad, mask=mask)
+                       h_act=h_act, h_grad=h_grad, mask=mask != 0)
     return mlp, cache
 
 
@@ -208,11 +210,12 @@ def _block_backward_batch(params: BlockParams, cache: BlockCache, dout: Array,
                           config: DecoderConfig, grads: BlockParams) -> Array:
     """Write every one of the block's parameter gradients into `grads`; return dx.
 
-    Drops each intermediate gradient once consumed and recomputes each
-    layer-norm output where it is read; writes neither `dout` nor `cache`."""
+    Drops each gradient once consumed and rebuilds, where each is read, what
+    the forward did not cache; writes neither `dout` nor `cache`."""
     # MLP path: out = x_mid + mask * fc2(gelu(fc1(LN2(x_mid))))
-    dh_act = linear_backward(dout * cache.mask, cache.h_act, params.fc2_weight,
-                             grads.fc2_weight, grads.fc2_bias)
+    dh_act = linear_backward(dout * dropout_scale(cache.mask, config.dropout),
+                             cache.h_act, params.fc2_weight, grads.fc2_weight,
+                             grads.fc2_bias)
     dh_act *= cache.h_grad  # now the gradient at the fc1 output
     dxhat2 = linear_backward(dh_act, cache.ln2.output(params.ln2_beta),
                              params.fc1_weight, grads.fc1_weight, grads.fc1_bias)
@@ -223,7 +226,8 @@ def _block_backward_batch(params: BlockParams, cache: BlockCache, dout: Array,
     dx_mid += dout
 
     # Attention path: x_mid = x + proj(merge(attn @ v))
-    dctx = linear_backward(dx_mid, cache.ctx, params.proj_weight,
+    dctx = linear_backward(dx_mid, cache.ctx if cache.attn is None else
+                           _merge_heads(cache.attn @ cache.v), params.proj_weight,
                            grads.proj_weight, grads.proj_bias)
     d = config.dim
     if cache.attn is None:

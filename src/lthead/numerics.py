@@ -286,9 +286,13 @@ def dropout_mask(shape, rate: float, rng: np.random.Generator) -> Array:
         return np.ones(shape)
     if rng is None:
         raise StateError(f"train-mode dropout at rate {rate} needs an rng, got None")
-    keep = 1.0 - rate
     r = rng.random(shape)
-    return np.divide(np.less(r, keep), keep, out=r)
+    return dropout_scale(np.less(r, 1.0 - rate), rate, out=r)
+
+
+def dropout_scale(kept, rate: float, out: Array | None = None) -> Array:
+    """`dropout_mask`'s float mask from its bool kept-mask: kept / (1-rate)."""
+    return np.divide(kept, 1.0 - rate, out=out)
 
 
 @dataclass

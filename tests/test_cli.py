@@ -82,8 +82,14 @@ class TestTrain:
                     "--config", str(bad), "--out", str(tmp_path / "x.ckpt")]) == 2
 
     def test_cross_process_determinism(self, workspace, tmp_path):
+        import os
         import subprocess
         import sys
+        from pathlib import Path
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            p for p in (src, env.get("PYTHONPATH")) if p)
         outs = []
         for name in ("p1.ckpt", "p2.ckpt"):
             out = tmp_path / name
@@ -91,7 +97,7 @@ class TestTrain:
                    "--features", str(workspace / "data.train"),
                    "--config", str(workspace / "run.cfg"),
                    "--out", str(out)]
-            proc = subprocess.run(cmd, capture_output=True, text=True)
+            proc = subprocess.run(cmd, env=env, capture_output=True, text=True)
             assert proc.returncode == 0, proc.stderr
             outs.append(out)
         assert outs[0].read_bytes() == outs[1].read_bytes()

@@ -12,7 +12,7 @@ from lthead import (ConfigError, DecoderConfig, DecoderHead, ShapeError,
                     make_rng)
 from lthead.decoder import (BLOCK_FIELDS, _block_backward_batch,
                             _block_forward_batch, param_count, param_layout)
-from lthead.numerics import layout_size
+from lthead.numerics import dropout_mask, dropout_scale, layout_size
 
 
 def zero_block_weights(head):
@@ -448,3 +448,50 @@ class TestBackwardMemory:
         finally:
             tracemalloc.stop()
         assert peak <= 0.25 * cache_bytes
+
+
+class TestCacheContents:
+    def test_multi_token_cache_holds_a_bool_mask_and_no_context(self):
+        cfg = DecoderConfig(dim=8, num_classes=3, depth=2, heads=2, dropout=0.5)
+        head = init_decoder(cfg, make_rng(0))
+        _, cache = forward_batch(head, make_rng(1).standard_normal((4, 8, 8)),
+                                 make_rng(2), True)
+        for bc in cache.block_caches:
+            assert bc.mask.dtype == np.bool_ and bc.mask.shape == (4, 8, 8)
+            assert bc.ctx is None
+
+    def test_single_token_cache_keeps_the_context(self):
+        # at T=1 the context is the value projection; rebuilding it is a GEMM
+        cfg = DecoderConfig(dim=8, num_classes=3, depth=2, heads=2, dropout=0.5)
+        head = init_decoder(cfg, make_rng(0))
+        _, cache = forward_batch(head, make_rng(1).standard_normal((4, 1, 8)),
+                                 make_rng(2), True)
+        for bc in cache.block_caches:
+            assert bc.mask.dtype == np.bool_ and bc.mask.shape == (4, 1, 8)
+            assert bc.ctx is not None and bc.ctx.shape == (4, 1, 8)
+
+    @pytest.mark.parametrize("rate", [0.0, 0.1, 0.3, 0.9])
+    def test_gradients_equal_a_float_mask_reference(self, rate):
+        # 1/(1-rate) rounds differently at each rate. The reference backward
+        # reads dropout_mask's float masks at rate 0, where the float mask is
+        # the cached one divided by exactly 1.
+        cfg = DecoderConfig(dim=8, num_classes=3, depth=2, heads=2, dropout=rate)
+        head = init_decoder(cfg, make_rng(0))
+        b = 5
+        _, cache = forward_batch(head, make_rng(1).standard_normal((b, 8, 8)),
+                                 make_rng(2), True)
+        dlogits = make_rng(3).standard_normal((b, 3))
+        grads, dtokens = backward_batch(head, cache, dlogits)
+
+        rng = make_rng(2)  # the forward draws one mask per block, in order
+        masks = [dropout_mask((b, 8, 8), rate, rng) for _ in head.blocks]
+        for bc, mask in zip(cache.block_caches, masks):
+            assert_same_bits(dropout_scale(bc.mask, rate), mask, "mask")
+        ref_cfg = dataclasses.replace(cfg, dropout=0.0)
+        ref_head = DecoderHead(ref_cfg, head.params.vector.copy())
+        ref_cache = dataclasses.replace(cache, config=ref_cfg, block_caches=[
+            dataclasses.replace(bc, mask=mask)
+            for bc, mask in zip(cache.block_caches, masks)])
+        want, want_dtokens = backward_batch(ref_head, ref_cache, dlogits)
+        assert_same_bits(grads.vector, want.vector, "grads")
+        assert_same_bits(dtokens, want_dtokens, "dtokens")

@@ -257,6 +257,23 @@ class TestTrainStage1:
             tracemalloc.stop()
         assert peak < 1.5 * cache_bytes + vectors_bytes
 
+    def test_peak_at_the_tok8_shape(self):
+        # B=256, T=8, D=64, depth 3: with a bool dropout mask and no cached
+        # attention context two iterations peak near 54.5 MB; a float64 mask
+        # plus a cached context would take them to about 60.4 MB.
+        spec = SyntheticSpec(num_classes=50, head_count=20, imbalance_ratio=4.0,
+                             dim=64, tokens=8, test_per_class=1, seed=0)
+        train, _ = generate_synthetic_lt(spec)
+        dc = DecoderConfig(dim=64, num_classes=50, depth=3, heads=4, dropout=0.5)
+        cfg = small_cfg(total_iters=2, batch_size=256, warmup_iters=1)
+        tracemalloc.start()
+        try:
+            train_stage1(train, cfg, dc, make_rng(0))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 57.5e6
+
 
 class TestTrainStage2:
     @staticmethod
