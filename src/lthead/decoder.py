@@ -1,14 +1,14 @@
 """Lightweight transformer decoder over frozen token features.
 
 Pre-norm blocks (multi-head self-attention, then a GELU MLP with dropout on
-its output), mean pooling over tokens, and a linear classifier; every affine
-map is `numerics.linear`. Train-mode forward passes cache what the backward
-needs, the dropout mask as bools, but neither the layer-norm outputs nor, at
-T>1, the attention context: the backward rebuilds those with the forward's
-own operations, so its gradients stay exact. A train-mode forward can
-overwrite the previous one's cache block by block (`out=`); eval mode keeps
-no caches, computes no GELU derivative and builds no dropout mask.
-Depth 0 degenerates to a linear probe: mean-pool then affine.
+its output) and mean pooling make `pool_batch`; `forward_batch` adds a
+linear classifier. Every affine map is `numerics.linear`. Train-mode forward
+passes cache what the backward needs, the dropout mask as bools, but neither
+the layer-norm outputs nor, at T>1, the attention context: the backward
+rebuilds those with the forward's own operations, so its gradients stay
+exact. A train-mode forward can overwrite the previous one's cache block by
+block (`out=`); eval mode keeps no caches, computes no GELU derivative and
+builds no dropout mask. Depth 0 is a linear probe: mean-pool then affine.
 
 Residual sums and gradient products are formed in place, GELU runs in
 cache-sized tiles over the fc1 output (see `lthead.numerics`), and the
@@ -268,11 +268,11 @@ def _block_backward_batch(params: BlockParams, cache: BlockCache, dout: Array,
     return dx
 
 
-def forward_batch(head: DecoderHead, tokens: Array, rng, train_mode: bool,
-                  out: ForwardCache | None = None) -> tuple[Array, ForwardCache]:
-    """Run a (B, T, D) token batch through the head.
+def pool_batch(head: DecoderHead, tokens: Array, rng, train_mode: bool,
+               out: ForwardCache | None = None) -> tuple[Array, ForwardCache]:
+    """Run a (B, T, D) token batch through the blocks and mean pooling.
 
-    Returns (B, K) logits and a cache. Train mode is the differentiable
+    Returns (B, D) pooled features and a cache. Train mode is the differentiable
     mode: its cache holds every activation `backward_batch` consumes, and a
     positive dropout rate draws masks from `rng`. Eval mode is inference:
     the cache holds only the pooled features, and `rng` is never touched.
@@ -307,7 +307,14 @@ def forward_batch(head: DecoderHead, tokens: Array, rng, train_mode: bool,
         x, caches[i] = _block_forward_batch(blk, x, head.config, rng, train_mode)
     out.num_tokens = x.shape[1]
     out.pooled = x.mean(axis=1)
-    return linear(out.pooled, head.cls_weight, head.cls_bias), out
+    return out.pooled, out
+
+
+def forward_batch(head: DecoderHead, tokens: Array, rng, train_mode: bool,
+                  out: ForwardCache | None = None) -> tuple[Array, ForwardCache]:
+    """`pool_batch`, then the classifier: (B, K) logits and the same cache."""
+    pooled, out = pool_batch(head, tokens, rng, train_mode, out)
+    return linear(pooled, head.cls_weight, head.cls_bias), out
 
 
 def backward_batch(head: DecoderHead, cache: ForwardCache, dlogits: Array,

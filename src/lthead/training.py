@@ -22,7 +22,8 @@ from . import calibrators as cal_mod
 from .calibrators import (CALIBRATOR_VARIANTS, RECIPES, Calibrator,
                           context_weight_norms, init_calibrator)
 from .data import INSTANCE_BALANCED, FeatureDataset, class_index, sample_batch
-from .decoder import DecoderConfig, DecoderHead, backward_batch, forward_batch, init_decoder
+from .decoder import (DecoderConfig, DecoderHead, backward_batch, forward_batch,
+                      init_decoder, pool_batch)
 from .exceptions import (ConfigError, DataError, DivergenceError, DomainError,
                          ShapeError)
 from .losses import (GROUP_FEW, GROUP_MANY, GROUP_MEDIUM, VARIANTS, ClassStats,
@@ -213,14 +214,6 @@ def train_stage1(ds: FeatureDataset, cfg: TrainConfig,
     return head, log
 
 
-def _frozen_batches(head: DecoderHead, ds: FeatureDataset):
-    """Eval-mode (rows, pooled features, logits), EVAL_CHUNK samples at a time."""
-    for start in range(0, ds.num_samples, EVAL_CHUNK):
-        rows = slice(start, min(start + EVAL_CHUNK, ds.num_samples))
-        logits, cache = forward_batch(head, ds.features[rows], None, train_mode=False)
-        yield rows, cache.pooled, logits
-
-
 def stage2_schedule(cfg: TrainConfig) -> TrainConfig:
     """The stage-one schedule compressed to the stage-two iteration count."""
     if cfg.stage2_iters == 0:
@@ -238,16 +231,17 @@ def train_stage2(head: DecoderHead, ds: FeatureDataset, cfg: TrainConfig,
                  ) -> tuple[Calibrator, Array]:
     """Stage two: freeze the head and train only the calibrator.
 
-    The frozen head makes every sample's pooled feature constant, so the
-    (N, D) features are computed once up front and each batch's logits come
-    from the head's classifier; iterations touch only calibrator parameters.
+    A frozen head makes each sample's pooled feature constant, so `pool_batch`
+    forms the (N, D) features once, without the classifier; each batch's
+    logits come from them, and iterations touch only calibrator parameters.
     """
     cal = init_calibrator(variant, head.config.num_classes, head.config.dim, rng)
     stats = _class_stats(ds, head.config)
     spec = make_loss_spec(RECIPES[variant].loss, stats)
     pooled = np.empty((ds.num_samples, head.config.dim))
-    for rows, chunk, _ in _frozen_batches(head, ds):
-        pooled[rows] = chunk
+    for start in range(0, ds.num_samples, EVAL_CHUNK):
+        rows = slice(start, start + EVAL_CHUNK)
+        pooled[rows] = pool_batch(head, ds.features[rows], None, train_mode=False)[0]
     norms = context_weight_norms(head.cls_weight)
 
     def forward(idx, _):
@@ -343,9 +337,12 @@ def evaluate(head: DecoderHead, calibrator: Calibrator | None,
                       "macro recall will diverge")
     norms = context_weight_norms(head.cls_weight)
     predictions = np.empty(test_ds.num_samples, dtype=np.int64)
-    for rows, pooled, logits in _frozen_batches(head, test_ds):
+    for start in range(0, test_ds.num_samples, EVAL_CHUNK):
+        rows = slice(start, start + EVAL_CHUNK)
+        logits, cache = forward_batch(head, test_ds.features[rows], None,
+                                      train_mode=False)
         if calibrator is not None:
-            logits, _ = cal_mod.apply_batch(calibrator, pooled, logits, norms)
+            logits, _ = cal_mod.apply_batch(calibrator, cache.pooled, logits, norms)
         predictions[rows] = np.argmax(logits, axis=1)
     fp = config_fingerprint(head.config,
                             None if calibrator is None else calibrator.variant)

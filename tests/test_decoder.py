@@ -11,8 +11,9 @@ from lthead import (ConfigError, DecoderConfig, DecoderHead, ShapeError,
                     StateError, backward_batch, forward_batch, init_decoder,
                     make_rng)
 from lthead.decoder import (BLOCK_FIELDS, _block_backward_batch,
-                            _block_forward_batch, param_count, param_layout)
-from lthead.numerics import dropout_mask, dropout_scale, layout_size
+                            _block_forward_batch, param_count, param_layout,
+                            pool_batch)
+from lthead.numerics import dropout_mask, dropout_scale, layout_size, linear
 
 
 def zero_block_weights(head):
@@ -411,6 +412,31 @@ class TestCacheReuse:
         want, _ = forward_batch(head, tokens, None, True)
         assert_same_bits(logits, want, "logits")
         backward_batch(head, cache, np.zeros((2, 3)))
+
+
+class TestPoolBatch:
+    @pytest.mark.parametrize("t", [1, 8])
+    @pytest.mark.parametrize("train_mode, reuse",
+                             [(False, False), (True, False), (True, True)])
+    def test_forward_is_pool_then_classifier_bitwise(self, t, train_mode, reuse):
+        cfg = DecoderConfig(dim=8, num_classes=5, depth=2, heads=2, dropout=0.5)
+        head = init_decoder(cfg, make_rng(0))
+        tokens = make_rng(t).standard_normal((6, t, 8))
+
+        def out():  # a fresh cache, or an earlier train-mode one of another shape
+            prev = make_rng(9).standard_normal((3, 2, 8))
+            return forward_batch(head, prev, make_rng(8), True)[1] if reuse else None
+
+        pooled, pool_cache = pool_batch(head, tokens, make_rng(1), train_mode, out())
+        logits, cache = forward_batch(head, tokens, make_rng(1), train_mode, out())
+        assert pool_cache.pooled is pooled and pooled.shape == (6, 8)
+        assert_same_bits(pooled, cache.pooled, "pooled")
+        assert_same_bits(logits, linear(pooled, head.cls_weight, head.cls_bias),
+                         "logits")
+        got, want = list(cache_fields(pool_cache)), list(cache_fields(cache))
+        assert [p for p, _ in got] == [p for p, _ in want]
+        for (path, a), (_, b) in zip(got, want):
+            assert_same_bits(a, b, path)
 
 
 class TestBackwardMemory:

@@ -17,6 +17,7 @@ from lthead import (CLASS_BALANCED, ConfigError, DataError, DecoderConfig,
                     run_gradcheck, sample_batch, softmax_rows,
                     stats_from_counts, total_loss, zero_shot_classify)
 from lthead.calibrators import apply_batch
+from lthead.decoder import pool_batch
 
 STATS = stats_from_counts([5, 3, 1])
 SPEC = make_loss_spec("ce", STATS)
@@ -61,6 +62,30 @@ CASES = {
     "forward_zero_tokens": (
         lambda: forward_batch(HEAD, np.ones((2, 0, 8)), None, False),
         ShapeError, "need at least one token per sample"),
+    "pool_tokens_2d": (
+        lambda: pool_batch(HEAD, np.ones((2, 8)), None, False),
+        ShapeError, r"expected \(B, T, D\) tokens, got shape \(2, 8\)"),
+    "pool_tokens_4d": (
+        lambda: pool_batch(HEAD, np.ones((2, 1, 1, 8)), None, False),
+        ShapeError, r"expected \(B, T, D\) tokens"),
+    "pool_zero_tokens": (
+        lambda: pool_batch(HEAD, np.ones((2, 0, 8)), None, False),
+        ShapeError, "need at least one token per sample"),
+    "pool_token_dim_mismatch": (
+        lambda: pool_batch(HEAD, np.ones((2, 1, 7)), None, False),
+        ShapeError, "token dim 7 does not match head dim 8"),
+    "pool_out_in_eval_mode": (
+        lambda: pool_batch(HEAD, np.ones((2, 1, 8)), None, False, out=CACHE),
+        StateError, "out= takes a train-mode cache"),
+    "pool_out_of_eval_forward": (
+        lambda: pool_batch(HEAD, np.ones((2, 1, 8)), make_rng(1), True,
+                           out=pool_batch(HEAD, np.ones((2, 1, 8)), None, False)[1]),
+        StateError, "out= takes a train-mode cache"),
+    "pool_out_of_other_head": (
+        lambda: pool_batch(init_decoder(DecoderConfig(dim=8, num_classes=3, depth=2,
+                                                      heads=2), make_rng(0)),
+                           np.ones((2, 1, 8)), make_rng(1), True, out=CACHE),
+        StateError, "out cache does not match this head"),
     "backward_dlogits_not_k_wide": (
         lambda: backward_batch(HEAD, CACHE, np.zeros((2, 4))),
         ShapeError, r"dlogits must be \(B, 3\)"),

@@ -22,8 +22,8 @@ from lthead import (CALIBRATOR_VARIANTS, ConfigError, DecoderConfig,
                     zero_shot_classify)
 from lthead.decoder import param_count
 from lthead.numerics import _TILE
-from lthead.training import (EvalReport, report_json, render_report,
-                             stage2_schedule)
+from lthead.training import (EVAL_CHUNK, EvalReport, report_json,
+                             render_report, stage2_schedule)
 
 
 def small_cfg(**kw):
@@ -328,6 +328,31 @@ class TestTrainStage2:
         def forward(*args, **kwargs):
             raise AssertionError("a forward pass ran")
         monkeypatch.setattr("lthead.training.forward_batch", forward)
+
+    def test_stage_two_runs_no_classifier_forward(self, monkeypatch):
+        train, _ = tiny_problem()
+        head, _ = self._trained_head(train)
+        self._forbid_forward(monkeypatch)
+        for variant in CALIBRATOR_VARIANTS:
+            train_stage2(head, train, small_cfg(stage2_iters=5), variant,
+                         make_rng(0))
+
+    def test_pooling_pass_peak_at_inaturalist_class_count(self):
+        # iNaturalist18's K. The pooling pass applies no classifier, so stage
+        # two's peak stays far below one (EVAL_CHUNK, K) logit array; a pass
+        # that classified every chunk would hold two of them, 66.7 MB.
+        k = 8142  # one training row per class
+        ds = FeatureDataset(features=make_rng(0).standard_normal((k, 1, 16)),
+                            labels=np.arange(k), num_classes=k)
+        head = init_decoder(DecoderConfig(dim=16, num_classes=k, depth=1,
+                                          heads=2), make_rng(0))
+        tracemalloc.start()
+        try:
+            train_stage2(head, ds, small_cfg(stage2_iters=0), "marc", make_rng(1))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < EVAL_CHUNK * k * 8 / 4
 
     def test_unknown_variant(self, monkeypatch):
         train, _ = tiny_problem()
