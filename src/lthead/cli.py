@@ -190,12 +190,11 @@ def _cmd_zero_shot(args) -> int:
     images = _load_feature_file(args.image_embs)
     if images.tokens_per_sample != 1:
         raise DataError("zero-shot expects one embedding per image (T=1)")
-    image_embs = images.features[:, 0, :]
     labels = images.labels
     if args.test_labels:
         labels, _ = read_text_rows(args.test_labels, labeled=True, width=0)
     k = class_matrix.shape[0]
-    predictions, _ = zero_shot_classify(image_embs, embeddings)
+    predictions = zero_shot_classify(images.features[:, 0, :], embeddings)
     # pad so every class exists; only group tags depend on these counts.
     # These two calls reject labels outside [0, k) or not one per image.
     stats = build_class_stats(np.concatenate([np.arange(k), labels]), k)

@@ -197,9 +197,8 @@ def lade_dv_regularizer(logits: Array, labels: Array, stats: ClassStats,
 
     With f_j = logits_j - log(n_j), each class present in the batch
     contributes  -mean_{i: y_i = j} f_j(x_i) + log mean_i exp(f_j(x_i)),
-    and the value is `lam` times the mean over present classes. Classes
-    absent from the batch contribute nothing. The term is invariant to a
-    constant shift of any single column of f.
+    and the value is `lam` times their mean; only their columns of f are
+    formed. The term is invariant to a constant shift of any column of f.
     """
     logits = np.asarray(logits, dtype=np.float64)
     labels = np.asarray(labels, dtype=np.int64)
@@ -210,12 +209,11 @@ def lade_dv_regularizer(logits: Array, labels: Array, stats: ClassStats,
     if lam == 0.0:
         return 0.0, dlogits
 
-    f = logits - bsm_biases(stats)
     batch = logits.shape[0]
     present, which, members = np.unique(labels, return_inverse=True,
                                         return_counts=True)
     n_present = present.shape[0]
-    cols = f[:, present]
+    cols = logits[:, present] - bsm_biases(stats)[present]  # all K: a zero count raises
     col_max = cols.max(axis=0)
     # One contiguous row per present class: each row sum then adds the
     # column's entries in the same pairwise order as a 1-D sum would.
@@ -226,7 +224,7 @@ def lade_dv_regularizer(logits: Array, labels: Array, stats: ClassStats,
     # it add the members exactly as a 1-D sum, which starts from zero, does.
     starts = np.cumsum(members) - members
     order = np.argsort(which, kind="stable")
-    own = np.insert(f[order, labels[order]], starts, 0.0)
+    own = np.insert(cols[order, which[order]], starts, 0.0)
     own_mean = np.add.reduceat(own, starts + np.arange(n_present)) / members
     terms = -own_mean + col_max + np.log(expsums / batch)
     dlogits[:, present] = (lam / n_present * (expcols / expsums[:, None])).T

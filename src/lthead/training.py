@@ -28,7 +28,7 @@ from .exceptions import (ConfigError, DataError, DivergenceError, DomainError,
                          ShapeError)
 from .losses import (GROUP_FEW, GROUP_MANY, GROUP_MEDIUM, VARIANTS, ClassStats,
                      build_class_stats, make_loss_spec, total_loss)
-from .numerics import Array, _row_tiles, linear, softmax_rows
+from .numerics import Array, _row_tiles, linear
 
 EVAL_CHUNK = 512  # fixed so evaluation arithmetic never depends on dataset size
 
@@ -393,17 +393,20 @@ class TextClassEmbeddings:
 
 
 def zero_shot_classify(image_embs: Array,
-                       class_embs: TextClassEmbeddings) -> tuple[Array, Array]:
+                       class_embs: TextClassEmbeddings) -> Array:
     """Cosine-similarity classification against class text embeddings.
 
-    Returns the argmax of the cosine similarities and softmax(cos) per
-    image. Image rows follow the class rows' rule: finite, nonzero norms.
-    Rescaling an image embedding by a positive constant leaves the result
-    unchanged up to rounding, while its squared norm stays finite and
-    nonzero. The peak is two (N, K) arrays: the cosines and the result.
+    Returns each image's cosine argmax, (N,) int64, formed `EVAL_CHUNK` rows
+    at a time: the peak is one (`EVAL_CHUNK`, K) block of cosines. Image rows
+    follow the class rows' rule, finite and nonzero norms; rescaling one by a
+    positive constant that keeps the rule changes its result only by rounding.
     """
     image_embs = np.asarray(image_embs, dtype=np.float64)
     if image_embs.ndim != 2 or image_embs.shape[1] != class_embs.matrix.shape[1]:
         raise ShapeError("image embeddings must be (N, D) with matching D")
-    cosine = _unit_rows(image_embs, "image embeddings") @ class_embs.matrix.T
-    return np.argmax(cosine, axis=1), softmax_rows(cosine)
+    predictions = np.empty(image_embs.shape[0], dtype=np.int64)
+    for start in range(0, image_embs.shape[0], EVAL_CHUNK):
+        rows = slice(start, start + EVAL_CHUNK)
+        unit = _unit_rows(image_embs[rows], "image embeddings")
+        predictions[rows] = np.argmax(unit @ class_embs.matrix.T, axis=1)
+    return predictions

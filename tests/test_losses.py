@@ -413,6 +413,26 @@ def test_peak_memory_two_batch_arrays_but_lade(variant):
     assert peak <= bound * batch * k * 8, peak / (batch * k * 8)
 
 
+def test_peak_memory_lade_reads_only_present_columns():
+    # lade's regularizer forms only the batch's present columns of the
+    # bias-removed logits, so the dense gradient it returns is its one
+    # (B, K) array next to total_loss's own
+    batch, k = 128, 4096
+    rng = make_rng(18)
+    stats = stats_from_counts(rng.integers(1, 1000, size=k))
+    spec = make_loss_spec("lade", stats)
+    logits = rng.standard_normal((batch, k)) * 3
+    labels = rng.integers(0, k, size=batch)
+    total_loss(spec, logits, labels, stats)
+    tracemalloc.start()
+    try:
+        total_loss(spec, logits, labels, stats)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2.25 * batch * k * 8, peak / (batch * k * 8)
+
+
 class TestLossSpecValidation:
     STATS = stats_for([30, 10, 5])
 
