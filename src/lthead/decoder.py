@@ -1,20 +1,22 @@
 """Lightweight transformer decoder over frozen token features.
 
 Pre-norm blocks (multi-head self-attention, then a GELU MLP with dropout on
-its output) and mean pooling make `pool_batch`; `forward_batch` adds a
-linear classifier. Every affine map is `numerics.linear`. Train-mode forward
-passes cache what the backward needs, the dropout mask as bools, but neither
-the layer-norm outputs nor, at T>1, the attention context: the backward
-rebuilds those with the forward's own operations, so its gradients stay
+its output: the sub-layers `_attention_forward` and `_mlp_forward`, with
+backwards `_attention_backward` and `_mlp_backward`) and mean pooling make
+`pool_batch`; `forward_batch` adds a linear classifier. Every affine map is
+`numerics.linear`. Train-mode forward passes cache what the backward needs,
+the dropout mask as bools, but neither the layer-norm outputs nor, at T>1,
+the attention context: the backward rebuilds those with the forward's own
+operations (`LayerNormCache.output`, `_attend`), so its gradients stay
 exact. A train-mode forward can overwrite the previous one's cache block by
 block (`out=`); eval mode keeps no caches, computes no GELU derivative and
 builds no dropout mask. Depth 0 is a linear probe: mean-pool then affine.
 
-Residual sums and gradient products are formed in place, GELU runs in
-cache-sized tiles over the fc1 output (see `lthead.numerics`), and the
-backward drops each intermediate gradient once it is consumed. Every value
-keeps the operations and order of the plain whole-array expressions, so the
-bits are those of the untiled, out-of-place code.
+Residual sums, scores, softmax and gradient products are formed in place,
+GELU runs in cache-sized tiles over the fc1 output (see `lthead.numerics`),
+and the backward drops each gradient once consumed. Every value keeps the
+operations and order of the plain whole-array expressions, so the bits are
+those of the untiled, out-of-place code.
 
 No positional embeddings are added; input tokens come from an encoder that
 already resolved position, and the blocks stay permutation-equivariant.
@@ -162,48 +164,103 @@ def _split_heads(x: Array, heads: int) -> Array:
     return x.reshape(b, t, heads, d // heads).transpose(0, 2, 1, 3)
 
 
-def _merge_heads(x: Array) -> Array:
-    b, h, t, dh = x.shape
-    return x.transpose(0, 2, 1, 3).reshape(b, t, h * dh)
+def _attend(attn: Array, v: Array) -> Array:
+    """attn @ v, written straight into merged (B, T, D) layout."""
+    b, h, t, dh = v.shape
+    ctx = np.empty((b, t, h * dh))
+    np.matmul(attn, v, out=_split_heads(ctx, h))
+    return ctx
+
+
+def _attention_forward(params: BlockParams, xhat: Array,
+                       config: DecoderConfig) -> tuple:
+    """Self-attention and output projection: out and the cached q, k, v, attn, ctx."""
+    d = config.dim
+    if xhat.shape[1] == 1:
+        # One token: attention weights are exactly 1, so the context is v and
+        # q/k never influence the output or any gradient.
+        ctx = linear(xhat, params.qkv_weight[2 * d:], params.qkv_bias[2 * d:])
+        return (linear(ctx, params.proj_weight, params.proj_bias),
+                None, None, None, None, ctx)
+    qkv = linear(xhat, params.qkv_weight, params.qkv_bias)
+    q, k, v = (_split_heads(part, config.heads) for part in np.split(qkv, 3, -1))
+    scores = q @ k.transpose(0, 1, 3, 2)
+    scores *= 1.0 / math.sqrt(config.head_dim)
+    attn = softmax_last(scores)
+    ctx = _attend(attn, v)  # not cached: the backward rebuilds it
+    return linear(ctx, params.proj_weight, params.proj_bias), q, k, v, attn, None
+
+
+def _mlp_forward(params: BlockParams, xhat: Array, config: DecoderConfig, rng,
+                 train_mode: bool) -> tuple:
+    """fc1, GELU, fc2, dropout: (out, h_act, h_grad, mask); only out in eval mode."""
+    h_pre = linear(xhat, params.fc1_weight, params.fc1_bias)
+    if not train_mode:
+        return linear(gelu(h_pre, out=h_pre), params.fc2_weight,
+                      params.fc2_bias), None, None, None
+    h_act, h_grad = gelu_with_grad(h_pre, out=h_pre)
+    out = linear(h_act, params.fc2_weight, params.fc2_bias)
+    mask = dropout_mask(out.shape, config.dropout, rng)
+    out *= mask
+    return out, h_act, h_grad, mask != 0
 
 
 def _block_forward_batch(params: BlockParams, x: Array, config: DecoderConfig,
                          rng, train_mode: bool) -> tuple[Array, BlockCache | None]:
-    """One block. Eval mode returns no cache and adds the MLP output in place."""
+    """One block. Eval mode returns no cache."""
     xhat1, ln1 = layer_norm(x, params.ln1_gamma, params.ln1_beta)
-    d = config.dim
-    if x.shape[1] == 1:
-        # One token: attention weights are exactly 1, so the context is v and
-        # q/k never influence the output or any gradient.
-        q = k = v = attn = None
-        ctx = linear(xhat1, params.qkv_weight[2 * d:], params.qkv_bias[2 * d:])
-    else:
-        qkv = linear(xhat1, params.qkv_weight, params.qkv_bias)
-        q = _split_heads(qkv[..., :d], config.heads)
-        k = _split_heads(qkv[..., d:2 * d], config.heads)
-        v = _split_heads(qkv[..., 2 * d:], config.heads)
-        scale = 1.0 / math.sqrt(config.head_dim)
-        attn = softmax_last(q @ k.transpose(0, 1, 3, 2) * scale)
-        ctx = _merge_heads(attn @ v)
+    x_mid, *attention = _attention_forward(params, xhat1, config)
     del xhat1  # not cached: the backward recomputes it
-    x_mid = linear(ctx, params.proj_weight, params.proj_bias)
     x_mid += x
-    ctx = ctx if attn is None else None  # T>1: the backward rebuilds it
-
     xhat2, ln2 = layer_norm(x_mid, params.ln2_gamma, params.ln2_beta)
-    h_pre = linear(xhat2, params.fc1_weight, params.fc1_bias)
-    del xhat2
-    if not train_mode:
-        x_mid += linear(gelu(h_pre, out=h_pre), params.fc2_weight, params.fc2_bias)
-        return x_mid, None
-    h_act, h_grad = gelu_with_grad(h_pre, out=h_pre)
-    mlp = linear(h_act, params.fc2_weight, params.fc2_bias)
-    mask = dropout_mask(mlp.shape, config.dropout, rng)
-    mlp *= mask
-    mlp += x_mid  # the block output, x_mid + mlp * mask
-    cache = BlockCache(ln1=ln1, q=q, k=k, v=v, attn=attn, ctx=ctx, ln2=ln2,
-                       h_act=h_act, h_grad=h_grad, mask=mask != 0)
-    return mlp, cache
+    out, *mlp = _mlp_forward(params, xhat2, config, rng, train_mode)
+    out += x_mid  # the block output, x_mid + mlp * mask
+    return out, BlockCache(ln1, *attention, ln2, *mlp) if train_mode else None
+
+
+def _attention_backward(params: BlockParams, cache: BlockCache, dout: Array,
+                        config: DecoderConfig, grads: BlockParams) -> Array:
+    """Write the qkv and proj gradients into `grads`; return the input gradient."""
+    dctx = linear_backward(dout, cache.ctx if cache.attn is None else
+                           _attend(cache.attn, cache.v), params.proj_weight,
+                           grads.proj_weight, grads.proj_bias)
+    d = config.dim
+    if cache.attn is None:
+        # Single token: dscores vanishes identically, so only the v slice of
+        # the qkv projection receives gradient.
+        grads.qkv_weight[:2 * d] = grads.qkv_bias[:2 * d] = 0.0
+        return linear_backward(dctx, cache.ln1.output(params.ln1_beta),
+                               params.qkv_weight[2 * d:], grads.qkv_weight[2 * d:],
+                               grads.qkv_bias[2 * d:])
+    dctx_h = _split_heads(dctx, config.heads)
+    dattn = dctx_h @ cache.v.transpose(0, 1, 3, 2)
+    # dq, dk and dv are written through head-split views of one buffer
+    dqkv = np.empty(dctx.shape[:2] + (3 * d,))
+    dq, dk, dv = (_split_heads(part, config.heads) for part in np.split(dqkv, 3, -1))
+    np.matmul(cache.attn.transpose(0, 1, 3, 2), dctx_h, out=dv)
+    del dctx, dctx_h
+    # softmax backward over the key axis: dscores, formed in dattn's buffer
+    dattn -= np.sum(dattn * cache.attn, axis=-1, keepdims=True)
+    dattn *= cache.attn
+    scale = 1.0 / math.sqrt(config.head_dim)
+    np.matmul(dattn, cache.k, out=dq)
+    dq *= scale
+    np.matmul(dattn.transpose(0, 1, 3, 2), cache.q, out=dk)
+    dk *= scale
+    del dattn, dq, dk, dv
+    return linear_backward(dqkv, cache.ln1.output(params.ln1_beta),
+                           params.qkv_weight, grads.qkv_weight, grads.qkv_bias)
+
+
+def _mlp_backward(params: BlockParams, cache: BlockCache, dout: Array,
+                  config: DecoderConfig, grads: BlockParams) -> Array:
+    """Write the fc1 and fc2 gradients into `grads`; return the input gradient."""
+    dh_act = linear_backward(dout * dropout_scale(cache.mask, config.dropout),
+                             cache.h_act, params.fc2_weight, grads.fc2_weight,
+                             grads.fc2_bias)
+    dh_act *= cache.h_grad  # now the gradient at the fc1 output
+    return linear_backward(dh_act, cache.ln2.output(params.ln2_beta),
+                           params.fc1_weight, grads.fc1_weight, grads.fc1_bias)
 
 
 def _block_backward_batch(params: BlockParams, cache: BlockCache, dout: Array,
@@ -212,58 +269,11 @@ def _block_backward_batch(params: BlockParams, cache: BlockCache, dout: Array,
 
     Drops each gradient once consumed and rebuilds, where each is read, what
     the forward did not cache; writes neither `dout` nor `cache`."""
-    # MLP path: out = x_mid + mask * fc2(gelu(fc1(LN2(x_mid))))
-    dh_act = linear_backward(dout * dropout_scale(cache.mask, config.dropout),
-                             cache.h_act, params.fc2_weight, grads.fc2_weight,
-                             grads.fc2_bias)
-    dh_act *= cache.h_grad  # now the gradient at the fc1 output
-    dxhat2 = linear_backward(dh_act, cache.ln2.output(params.ln2_beta),
-                             params.fc1_weight, grads.fc1_weight, grads.fc1_bias)
-    del dh_act
     dx_mid, grads.ln2_gamma[...], grads.ln2_beta[...] = layer_norm_backward(
-        cache.ln2, dxhat2)
-    del dxhat2
+        cache.ln2, _mlp_backward(params, cache, dout, config, grads))
     dx_mid += dout
-
-    # Attention path: x_mid = x + proj(merge(attn @ v))
-    dctx = linear_backward(dx_mid, cache.ctx if cache.attn is None else
-                           _merge_heads(cache.attn @ cache.v), params.proj_weight,
-                           grads.proj_weight, grads.proj_bias)
-    d = config.dim
-    if cache.attn is None:
-        # Single token: dscores vanishes identically, so only the v slice of
-        # the qkv projection receives gradient.
-        grads.qkv_weight[:2 * d] = 0.0
-        grads.qkv_bias[:2 * d] = 0.0
-        dqkv, weight = dctx, params.qkv_weight[2 * d:]
-        dweight, dbias = grads.qkv_weight[2 * d:], grads.qkv_bias[2 * d:]
-        del dctx
-    else:
-        dctx_h = _split_heads(dctx, config.heads)
-        dattn = dctx_h @ cache.v.transpose(0, 1, 3, 2)
-        # dq, dk and dv are written through head-split views of one buffer
-        dqkv = np.empty(dctx.shape[:2] + (3 * d,))
-        dq, dk, dv = (_split_heads(dqkv[..., i * d:(i + 1) * d], config.heads)
-                      for i in range(3))
-        a = cache.attn
-        np.matmul(a.transpose(0, 1, 3, 2), dctx_h, out=dv)
-        del dctx, dctx_h
-        # softmax backward over the key axis
-        dscores = a * (dattn - np.sum(dattn * a, axis=-1, keepdims=True))
-        del dattn
-        scale = 1.0 / math.sqrt(config.head_dim)
-        np.matmul(dscores, cache.k, out=dq)
-        dq *= scale
-        np.matmul(dscores.transpose(0, 1, 3, 2), cache.q, out=dk)
-        dk *= scale
-        del dscores, dq, dk, dv
-        weight, dweight, dbias = params.qkv_weight, grads.qkv_weight, grads.qkv_bias
-    dxhat1 = linear_backward(dqkv, cache.ln1.output(params.ln1_beta), weight,
-                             dweight, dbias)
-    del dqkv
     dx, grads.ln1_gamma[...], grads.ln1_beta[...] = layer_norm_backward(
-        cache.ln1, dxhat1)
-    del dxhat1
+        cache.ln1, _attention_backward(params, cache, dx_mid, config, grads))
     dx += dx_mid
     return dx
 

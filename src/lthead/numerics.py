@@ -103,10 +103,10 @@ def softmax_rows(logits: Array) -> Array:
 
 
 def softmax_last(x: Array) -> Array:
-    """Softmax over the last axis, no validation. Internal hot-path helper."""
-    mx = np.max(x, axis=-1, keepdims=True)
-    e = np.exp(x - mx)
-    return e / np.sum(e, axis=-1, keepdims=True)
+    """Softmax over the last axis in place, returning `x`; no validation."""
+    x -= np.max(x, axis=-1, keepdims=True)
+    x /= np.sum(np.exp(x, out=x), axis=-1, keepdims=True)
+    return x
 
 
 def linear(x: Array, weight: Array, bias: Array) -> Array:

@@ -389,6 +389,8 @@ class TextClassEmbeddings:
         matrix = np.asarray(matrix, dtype=np.float64)
         if matrix.ndim != 2:
             raise ShapeError("class embeddings must be a (K, D) matrix")
+        if matrix.shape[0] == 0:
+            raise ShapeError("class embeddings need at least one row")
         return TextClassEmbeddings(matrix=_unit_rows(matrix, "class embeddings"))
 
 

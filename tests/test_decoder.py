@@ -10,10 +10,14 @@ import lthead.decoder
 from lthead import (ConfigError, DecoderConfig, DecoderHead, ShapeError,
                     StateError, backward_batch, forward_batch, init_decoder,
                     make_rng)
-from lthead.decoder import (BLOCK_FIELDS, _block_backward_batch,
-                            _block_forward_batch, param_count, param_layout,
-                            pool_batch)
-from lthead.numerics import dropout_mask, dropout_scale, layout_size, linear
+from lthead.decoder import (BLOCK_FIELDS, BlockCache, _attend,
+                            _attention_backward, _attention_forward,
+                            _block_backward_batch, _block_forward_batch,
+                            _mlp_backward, _mlp_forward, param_count,
+                            param_layout, pool_batch)
+from lthead.numerics import (dropout_mask, dropout_scale, finite_diff_check,
+                             layer_norm, layer_norm_backward, layout_size,
+                             linear)
 
 
 def zero_block_weights(head):
@@ -149,8 +153,6 @@ class TestBlockForward:
         tokens = make_rng(8).standard_normal((1, 4, 6))
         probe = make_rng(9).standard_normal((1, 4, 6))
 
-        from lthead.numerics import finite_diff_check
-
         def f(vec):
             # the classifier entries of the vector get zero gradient both ways
             blk = DecoderHead(cfg, vec).blocks[0]
@@ -161,6 +163,76 @@ class TestBlockForward:
 
         report = finite_diff_check(f, head0.params.vector, tol=1e-5)
         assert report.passed, report
+
+    @pytest.mark.parametrize("t", [1, 3])
+    def test_attention_backward_finite_differences(self, t):
+        def attention(blk, tokens, cfg, grads):
+            xhat, ln1 = layer_norm(tokens, blk.ln1_gamma, blk.ln1_beta)
+            out, *fields = _attention_forward(blk, xhat, cfg)
+            cache = BlockCache(ln1, *fields, None, None, None, None)
+            dxhat = _attention_backward(blk, cache, PROBE[:, :t], cfg, grads)
+            dx, grads.ln1_gamma[...], grads.ln1_beta[...] = layer_norm_backward(
+                ln1, dxhat)
+            return out, dx
+
+        assert_sublayer_gradients(attention, t, dropout=0.0)
+
+    @pytest.mark.parametrize("t, dropout", [(1, 0.0), (3, 0.0), (3, 0.3)])
+    def test_mlp_backward_finite_differences(self, t, dropout):
+        def mlp(blk, tokens, cfg, grads):
+            # re-seeded on every call, so each evaluation draws the same mask
+            xhat, ln2 = layer_norm(tokens, blk.ln2_gamma, blk.ln2_beta)
+            out, *fields = _mlp_forward(blk, xhat, cfg, make_rng(13), True)
+            cache = BlockCache(None, None, None, None, None, None, ln2, *fields)
+            dxhat = _mlp_backward(blk, cache, PROBE[:, :t], cfg, grads)
+            dx, grads.ln2_gamma[...], grads.ln2_beta[...] = layer_norm_backward(
+                ln2, dxhat)
+            return out, dx
+
+        assert_sublayer_gradients(mlp, t, dropout)
+
+
+PROBE = make_rng(12).standard_normal((2, 3, 6))
+
+
+def assert_sublayer_gradients(sublayer, t, dropout):
+    """finite_diff_check of sum(PROBE * sublayer(layer norm(tokens))) over a
+    dim-6, 3-head block's parameters and the tokens themselves.
+
+    `sublayer(blk, tokens, cfg, grads)` returns its output and the token
+    gradient, and writes its own and its layer norm's parameter gradients
+    into `grads`; every other entry stays zero, as the value ignores it.
+    """
+    cfg = DecoderConfig(dim=6, num_classes=2, depth=1, heads=3, mlp_ratio=2.0,
+                        dropout=dropout)
+    head0 = init_decoder(cfg, make_rng(10))
+    tokens0 = make_rng(11).standard_normal((2, t, 6))
+    n = head0.params.vector.size
+
+    def f(z):
+        blk = DecoderHead(cfg, z[:n]).blocks[0]
+        grads = DecoderHead(cfg)
+        out, dx = sublayer(blk, z[n:].reshape(tokens0.shape), cfg, grads.blocks[0])
+        return (float(np.sum(out * PROBE[:, :t])),
+                np.concatenate([grads.params.vector, dx.ravel()]))
+
+    z0 = np.concatenate([head0.params.vector, tokens0.ravel()])
+    report = finite_diff_check(f, z0, tol=1e-5)
+    assert report.passed, report
+
+
+class TestAttend:
+    @pytest.mark.parametrize("b, h, t, dh", [(3, 1, 2, 1), (256, 4, 8, 16),
+                                             (7, 3, 33, 5), (4, 12, 197, 64)])
+    def test_equals_merged_attn_at_v_bitwise(self, b, h, t, dh):
+        rng = make_rng(t)
+        attn = rng.random((b, h, t, t))
+        attn /= attn.sum(axis=-1, keepdims=True)
+        v = rng.standard_normal((b, h, t, dh))
+        want = (attn @ v).transpose(0, 2, 1, 3).reshape(b, t, h * dh)
+        got = _attend(attn, v)
+        assert got.shape == (b, t, h * dh) and got.flags.c_contiguous
+        npt.assert_array_equal(got.view(np.uint64), want.view(np.uint64))
 
 
 class TestForward:

@@ -159,6 +159,9 @@ CASES = {
     "class_embeddings_1d": (
         lambda: TextClassEmbeddings.from_matrix(np.ones(3)),
         ShapeError, r"class embeddings must be a \(K, D\) matrix"),
+    "class_embeddings_no_rows": (
+        lambda: TextClassEmbeddings.from_matrix(np.zeros((0, 3))),
+        ShapeError, "class embeddings need at least one row"),
     "dataset_features_2d": (
         lambda: FeatureDataset(features=np.ones((3, 2)), labels=[0, 1, 2],
                                num_classes=3),

@@ -9,7 +9,7 @@ from lthead import (DomainError, EvaluationError, ShapeError, dropout_mask,
                     finite_diff_check, gelu, gelu_with_grad, layer_norm,
                     layer_norm_backward, make_rng, softmax_rows)
 from lthead.numerics import (_GELU_A, _GELU_C, _TILE, linear, linear_backward,
-                             logsumexp_rows)
+                             logsumexp_rows, softmax_last)
 
 
 def lse(v):
@@ -95,6 +95,19 @@ class TestSoftmaxRows:
 
 def bits(a):
     return np.asarray(a).view(np.uint64)
+
+
+class TestSoftmaxLast:
+    @pytest.mark.parametrize("t", [2, 8, 33])
+    def test_in_place_equals_the_out_of_place_formula_bitwise(self, t):
+        scores = make_rng(t).standard_normal((5, 3, t, t)) * 4
+        scores[..., t // 2] = -np.inf  # a masked key in every row
+        mx = np.max(scores, axis=-1, keepdims=True)
+        e = np.exp(scores - mx)
+        want = e / np.sum(e, axis=-1, keepdims=True)
+        got = softmax_last(scores)
+        assert got is scores
+        npt.assert_array_equal(bits(got), bits(want))
 
 
 class TestLinear:
