@@ -1,25 +1,24 @@
 """Lightweight transformer decoder over frozen token features.
 
-Pre-norm blocks (multi-head self-attention, then a GELU MLP with dropout on
-its output: the sub-layers `_attention_forward` and `_mlp_forward`, with
-backwards `_attention_backward` and `_mlp_backward`) and mean pooling make
-`pool_batch`; `forward_batch` adds a linear classifier. Every affine map is
-`numerics.linear`. Train-mode forward passes cache what the backward needs,
-the dropout mask as bools, but neither the layer-norm outputs nor, at T>1,
-the attention context: the backward rebuilds those with the forward's own
-operations (`LayerNormCache.output`, `_attend`), so its gradients stay
-exact. A train-mode forward can overwrite the previous one's cache block by
-block (`out=`); eval mode keeps no caches, computes no GELU derivative and
-builds no dropout mask. Depth 0 is a linear probe: mean-pool then affine.
+Pre-norm blocks and mean pooling make `pool_batch`; `forward_batch` adds a
+linear classifier; every affine map is `numerics.linear`. A block is two
+sub-layers, each x + F(layer_norm(x)) owning its norm, residual and cache:
+`_attention_forward` (multi-head self-attention) and `_mlp_forward` (a GELU
+MLP with dropout on its output), with backwards `_attention_backward` and
+`_mlp_backward`. A train-mode forward caches what the backward needs, the
+dropout mask as bools, but neither the norm outputs (each sub-layer drops
+its own after its first GEMM) nor, at T>1, the attention context: the
+backward rebuilds both with the forward's own operations
+(`LayerNormCache.output`, `_attend`), so its gradients stay exact. `out=`
+overwrites the previous train-mode cache block by block. Eval mode keeps no
+caches, GELU derivative or dropout mask. Depth 0 is a linear probe. No
+positional embeddings are added: input tokens come from an encoder that
+already resolved position, so the blocks stay permutation-equivariant.
 
 Residual sums, scores, softmax and gradient products are formed in place,
-GELU runs in cache-sized tiles over the fc1 output (see `lthead.numerics`),
-and the backward drops each gradient once consumed. Every value keeps the
-operations and order of the plain whole-array expressions, so the bits are
-those of the untiled, out-of-place code.
-
-No positional embeddings are added; input tokens come from an encoder that
-already resolved position, and the blocks stay permutation-equivariant.
+GELU runs in cache-sized tiles (see `lthead.numerics`), and the backward
+drops each gradient once consumed, all with the operations and order of the
+plain whole-array expressions, so the bits are those of the untiled code.
 """
 
 from __future__ import annotations
@@ -138,17 +137,27 @@ def init_decoder(config: DecoderConfig, rng: np.random.Generator) -> DecoderHead
 
 
 @dataclass
-class BlockCache:
-    ln1: LayerNormCache  # its output is recomputed by the backward
+class AttentionCache:
+    ln: LayerNormCache   # its output is recomputed by the backward
     q: Array | None      # (B, h, T, dh); None on the single-token fast path
     k: Array | None
     v: Array | None
     attn: Array | None   # (B, h, T, T) softmax weights
     ctx: Array | None    # (B, T, D) value projection at T=1; None at T>1 (rebuilt)
-    ln2: LayerNormCache
+
+
+@dataclass
+class MLPCache:
+    ln: LayerNormCache   # its output is recomputed by the backward
     h_act: Array         # (B, T, H) gelu output, over the fc1 output
     h_grad: Array        # (B, T, H) gelu derivative at the fc1 output
     mask: Array          # (B, T, D) bool kept-mask; see `dropout_scale`
+
+
+@dataclass
+class BlockCache:
+    attention: AttentionCache
+    mlp: MLPCache
 
 
 @dataclass
@@ -172,55 +181,49 @@ def _attend(attn: Array, v: Array) -> Array:
     return ctx
 
 
-def _attention_forward(params: BlockParams, xhat: Array,
-                       config: DecoderConfig) -> tuple:
-    """Self-attention and output projection: out and the cached q, k, v, attn, ctx."""
-    d = config.dim
-    if xhat.shape[1] == 1:
-        # One token: attention weights are exactly 1, so the context is v and
-        # q/k never influence the output or any gradient.
-        ctx = linear(xhat, params.qkv_weight[2 * d:], params.qkv_bias[2 * d:])
-        return (linear(ctx, params.proj_weight, params.proj_bias),
-                None, None, None, None, ctx)
-    qkv = linear(xhat, params.qkv_weight, params.qkv_bias)
-    q, k, v = (_split_heads(part, config.heads) for part in np.split(qkv, 3, -1))
-    scores = q @ k.transpose(0, 1, 3, 2)
-    scores *= 1.0 / math.sqrt(config.head_dim)
-    attn = softmax_last(scores)
-    ctx = _attend(attn, v)  # not cached: the backward rebuilds it
-    return linear(ctx, params.proj_weight, params.proj_bias), q, k, v, attn, None
+def _attention_forward(params: BlockParams, x: Array, config: DecoderConfig,
+                       train_mode: bool) -> tuple[Array, AttentionCache | None]:
+    """x + self-attention(layer_norm(x)) and its cache; eval mode returns no cache."""
+    xhat, ln = layer_norm(x, params.ln1_gamma, params.ln1_beta)
+    # One token: attention weights are exactly 1, so the context is v and
+    # q/k never influence the output or any gradient; only v is projected.
+    rows = slice(2 * config.dim if x.shape[1] == 1 else 0, None)
+    qkv = linear(xhat, params.qkv_weight[rows], params.qkv_bias[rows])
+    del xhat  # not cached: the backward recomputes it
+    ctx, q, k, v, attn = qkv, None, None, None, None
+    if x.shape[1] > 1:
+        q, k, v = (_split_heads(part, config.heads) for part in np.split(qkv, 3, -1))
+        scores = q @ k.transpose(0, 1, 3, 2)
+        scores *= 1.0 / math.sqrt(config.head_dim)
+        attn = softmax_last(scores)
+        ctx = _attend(attn, v)  # not cached: the backward rebuilds it
+    out = linear(ctx, params.proj_weight, params.proj_bias)
+    out += x
+    return out, (AttentionCache(ln, q, k, v, attn, ctx if attn is None else None)
+                 if train_mode else None)
 
 
-def _mlp_forward(params: BlockParams, xhat: Array, config: DecoderConfig, rng,
-                 train_mode: bool) -> tuple:
-    """fc1, GELU, fc2, dropout: (out, h_act, h_grad, mask); only out in eval mode."""
+def _mlp_forward(params: BlockParams, x: Array, config: DecoderConfig, rng,
+                 train_mode: bool) -> tuple[Array, MLPCache | None]:
+    """x + dropout(fc2(GELU(fc1(layer_norm(x))))) and its cache; None in eval mode."""
+    xhat, ln = layer_norm(x, params.ln2_gamma, params.ln2_beta)
     h_pre = linear(xhat, params.fc1_weight, params.fc1_bias)
+    del xhat  # not cached: the backward recomputes it
     if not train_mode:
-        return linear(gelu(h_pre, out=h_pre), params.fc2_weight,
-                      params.fc2_bias), None, None, None
+        out = linear(gelu(h_pre, out=h_pre), params.fc2_weight, params.fc2_bias)
+        out += x
+        return out, None
     h_act, h_grad = gelu_with_grad(h_pre, out=h_pre)
     out = linear(h_act, params.fc2_weight, params.fc2_bias)
     mask = dropout_mask(out.shape, config.dropout, rng)
     out *= mask
-    return out, h_act, h_grad, mask != 0
+    out += x
+    return out, MLPCache(ln, h_act, h_grad, mask != 0)
 
 
-def _block_forward_batch(params: BlockParams, x: Array, config: DecoderConfig,
-                         rng, train_mode: bool) -> tuple[Array, BlockCache | None]:
-    """One block. Eval mode returns no cache."""
-    xhat1, ln1 = layer_norm(x, params.ln1_gamma, params.ln1_beta)
-    x_mid, *attention = _attention_forward(params, xhat1, config)
-    del xhat1  # not cached: the backward recomputes it
-    x_mid += x
-    xhat2, ln2 = layer_norm(x_mid, params.ln2_gamma, params.ln2_beta)
-    out, *mlp = _mlp_forward(params, xhat2, config, rng, train_mode)
-    out += x_mid  # the block output, x_mid + mlp * mask
-    return out, BlockCache(ln1, *attention, ln2, *mlp) if train_mode else None
-
-
-def _attention_backward(params: BlockParams, cache: BlockCache, dout: Array,
+def _attention_backward(params: BlockParams, cache: AttentionCache, dout: Array,
                         config: DecoderConfig, grads: BlockParams) -> Array:
-    """Write the qkv and proj gradients into `grads`; return the input gradient."""
+    """Write the ln1, qkv and proj gradients into `grads`; return dx."""
     dctx = linear_backward(dout, cache.ctx if cache.attn is None else
                            _attend(cache.attn, cache.v), params.proj_weight,
                            grads.proj_weight, grads.proj_bias)
@@ -229,52 +232,46 @@ def _attention_backward(params: BlockParams, cache: BlockCache, dout: Array,
         # Single token: dscores vanishes identically, so only the v slice of
         # the qkv projection receives gradient.
         grads.qkv_weight[:2 * d] = grads.qkv_bias[:2 * d] = 0.0
-        return linear_backward(dctx, cache.ln1.output(params.ln1_beta),
-                               params.qkv_weight[2 * d:], grads.qkv_weight[2 * d:],
-                               grads.qkv_bias[2 * d:])
-    dctx_h = _split_heads(dctx, config.heads)
-    dattn = dctx_h @ cache.v.transpose(0, 1, 3, 2)
-    # dq, dk and dv are written through head-split views of one buffer
-    dqkv = np.empty(dctx.shape[:2] + (3 * d,))
-    dq, dk, dv = (_split_heads(part, config.heads) for part in np.split(dqkv, 3, -1))
-    np.matmul(cache.attn.transpose(0, 1, 3, 2), dctx_h, out=dv)
-    del dctx, dctx_h
-    # softmax backward over the key axis: dscores, formed in dattn's buffer
-    dattn -= np.sum(dattn * cache.attn, axis=-1, keepdims=True)
-    dattn *= cache.attn
-    scale = 1.0 / math.sqrt(config.head_dim)
-    np.matmul(dattn, cache.k, out=dq)
-    dq *= scale
-    np.matmul(dattn.transpose(0, 1, 3, 2), cache.q, out=dk)
-    dk *= scale
-    del dattn, dq, dk, dv
-    return linear_backward(dqkv, cache.ln1.output(params.ln1_beta),
-                           params.qkv_weight, grads.qkv_weight, grads.qkv_bias)
+        dqkv, rows = dctx, slice(2 * d, None)
+    else:
+        dctx_h = _split_heads(dctx, config.heads)
+        dattn = dctx_h @ cache.v.transpose(0, 1, 3, 2)
+        # dq, dk and dv are written through head-split views of one buffer
+        dqkv, rows = np.empty(dctx.shape[:2] + (3 * d,)), slice(None)
+        dq, dk, dv = (_split_heads(part, config.heads)
+                      for part in np.split(dqkv, 3, -1))
+        np.matmul(cache.attn.transpose(0, 1, 3, 2), dctx_h, out=dv)
+        del dctx, dctx_h
+        # softmax backward over the key axis: dscores, formed in dattn's buffer
+        dattn -= np.sum(dattn * cache.attn, axis=-1, keepdims=True)
+        dattn *= cache.attn
+        scale = 1.0 / math.sqrt(config.head_dim)
+        np.matmul(dattn, cache.k, out=dq)
+        dq *= scale
+        np.matmul(dattn.transpose(0, 1, 3, 2), cache.q, out=dk)
+        dk *= scale
+        del dattn, dq, dk, dv
+    dxhat = linear_backward(dqkv, cache.ln.output(params.ln1_beta),
+                            params.qkv_weight[rows], grads.qkv_weight[rows],
+                            grads.qkv_bias[rows])
+    del dqkv
+    dx, grads.ln1_gamma[...], grads.ln1_beta[...] = layer_norm_backward(cache.ln, dxhat)
+    dx += dout  # the residual path
+    return dx
 
 
-def _mlp_backward(params: BlockParams, cache: BlockCache, dout: Array,
+def _mlp_backward(params: BlockParams, cache: MLPCache, dout: Array,
                   config: DecoderConfig, grads: BlockParams) -> Array:
-    """Write the fc1 and fc2 gradients into `grads`; return the input gradient."""
+    """Write the ln2, fc1 and fc2 gradients into `grads`; return dx."""
     dh_act = linear_backward(dout * dropout_scale(cache.mask, config.dropout),
                              cache.h_act, params.fc2_weight, grads.fc2_weight,
                              grads.fc2_bias)
     dh_act *= cache.h_grad  # now the gradient at the fc1 output
-    return linear_backward(dh_act, cache.ln2.output(params.ln2_beta),
-                           params.fc1_weight, grads.fc1_weight, grads.fc1_bias)
-
-
-def _block_backward_batch(params: BlockParams, cache: BlockCache, dout: Array,
-                          config: DecoderConfig, grads: BlockParams) -> Array:
-    """Write every one of the block's parameter gradients into `grads`; return dx.
-
-    Drops each gradient once consumed and rebuilds, where each is read, what
-    the forward did not cache; writes neither `dout` nor `cache`."""
-    dx_mid, grads.ln2_gamma[...], grads.ln2_beta[...] = layer_norm_backward(
-        cache.ln2, _mlp_backward(params, cache, dout, config, grads))
-    dx_mid += dout
-    dx, grads.ln1_gamma[...], grads.ln1_beta[...] = layer_norm_backward(
-        cache.ln1, _attention_backward(params, cache, dx_mid, config, grads))
-    dx += dx_mid
+    dxhat = linear_backward(dh_act, cache.ln.output(params.ln2_beta),
+                            params.fc1_weight, grads.fc1_weight, grads.fc1_bias)
+    del dh_act
+    dx, grads.ln2_gamma[...], grads.ln2_beta[...] = layer_norm_backward(cache.ln, dxhat)
+    dx += dout  # the residual path
     return dx
 
 
@@ -314,7 +311,9 @@ def pool_batch(head: DecoderHead, tokens: Array, rng, train_mode: bool,
     caches = out.block_caches if train_mode else [None] * len(head.blocks)
     for i, blk in enumerate(head.blocks):
         caches[i] = None  # free the old activations before recomputing them
-        x, caches[i] = _block_forward_batch(blk, x, head.config, rng, train_mode)
+        x, attention = _attention_forward(blk, x, head.config, train_mode)
+        x, mlp = _mlp_forward(blk, x, head.config, rng, train_mode)
+        caches[i] = BlockCache(attention, mlp) if train_mode else None
     out.num_tokens = x.shape[1]
     out.pooled = x.mean(axis=1)
     return out.pooled, out
@@ -359,6 +358,7 @@ def backward_batch(head: DecoderHead, cache: ForwardCache, dlogits: Array,
     t = cache.num_tokens
     dx = np.repeat(dpooled[:, None, :] / t, t, axis=1)
     for i in range(len(head.blocks) - 1, -1, -1):
-        dx = _block_backward_batch(head.blocks[i], cache.block_caches[i], dx,
-                                   head.config, grads.blocks[i])
+        blk, bc = head.blocks[i], cache.block_caches[i]
+        dx = _mlp_backward(blk, bc.mlp, dx, head.config, grads.blocks[i])
+        dx = _attention_backward(blk, bc.attention, dx, head.config, grads.blocks[i])
     return grads.params, dx

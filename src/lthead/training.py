@@ -156,13 +156,18 @@ def sgd_step(params: Array, grads: Array, velocity: Array, lr: float,
         params[s] -= g
 
 
-def _class_stats(ds: FeatureDataset, config: DecoderConfig) -> ClassStats:
-    """The dataset's class stats, once its classes and width match the head's."""
+def _check_matches_head(ds: FeatureDataset, config: DecoderConfig) -> None:
+    """Raise `ShapeError` unless the dataset's classes and width are the head's."""
     if ds.num_classes != config.num_classes:
         raise ShapeError(f"dataset has {ds.num_classes} classes but the head "
                          f"has {config.num_classes}")
     if ds.dim != config.dim:
         raise ShapeError(f"dataset has dim {ds.dim} but the head has dim {config.dim}")
+
+
+def _class_stats(ds: FeatureDataset, config: DecoderConfig) -> ClassStats:
+    """The dataset's class stats, once its classes and width match the head's."""
+    _check_matches_head(ds, config)
     return build_class_stats(ds.labels, ds.num_classes)
 
 
@@ -332,6 +337,7 @@ def _class_order_mean(values: Array) -> float:
 def evaluate(head: DecoderHead, calibrator: Calibrator | None,
              test_ds: FeatureDataset, stats: ClassStats) -> EvalReport:
     """Deterministic eval-mode metrics; `stats` must come from training."""
+    _check_matches_head(test_ds, head.config)
     if test_ds.role == "test" and not test_ds.is_class_balanced():
         warnings.warn("test set is not class-balanced; overall accuracy and "
                       "macro recall will diverge")

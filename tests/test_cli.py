@@ -216,6 +216,24 @@ class TestCalibrate:
         err = capsys.readouterr().err.splitlines()
         assert err == ["error: dataset has 5 classes but the head has 4"]
 
+    @pytest.mark.parametrize("classes, dim, message", [
+        (3, 8, "dataset has 3 classes but the head has 4"),
+        (5, 8, "dataset has 5 classes but the head has 4"),
+        (4, 16, "dataset has dim 16 but the head has dim 8")])
+    def test_eval_class_count_mismatch_exit_2(self, workspace, tmp_path, capsys,
+                                              classes, dim, message):
+        # eval checks the test file against the head before any forward:
+        # fewer classes used to evaluate silently, more to fail on the labels
+        assert run(["gen-data", "--classes", str(classes), "--head-count", "20",
+                    "--ratio", "4", "--dim", str(dim), "--test-per-class", "2",
+                    "--out", str(tmp_path / "k")]) == 0
+        capsys.readouterr()
+        code = run(["eval", "--ckpt", str(workspace / "model.ckpt"),
+                    "--test", str(tmp_path / "k.test"),
+                    "--report", str(tmp_path / "r")])
+        assert code == 2
+        assert capsys.readouterr().err.splitlines() == [f"error: {message}"]
+
     def test_out_of_memory_exit_2(self, workspace, tmp_path, capsys,
                                   monkeypatch):
         def exhausted(*args, **kwargs):

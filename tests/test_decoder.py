@@ -10,14 +10,11 @@ import lthead.decoder
 from lthead import (ConfigError, DecoderConfig, DecoderHead, ShapeError,
                     StateError, backward_batch, forward_batch, init_decoder,
                     make_rng)
-from lthead.decoder import (BLOCK_FIELDS, BlockCache, _attend,
-                            _attention_backward, _attention_forward,
-                            _block_backward_batch, _block_forward_batch,
-                            _mlp_backward, _mlp_forward, param_count,
-                            param_layout, pool_batch)
+from lthead.decoder import (BLOCK_FIELDS, _attend, _attention_backward,
+                            _attention_forward, _mlp_backward, _mlp_forward,
+                            param_count, param_layout, pool_batch)
 from lthead.numerics import (dropout_mask, dropout_scale, finite_diff_check,
-                             layer_norm, layer_norm_backward, layout_size,
-                             linear)
+                             layout_size, linear)
 
 
 def zero_block_weights(head):
@@ -115,7 +112,9 @@ class TestBlockForward:
         head = init_decoder(cfg, make_rng(1))
         zero_block_weights(head)
         tokens = make_rng(2).standard_normal((1, 5, 8))
-        out, _ = _block_forward_batch(head.blocks[0], tokens, cfg, None, False)
+        x_mid, _ = _attention_forward(head.blocks[0], tokens, cfg, False)
+        npt.assert_array_equal(x_mid, tokens)
+        out, _ = _mlp_forward(head.blocks[0], x_mid, cfg, None, False)
         npt.assert_array_equal(out, tokens)
 
     def test_single_token_degenerate_attention(self):
@@ -124,7 +123,8 @@ class TestBlockForward:
         head = init_decoder(cfg, make_rng(3))
         blk = head.blocks[0]
         tokens = make_rng(4).standard_normal((1, 6))
-        out, _ = _block_forward_batch(blk, tokens[None], cfg, None, False)
+        out, _ = _mlp_forward(blk, _attention_forward(blk, tokens[None], cfg, False)[0],
+                              cfg, None, False)
 
         from lthead.numerics import gelu, layer_norm
         xhat1, _ = layer_norm(tokens, blk.ln1_gamma, blk.ln1_beta)
@@ -140,9 +140,11 @@ class TestBlockForward:
         cfg = DecoderConfig(dim=8, num_classes=2, depth=1, heads=2, dropout=0.0)
         head = init_decoder(cfg, make_rng(5))
         token = make_rng(6).standard_normal((1, 8))
-        out1, _ = _block_forward_batch(head.blocks[0], token[None], cfg, None, False)
-        out2, _ = _block_forward_batch(head.blocks[0], np.vstack([token, token])[None],
-                                       cfg, None, False)
+        blk = head.blocks[0]
+        x1, _ = _attention_forward(blk, token[None], cfg, False)
+        out1, _ = _mlp_forward(blk, x1, cfg, None, False)
+        x2, _ = _attention_forward(blk, np.vstack([token, token])[None], cfg, False)
+        out2, _ = _mlp_forward(blk, x2, cfg, None, False)
         npt.assert_allclose(out2[0, 0], out1[0, 0], rtol=0, atol=1e-12)
         npt.assert_allclose(out2[0, 1], out1[0, 0], rtol=0, atol=1e-12)
 
@@ -156,9 +158,11 @@ class TestBlockForward:
         def f(vec):
             # the classifier entries of the vector get zero gradient both ways
             blk = DecoderHead(cfg, vec).blocks[0]
-            out, cache = _block_forward_batch(blk, tokens, cfg, None, True)
+            x_mid, attention = _attention_forward(blk, tokens, cfg, True)
+            out, mlp = _mlp_forward(blk, x_mid, cfg, None, True)
             grads = DecoderHead(cfg)
-            _block_backward_batch(blk, cache, probe, cfg, grads.blocks[0])
+            dx_mid = _mlp_backward(blk, mlp, probe, cfg, grads.blocks[0])
+            _attention_backward(blk, attention, dx_mid, cfg, grads.blocks[0])
             return float(np.sum(out * probe)), grads.params.vector
 
         report = finite_diff_check(f, head0.params.vector, tol=1e-5)
@@ -167,13 +171,8 @@ class TestBlockForward:
     @pytest.mark.parametrize("t", [1, 3])
     def test_attention_backward_finite_differences(self, t):
         def attention(blk, tokens, cfg, grads):
-            xhat, ln1 = layer_norm(tokens, blk.ln1_gamma, blk.ln1_beta)
-            out, *fields = _attention_forward(blk, xhat, cfg)
-            cache = BlockCache(ln1, *fields, None, None, None, None)
-            dxhat = _attention_backward(blk, cache, PROBE[:, :t], cfg, grads)
-            dx, grads.ln1_gamma[...], grads.ln1_beta[...] = layer_norm_backward(
-                ln1, dxhat)
-            return out, dx
+            out, cache = _attention_forward(blk, tokens, cfg, True)
+            return out, _attention_backward(blk, cache, PROBE[:, :t], cfg, grads)
 
         assert_sublayer_gradients(attention, t, dropout=0.0)
 
@@ -181,13 +180,8 @@ class TestBlockForward:
     def test_mlp_backward_finite_differences(self, t, dropout):
         def mlp(blk, tokens, cfg, grads):
             # re-seeded on every call, so each evaluation draws the same mask
-            xhat, ln2 = layer_norm(tokens, blk.ln2_gamma, blk.ln2_beta)
-            out, *fields = _mlp_forward(blk, xhat, cfg, make_rng(13), True)
-            cache = BlockCache(None, None, None, None, None, None, ln2, *fields)
-            dxhat = _mlp_backward(blk, cache, PROBE[:, :t], cfg, grads)
-            dx, grads.ln2_gamma[...], grads.ln2_beta[...] = layer_norm_backward(
-                ln2, dxhat)
-            return out, dx
+            out, cache = _mlp_forward(blk, tokens, cfg, make_rng(13), True)
+            return out, _mlp_backward(blk, cache, PROBE[:, :t], cfg, grads)
 
         assert_sublayer_gradients(mlp, t, dropout)
 
@@ -196,12 +190,13 @@ PROBE = make_rng(12).standard_normal((2, 3, 6))
 
 
 def assert_sublayer_gradients(sublayer, t, dropout):
-    """finite_diff_check of sum(PROBE * sublayer(layer norm(tokens))) over a
-    dim-6, 3-head block's parameters and the tokens themselves.
+    """finite_diff_check of sum(PROBE * sublayer(tokens)) over a dim-6,
+    3-head block's parameters and the tokens themselves.
 
-    `sublayer(blk, tokens, cfg, grads)` returns its output and the token
-    gradient, and writes its own and its layer norm's parameter gradients
-    into `grads`; every other entry stays zero, as the value ignores it.
+    `sublayer(blk, tokens, cfg, grads)` returns its output, tokens +
+    F(layer norm(tokens)), and the token gradient, and writes its own and its
+    layer norm's parameter gradients into `grads`; every other entry stays
+    zero, as the value ignores it.
     """
     cfg = DecoderConfig(dim=6, num_classes=2, depth=1, heads=3, mlp_ratio=2.0,
                         dropout=dropout)
@@ -463,17 +458,16 @@ class TestCacheReuse:
         head = init_decoder(cfg, make_rng(0))
         tokens = make_rng(1).standard_normal((2, 3, 8))
         _, cache = forward_batch(head, tokens, None, True)
-        block = lthead.decoder._block_forward_batch
+        mlp = lthead.decoder._mlp_forward
         calls = []
 
         def fail_in_second_block(*args):
             calls.append(1)
             if len(calls) == 2:
                 raise MemoryError("simulated")
-            return block(*args)
+            return mlp(*args)
 
-        monkeypatch.setattr(lthead.decoder, "_block_forward_batch",
-                            fail_in_second_block)
+        monkeypatch.setattr(lthead.decoder, "_mlp_forward", fail_in_second_block)
         with pytest.raises(MemoryError):
             forward_batch(head, 2.0 * tokens, None, True, out=cache)
         monkeypatch.undo()
@@ -521,8 +515,9 @@ class TestBackwardMemory:
             dout = make_rng(3).standard_normal((4, t, 8))
             before = [(p, np.copy(v)) for p, v in cache_fields(cache)]
             dout_before = dout.copy()
-            _block_backward_batch(head.blocks[0], cache.block_caches[0], dout,
-                                  cfg, DecoderHead(cfg).blocks[0])
+            bc, grads = cache.block_caches[0], DecoderHead(cfg).blocks[0]
+            _mlp_backward(head.blocks[0], bc.mlp, dout, cfg, grads)
+            _attention_backward(head.blocks[0], bc.attention, dout, cfg, grads)
             assert_same_bits(dout, dout_before, "dout")
             for (path, a), (_, b) in zip(cache_fields(cache), before):
                 assert_same_bits(a, b, path)
@@ -548,6 +543,49 @@ class TestBackwardMemory:
         assert peak <= 0.25 * cache_bytes
 
 
+class TestForwardMemory:
+    # Stage one's and eval's shapes at T=8. Each sub-layer drops its norm
+    # output after its first GEMM, and an eval-mode sub-layer returns no
+    # cache, so qkv and the softmax weights are freed before the MLP runs.
+    cfg = DecoderConfig(dim=64, num_classes=50, depth=3, heads=4, dropout=0.5)
+
+    def peak(self, b, train_mode):
+        head = init_decoder(self.cfg, make_rng(0))
+        tokens = make_rng(1).standard_normal((b, 8, 64))
+        tracemalloc.start()
+        try:
+            forward_batch(head, tokens, make_rng(2), train_mode)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    def test_train_forward_peak(self):
+        assert self.peak(256, True) < 47.5e6
+
+    def test_eval_forward_peak(self):
+        assert self.peak(512, False) < 18.0e6
+
+
+class TestSubLayerNames:
+    def test_forward_and_backward_call_each_sub_layer_by_name(self, monkeypatch):
+        # A tracer wraps these module attributes, so every block must look
+        # them up at call time.
+        calls = {}
+        for name in ("_attention_forward", "_mlp_forward", "_attention_backward",
+                     "_mlp_backward"):
+            def counted(*args, _fn=getattr(lthead.decoder, name), _name=name):
+                calls[_name] = calls.get(_name, 0) + 1
+                return _fn(*args)
+            monkeypatch.setattr(lthead.decoder, name, counted)
+        cfg = DecoderConfig(dim=8, num_classes=3, depth=2, heads=2, dropout=0.5)
+        head = init_decoder(cfg, make_rng(0))
+        _, cache = forward_batch(head, make_rng(1).standard_normal((2, 3, 8)),
+                                 make_rng(2), True)
+        backward_batch(head, cache, make_rng(3).standard_normal((2, 3)))
+        assert calls == {"_attention_forward": 2, "_mlp_forward": 2,
+                         "_attention_backward": 2, "_mlp_backward": 2}
+
+
 class TestCacheContents:
     def test_multi_token_cache_holds_a_bool_mask_and_no_context(self):
         cfg = DecoderConfig(dim=8, num_classes=3, depth=2, heads=2, dropout=0.5)
@@ -555,8 +593,8 @@ class TestCacheContents:
         _, cache = forward_batch(head, make_rng(1).standard_normal((4, 8, 8)),
                                  make_rng(2), True)
         for bc in cache.block_caches:
-            assert bc.mask.dtype == np.bool_ and bc.mask.shape == (4, 8, 8)
-            assert bc.ctx is None
+            assert bc.mlp.mask.dtype == np.bool_ and bc.mlp.mask.shape == (4, 8, 8)
+            assert bc.attention.ctx is None
 
     def test_single_token_cache_keeps_the_context(self):
         # at T=1 the context is the value projection; rebuilding it is a GEMM
@@ -565,8 +603,9 @@ class TestCacheContents:
         _, cache = forward_batch(head, make_rng(1).standard_normal((4, 1, 8)),
                                  make_rng(2), True)
         for bc in cache.block_caches:
-            assert bc.mask.dtype == np.bool_ and bc.mask.shape == (4, 1, 8)
-            assert bc.ctx is not None and bc.ctx.shape == (4, 1, 8)
+            assert bc.mlp.mask.dtype == np.bool_ and bc.mlp.mask.shape == (4, 1, 8)
+            assert bc.attention.ctx is not None
+            assert bc.attention.ctx.shape == (4, 1, 8)
 
     @pytest.mark.parametrize("rate", [0.0, 0.1, 0.3, 0.9])
     def test_gradients_equal_a_float_mask_reference(self, rate):
@@ -584,11 +623,11 @@ class TestCacheContents:
         rng = make_rng(2)  # the forward draws one mask per block, in order
         masks = [dropout_mask((b, 8, 8), rate, rng) for _ in head.blocks]
         for bc, mask in zip(cache.block_caches, masks):
-            assert_same_bits(dropout_scale(bc.mask, rate), mask, "mask")
+            assert_same_bits(dropout_scale(bc.mlp.mask, rate), mask, "mask")
         ref_cfg = dataclasses.replace(cfg, dropout=0.0)
         ref_head = DecoderHead(ref_cfg, head.params.vector.copy())
         ref_cache = dataclasses.replace(cache, config=ref_cfg, block_caches=[
-            dataclasses.replace(bc, mask=mask)
+            dataclasses.replace(bc, mlp=dataclasses.replace(bc.mlp, mask=mask))
             for bc, mask in zip(cache.block_caches, masks)])
         want, want_dtokens = backward_batch(ref_head, ref_cache, dlogits)
         assert_same_bits(grads.vector, want.vector, "grads")
