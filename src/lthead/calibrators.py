@@ -21,7 +21,7 @@ import numpy as np
 
 from .data import CLASS_BALANCED, INSTANCE_BALANCED
 from .exceptions import ConfigError, ShapeError, StateError
-from .numerics import FAN_IN, Array, ParamVector, linear, linear_backward
+from .numerics import FAN_IN, Array, ParamVector, linear
 
 
 def calibrator_layout(variant: str, num_classes: int, dim: int) -> list:
@@ -80,15 +80,14 @@ def _sigmoid(x: Array) -> Array:
 
 def _crt(cal, pooled, logits, weight_norms):
     def backward(grads, dadjusted):
-        return np.zeros_like(logits), linear_backward(
-            dadjusted, pooled, cal.weight, grads["weight"], grads["bias"])
+        np.matmul(dadjusted.T, pooled, out=grads["weight"])
+        np.sum(dadjusted, axis=0, out=grads["bias"])
     return linear(pooled, cal.weight, cal.bias), backward
 
 
 def _lws(cal, pooled, logits, weight_norms):
     def backward(grads, dadjusted):
         grads["scales"][...] = np.sum(logits * dadjusted, axis=0)
-        return cal.scales * dadjusted, np.zeros_like(pooled)
     return logits * cal.scales, backward
 
 
@@ -103,8 +102,6 @@ def _disalign(cal, pooled, logits, weight_norms):
         grads["beta"][...] = np.sum(sigma[:, None] * dadjusted, axis=0)
         grads["conf_weight"][...] = pooled.T @ dpre
         grads["conf_bias"][...] = dpre.sum()
-        dlogits = dadjusted * (sigma[:, None] * cal.alpha + (1.0 - sigma)[:, None])
-        return dlogits, dpre[:, None] * cal.conf_weight
     return sigma[:, None] * gated + (1.0 - sigma)[:, None] * logits, backward
 
 
@@ -112,7 +109,6 @@ def _marc(cal, pooled, logits, weight_norms):
     def backward(grads, dadjusted):
         grads["omega"][...] = np.sum(logits * dadjusted, axis=0)
         grads["beta"][...] = np.sum(weight_norms * dadjusted, axis=0)
-        return cal.omega * dadjusted, np.zeros_like(pooled)
     return cal.omega * logits + cal.beta * weight_norms, backward
 
 
@@ -121,7 +117,7 @@ class Recipe(NamedTuple):
     sampling: str     # stage-two batch sampler, a `data` strategy
     loss: str         # stage-two loss, a `losses.VARIANTS` name
     apply: Callable   # (cal, pooled, logits, weight_norms) -> (adjusted logits,
-                      # backward(grads, dadjusted) -> (dlogits, dpooled))
+                      # backward(grads, dadjusted), which writes `grads`)
 
 
 # Shapes are in units of K (classes) and D (pooled feature dim); every
@@ -163,10 +159,11 @@ def apply_batch(cal: Calibrator, pooled: Array, logits: Array,
 
 
 def backward_batch(cal: Calibrator, cache: ApplyCache,
-                   dadjusted: Array) -> tuple[ParamVector, Array, Array]:
-    """Gradients of a cached apply_batch: (parameter grads, dlogits, dpooled).
+                   dadjusted: Array) -> ParamVector:
+    """Parameter gradients of a cached apply_batch, in the calibrator's layout.
 
-    The parameter gradients share the calibrator's layout and names.
+    Stage two trains the calibrator on a frozen head, so no gradient flows
+    to the pooled features or the logits, and none is formed.
     """
     if cache.variant != cal.variant:
         raise StateError("cache was produced by a different calibrator variant")
@@ -174,4 +171,5 @@ def backward_batch(cal: Calibrator, cache: ApplyCache,
     if dadjusted.shape != cache.shape:
         raise StateError("gradient shape does not match the cached apply")
     grads = ParamVector(cal.params.layout)
-    return (grads, *cache.backward(grads, dadjusted))
+    cache.backward(grads, dadjusted)
+    return grads

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .exceptions import ConfigError, DataError, DomainError, FormatError
-from .losses import ClassStats
+from .losses import ClassStats, _whole_numbers
 
 Array = np.ndarray
 
@@ -53,7 +53,7 @@ class FeatureDataset:
 
     def __post_init__(self):
         self.features = np.ascontiguousarray(self.features, dtype=np.float64)
-        self.labels = np.asarray(self.labels, dtype=np.int64)
+        self.labels = _whole_numbers(self.labels, "labels")
         if self.features.ndim != 3:
             raise DataError(f"features must be (N, T, D), got {self.features.shape}")
         if self.labels.shape != (self.features.shape[0],):

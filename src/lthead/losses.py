@@ -49,7 +49,7 @@ def build_class_stats(labels, num_classes: int) -> ClassStats:
     Group tags follow training-count thresholds: many > 100,
     20 <= medium <= 100, few < 20.
     """
-    labels = np.asarray(labels, dtype=np.int64)
+    labels = _whole_numbers(labels, "labels")
     if labels.size == 0:
         raise DataError("cannot build class statistics from zero labels")
     if labels.min() < 0 or labels.max() >= num_classes:
@@ -63,18 +63,23 @@ def build_class_stats(labels, num_classes: int) -> ClassStats:
     return stats_from_counts(counts)
 
 
-def _checked_counts(counts) -> tuple[Array, int]:
-    """`counts` as int64 and its exact total, if every class-count rule holds."""
-    counts = np.asarray(counts)
-    not_whole = "counts must be whole numbers below 2^63"
+def _whole_numbers(values, name: str) -> Array:
+    """`values` as int64, or a DataError naming `name` if one is not whole."""
+    values = np.asarray(values)
+    not_whole = f"{name} must be whole numbers below 2^63"
     # a float's cast to int64 would drop its fraction or turn nan into garbage
-    if counts.dtype.kind == "f" and not np.all(
-            (np.trunc(counts) == counts) & (abs(counts) < 2.0 ** 63)):
+    if values.dtype.kind == "f" and not np.all(
+            (np.trunc(values) == values) & (abs(values) < 2.0 ** 63)):
         raise DataError(not_whole)
     try:
-        counts = counts.astype(np.int64, copy=False)
+        return values.astype(np.int64, copy=False)
     except OverflowError:  # a Python int beyond int64, in an object array
         raise DataError(not_whole) from None
+
+
+def _checked_counts(counts) -> tuple[Array, int]:
+    """`counts` as int64 and its exact total, if every class-count rule holds."""
+    counts = _whole_numbers(counts, "counts")
     if counts.ndim != 1 or counts.size == 0:
         raise DataError("counts must be a non-empty vector")
     values = counts.tolist()  # Python ints: exact, and cheap on short vectors
@@ -205,6 +210,12 @@ def lade_dv_regularizer(logits: Array, labels: Array, stats: ClassStats,
     _check_batch(logits, labels, stats.num_classes)
     if not 0 <= lam < np.inf:
         raise DomainError(f"lade lambda must be {'>= 0' if lam < 0 else 'finite'}")
+    return _lade_dv(logits, labels, stats, lam)
+
+
+def _lade_dv(logits: Array, labels: Array, stats: ClassStats,
+             lam: float) -> tuple[float, Array]:
+    """`lade_dv_regularizer` on logits and labels that passed `_check_batch`."""
     dlogits = np.zeros_like(logits)
     if lam == 0.0:
         return 0.0, dlogits
@@ -269,7 +280,7 @@ def total_loss(spec: LossSpec, logits: Array, labels: Array,
     z *= coef[:, None]
     z /= batch
     if spec.variant == "lade":
-        reg, dreg = lade_dv_regularizer(logits, labels, stats, spec.lam)
+        reg, dreg = _lade_dv(logits, labels, stats, spec.lam)  # checked above
         value += reg
         z += dreg
     return value, z

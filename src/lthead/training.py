@@ -27,7 +27,8 @@ from .decoder import (DecoderConfig, DecoderHead, backward_batch, forward_batch,
 from .exceptions import (ConfigError, DataError, DivergenceError, DomainError,
                          ShapeError)
 from .losses import (GROUP_FEW, GROUP_MANY, GROUP_MEDIUM, VARIANTS, ClassStats,
-                     build_class_stats, make_loss_spec, total_loss)
+                     _whole_numbers, build_class_stats, make_loss_spec,
+                     total_loss)
 from .numerics import Array, _row_tiles, linear
 
 EVAL_CHUNK = 512  # fixed so evaluation arithmetic never depends on dataset size
@@ -256,7 +257,7 @@ def train_stage2(head: DecoderHead, ds: FeatureDataset, cfg: TrainConfig,
     log = _sgd_loop(
         stage2_schedule(cfg), ds, stats, RECIPES[variant].sampling, spec, rng,
         cal.params.vector, forward,
-        lambda cache, dadj: cal_mod.backward_batch(cal, cache, dadj)[0].vector,
+        lambda cache, dadj: cal_mod.backward_batch(cal, cache, dadj).vector,
         "stage-2 iteration", index=class_index(ds.labels, ds.num_classes))
     return cal, log
 
@@ -293,8 +294,8 @@ def metrics_from_predictions(predictions, labels, stats: ClassStats,
     every macro average (with a warning). Macro averages accumulate in class
     order so results are reproducible digit for digit.
     """
-    predictions = np.asarray(predictions, dtype=np.int64)
-    labels = np.asarray(labels, dtype=np.int64)
+    predictions = _whole_numbers(predictions, "predictions")
+    labels = _whole_numbers(labels, "labels")
     k = stats.num_classes
     if predictions.shape != labels.shape or predictions.ndim != 1:
         raise DataError(f"predictions {predictions.shape} and labels "

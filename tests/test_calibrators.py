@@ -59,7 +59,7 @@ class TestLayout:
         flat = np.concatenate([a.ravel() for a in cal.param_dict().values()])
         npt.assert_array_equal(flat, cal.params.vector)
         _, cache = apply_batch(cal, *random_ctx(13))
-        grads, _, _ = backward_batch(cal, cache, np.ones((1, 4)))
+        grads = backward_batch(cal, cache, np.ones((1, 4)))
         assert list(grads) == list(cal.param_dict())
         assert grads.vector.shape == cal.params.vector.shape
 
@@ -128,18 +128,16 @@ class TestBackward:
             cal = init_calibrator(variant, 4, 6, make_rng(2))
             ctx = random_ctx(6)
             _, cache = apply_batch(cal, *ctx)
-            grads, dlogits, dpooled = backward_batch(cal, cache, np.zeros((1, 4)))
+            grads = backward_batch(cal, cache, np.zeros((1, 4)))
             for name, g in grads.items():
                 npt.assert_array_equal(g, np.zeros_like(g), err_msg=name)
-            npt.assert_array_equal(dlogits, np.zeros((1, 4)))
-            npt.assert_array_equal(dpooled, np.zeros((1, 6)))
 
     def test_lws_product_rule(self):
         cal = init_calibrator("lws", 4, 6, make_rng(3))
         ctx = random_ctx(7)
         _, cache = apply_batch(cal, *ctx)
         upstream = make_rng(8).standard_normal(4)
-        grads, _, _ = backward_batch(cal, cache, upstream[None])
+        grads = backward_batch(cal, cache, upstream[None])
         npt.assert_allclose(grads["scales"], ctx[1][0] * upstream,
                             rtol=0, atol=1e-15)
 
@@ -165,7 +163,6 @@ class TestBackward:
         from lthead import run_gradcheck
         results = {r.name: r.report for r in run_gradcheck("calibrators", 1e-5)}
         assert results[f"calibrators.{variant}.params"].passed
-        assert results[f"calibrators.{variant}.inputs"].passed
 
 
 class TestAffineStructure:

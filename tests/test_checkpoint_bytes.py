@@ -8,8 +8,12 @@ kernel; on another kernel, recompute them from a known-good commit.
 """
 
 import hashlib
+import os
 import struct
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -62,6 +66,59 @@ MULTI_CHUNK = {
     "marc": "33a0717caafdde67216c3cc9fb53f5685b0ef216eada399049c6f6ecb7ca3d90",
 }
 
+# variant -> sha256 of (calibrated checkpoint bytes, report_json, stage-one
+# and stage-two loss logs) after a 6-iteration lade stage one and a
+# 6-iteration stage two at K=200, D=16, B=128, run in a child at one BLAS
+# thread. Its (128, 200) logit and (200, 16) weight-gradient GEMMs are sizes
+# that GOLDEN's K=3 never reaches. Taken from the code whose calibrator
+# backward also formed input gradients and whose lade loss checked its batch
+# twice per call.
+WIDE_K = {
+    "crt": (
+        "d8f07fbdcd2c3be81c432b7cf69eeea2134978819bbbab3beea5312ecdd582b7",
+        "769bc31ee18facbe7a040f32ec603c4cfe1f250e29fa1dd6ff1cd84c4b6a2276",
+        "8e84901935ab2d4579c6e1bea62ea82ab0de621dfe17406c86c1854a3d7084fe"),
+    "lws": (
+        "e86217056b8620b36cdec08c035b1e51babb892963e943bb038baabf7ce0d338",
+        "af30f20bcf45264cd6e5c4007e4e52bbe1abf120b3ecedc180eaccbcfae9c57c",
+        "5c5cf8e1a420e9e93c1429399d28cc461c042d66a00b1f292f7ef573a3122c44"),
+    "disalign": (
+        "15960129f916817e70b6fd0c5412587f83e7c90ea8bebc3151d5e0875427ecee",
+        "f9b27ade1351740fe3433c5c19728a05aceaf76a272bf1f77183158a09ed0a62",
+        "37de28d292829a62b6b239722c31fcb0c6e65d70ad0036aeaa9ced2fb196849d"),
+    "marc": (
+        "7ced680ee8bc85d3503f7c2fd7f352a28435a6bebe11d19d1a3a845acc8b00fc",
+        "4affa1f5582af65310554226e52602f8f19cf5d058c3c987b5ba67ff42c8a82f",
+        "c407b5819b3ebca06f11f364c69c3fa1897896756d30198a8724b33215e1a400"),
+}
+
+WIDE_K_RUN = """
+import hashlib
+import sys
+from pathlib import Path
+from lthead import (CALIBRATOR_VARIANTS, DecoderConfig, SyntheticSpec,
+                    TrainConfig, build_class_stats, evaluate,
+                    generate_synthetic_lt, make_rng, save_checkpoint,
+                    train_stage1, train_stage2)
+from lthead.training import report_json
+k = 200
+spec = SyntheticSpec(num_classes=k, head_count=20, imbalance_ratio=10.0,
+                     dim=16, tokens=2, separation=2.0, test_per_class=3, seed=31)
+train, test = generate_synthetic_lt(spec)
+cfg = TrainConfig(seed=9, total_iters=6, batch_size=128, warmup_iters=2,
+                  loss="lade", stage2_iters=6)
+dc = DecoderConfig(dim=16, num_classes=k, depth=1, heads=2, dropout=0.5)
+head, log1 = train_stage1(train, cfg, dc, make_rng(cfg.seed))
+stats = build_class_stats(train.labels, k)
+path = Path(sys.argv[1], "model.ckpt")
+for variant in CALIBRATOR_VARIANTS:
+    cal, log2 = train_stage2(head, train, cfg, variant, make_rng(10))
+    save_checkpoint(path, head, stats.counts, calibrator=cal)
+    report = report_json(evaluate(head, cal, test, stats))
+    print(variant, *(hashlib.sha256(b).hexdigest() for b in
+                     (path.read_bytes(), report.encode(), log1.tobytes() + log2.tobytes())))
+"""
+
 
 def sha(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
@@ -80,6 +137,7 @@ def trained():
     return train, test, cfg, head, log
 
 
+@pytest.mark.bits
 @pytest.mark.parametrize("variant", list(GOLDEN))
 def test_bytes_match_pinned_hashes(trained, variant, tmp_path):
     train, test, cfg, head, log1 = trained
@@ -95,6 +153,7 @@ def test_bytes_match_pinned_hashes(trained, variant, tmp_path):
     assert got == GOLDEN[variant]
 
 
+@pytest.mark.bits
 def test_multi_tile_stage_one_matches_pinned_hash():
     spec = SyntheticSpec(num_classes=5, head_count=64, imbalance_ratio=8.0,
                          dim=64, tokens=8, separation=1.5, test_per_class=4,
@@ -121,6 +180,7 @@ def multi_chunk():
     return train, test, cfg, head
 
 
+@pytest.mark.bits
 @pytest.mark.parametrize("variant", list(MULTI_CHUNK))
 def test_multi_chunk_stage_two_and_eval_match_pinned_hash(multi_chunk, variant):
     train, test, cfg, head = multi_chunk
@@ -131,6 +191,22 @@ def test_multi_chunk_stage_two_and_eval_match_pinned_hash(multi_chunk, variant):
     report = report_json(evaluate(head, cal, test,
                                   build_class_stats(train.labels, 8)))
     assert sha(blob + report.encode()) == MULTI_CHUNK[variant]
+
+
+@pytest.mark.bits
+def test_wide_class_count_matches_pinned_hashes(tmp_path):
+    # one BLAS thread, since at this K the thread count may change low bits
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1",
+               MKL_NUM_THREADS="1")
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p)
+    proc = subprocess.run([sys.executable, "-c", WIDE_K_RUN, str(tmp_path)],
+                          env=env, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    got = {variant: tuple(hashes) for variant, *hashes in
+           map(str.split, proc.stdout.splitlines())}
+    assert got == WIDE_K
 
 
 def test_every_truncated_prefix_rejected(tmp_path):

@@ -150,6 +150,9 @@ CASES = {
     "metrics_negative_prediction": (
         lambda: metrics_from_predictions(np.array([-1, 1]), np.array([0, 1]), STATS),
         DataError, r"labels and predictions must lie in \[0, 3\)"),
+    "metrics_fractional_predictions": (  # np.int64 would truncate to [1, 0, 2]
+        lambda: metrics_from_predictions([1.7, 0.2, 2.9], [1, 0, 2], STATS),
+        DataError, r"predictions must be whole numbers below 2\^63"),
     "zero_shot_images_other_dim": (
         lambda: zero_shot_classify(np.ones((2, 4)), EMB),
         ShapeError, r"image embeddings must be \(N, D\) with matching D"),
@@ -178,6 +181,9 @@ CASES = {
         lambda: FeatureDataset(features=np.ones((3, 1, 2)), labels=[0, 1, 2],
                                num_classes=3, role="validation"),
         DataError, r"role must be one of \['test', 'train'\]"),
+    "dataset_fractional_labels": (  # np.int64 would truncate to [0, 1, 2]
+        lambda: FeatureDataset(np.zeros((3, 1, 2)), [0.7, 1.2, 2.9], 3),
+        DataError, r"labels must be whole numbers below 2\^63"),
     "synthetic_ratio_below_1": (
         lambda: SyntheticSpec(**{**SPEC_KW, "imbalance_ratio": 0.5}),
         ConfigError, "imbalance ratio must be >= 1"),
@@ -202,6 +208,9 @@ CASES = {
     "class_stats_zero_labels": (
         lambda: build_class_stats(np.array([], dtype=np.int64), 3),
         DataError, "cannot build class statistics from zero labels"),
+    "class_stats_fractional_labels": (  # np.int64 would count [1, 1, 1]
+        lambda: build_class_stats([0.5, 1.2, 2.0], 3),
+        DataError, r"labels must be whole numbers below 2\^63"),
     "counts_empty": (
         lambda: stats_from_counts([]),
         DataError, "counts must be a non-empty vector"),

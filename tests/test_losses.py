@@ -555,6 +555,26 @@ class TestLadeRegularizer:
         scale = 1.0 + abs(shift) + np.abs(logits).max()
         assert v2 == pytest.approx(v1, rel=0, abs=1e-12 * scale)
 
+    def test_total_loss_checks_the_batch_once(self, monkeypatch):
+        import lthead.losses as losses_mod
+        calls = []
+        check = losses_mod._check_batch
+        monkeypatch.setattr(losses_mod, "_check_batch",
+                            lambda *args: calls.append(1) or check(*args))
+        stats = stats_for([30, 10, 5])
+        logits = make_rng(16).standard_normal((6, 3))
+        labels = np.array([0, 1, 2, 0, 1, 0])
+        value, grad = total_loss(make_loss_spec("lade", stats, lam=0.3),
+                                 logits, labels, stats)
+        assert len(calls) == 1
+        # the public regularizer keeps its own check
+        reg, dreg = lade_dv_regularizer(logits, labels, stats, lam=0.3)
+        assert len(calls) == 2
+        bsm, dbsm = total_loss(make_loss_spec("bsm", stats), logits, labels, stats)
+        assert value == bsm + reg
+        dbsm += dreg
+        assert grad.tobytes() == dbsm.tobytes()
+
     def test_all_zero_logits(self):
         stats = stats_for([10, 10])
         value, dlogits = lade_dv_regularizer(

@@ -282,6 +282,7 @@ def tile_inputs():
     }
 
 
+@pytest.mark.bits
 class TestTilesMatchUntiled:
     """The tiled kernels reproduce the whole-array code bit for bit."""
 

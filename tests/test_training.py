@@ -769,6 +769,7 @@ print(hashlib.sha256(head.params.vector.tobytes()).hexdigest(),
 """
 
 
+@pytest.mark.bits
 class TestThreadInvariance:
     def test_blas_thread_count_keeps_bits(self):
         # The documented guarantee is bit-exactness per machine and BLAS
@@ -805,6 +806,7 @@ sys.stdout.buffer.write(head.params.vector.tobytes())
 """
 
 
+@pytest.mark.bits
 class TestWideClassifierThreads:
     def test_two_threads_stay_within_rounding_at_k500(self):
         # The README's narrowed guarantee: once the classifier is wide
