@@ -26,9 +26,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .exceptions import ConfigError, DataError, DomainError, FormatError
-from .losses import ClassStats, _whole_numbers
-
-Array = np.ndarray
+from .losses import ClassStats, class_labels
+from .numerics import Array, real_values
 
 MAGIC = b"IMBF"
 VERSION = 1
@@ -52,17 +51,14 @@ class FeatureDataset:
     role: str = ROLE_TRAIN
 
     def __post_init__(self):
-        self.features = np.ascontiguousarray(self.features, dtype=np.float64)
-        self.labels = _whole_numbers(self.labels, "labels")
+        self.features = np.ascontiguousarray(real_values(self.features, "features"))
         if self.features.ndim != 3:
             raise DataError(f"features must be (N, T, D), got {self.features.shape}")
-        if self.labels.shape != (self.features.shape[0],):
-            raise DataError("labels length must match the sample count")
         if self.num_classes < 1:
             raise DataError("num_classes must be >= 1")
-        if self.labels.size and (self.labels.min() < 0
-                                 or self.labels.max() >= self.num_classes):
-            raise DataError(f"labels must lie in [0, {self.num_classes})")
+        self.labels = class_labels(self.labels, self.num_classes)
+        if self.labels.shape != (self.features.shape[0],):
+            raise DataError("labels length must match the sample count")
         if not np.all(np.isfinite(self.features)):
             raise DataError("features must be finite")
         if self.role not in _ROLE_CODES:
@@ -284,8 +280,9 @@ def load_text_table(path) -> FeatureDataset:
 
 
 def class_index(labels: Array, num_classes: int) -> tuple[Array, Array]:
-    """Stable per-class index layout: (sorted order, class start offsets)."""
-    labels = np.asarray(labels, dtype=np.int64)
+    """Stable per-class index layout of labels that meet `class_labels`:
+    (sorted order, one start offset per class), else a DataError."""
+    labels = class_labels(labels, num_classes)
     order = np.argsort(labels, kind="stable")
     counts = np.bincount(labels, minlength=num_classes)
     starts = np.concatenate([[0], np.cumsum(counts)[:-1]])

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .exceptions import ConfigError, DataError, DomainError
-from .numerics import Array, logsumexp_rows
+from .numerics import Array, logsumexp_rows, real_values
 
 GROUP_MANY = "many"
 GROUP_MEDIUM = "medium"
@@ -49,13 +49,9 @@ def build_class_stats(labels, num_classes: int) -> ClassStats:
     Group tags follow training-count thresholds: many > 100,
     20 <= medium <= 100, few < 20.
     """
-    labels = _whole_numbers(labels, "labels")
+    labels = class_labels(labels, num_classes)
     if labels.size == 0:
         raise DataError("cannot build class statistics from zero labels")
-    if labels.min() < 0 or labels.max() >= num_classes:
-        raise DataError(
-            f"labels must lie in [0, {num_classes}), "
-            f"got range [{labels.min()}, {labels.max()}]")
     counts = np.bincount(labels, minlength=num_classes).astype(np.int64)
     if np.any(counts == 0):
         warnings.warn("some classes have zero training samples; "
@@ -64,17 +60,27 @@ def build_class_stats(labels, num_classes: int) -> ClassStats:
 
 
 def _whole_numbers(values, name: str) -> Array:
-    """`values` as int64, or a DataError naming `name` if one is not whole."""
+    """`values` as int64, or a DataError naming `name` unless they are integers
+    or whole, finite floats below 2^63."""
     values = np.asarray(values)
-    not_whole = f"{name} must be whole numbers below 2^63"
-    # a float's cast to int64 would drop its fraction or turn nan into garbage
-    if values.dtype.kind == "f" and not np.all(
+    kind = values.dtype.kind
+    # a cast would truncate fractions, garble nan, and parse or round the rest
+    if kind not in "iuf" or kind == "f" and not np.all(
             (np.trunc(values) == values) & (abs(values) < 2.0 ** 63)):
-        raise DataError(not_whole)
-    try:
-        return values.astype(np.int64, copy=False)
-    except OverflowError:  # a Python int beyond int64, in an object array
-        raise DataError(not_whole) from None
+        raise DataError(f"{name} must be whole numbers below 2^63")
+    return values.astype(np.int64, copy=False)
+
+
+def class_labels(values, num_classes: int, name: str = "labels") -> Array:
+    """`values` as an int64 vector of class ids in [0, num_classes), or a
+    DataError naming `name`: the one rule for labels and predictions."""
+    values = _whole_numbers(values, name)
+    if values.ndim != 1:
+        raise DataError(f"{name} must be a vector, got shape {values.shape}")
+    if values.size and (values.min() < 0 or values.max() >= num_classes):
+        raise DataError(f"{name} must lie in [0, {num_classes}), "
+                        f"got range [{values.min()}, {values.max()}]")
+    return values
 
 
 def _checked_counts(counts) -> tuple[Array, int]:
@@ -184,16 +190,17 @@ def make_loss_spec(variant: str, stats: ClassStats, *, gamma: float = 2.0,
                     margins=margins, gamma=gamma, lam=lam)
 
 
-def _check_batch(logits: Array, labels: Array, num_classes: int):
+def _check_batch(logits: Array, labels, num_classes: int) -> Array:
+    """`class_labels(labels, num_classes)` of a finite (batch, num_classes) batch."""
     if logits.ndim != 2 or logits.shape[1] != num_classes:
         raise DataError(
             f"logits must be (batch, {num_classes}), got {logits.shape}")
-    if labels.ndim != 1 or labels.shape[0] != logits.shape[0]:
+    if np.shape(labels) != logits.shape[:1]:
         raise DataError("labels must be a vector matching the batch size")
-    if labels.size and (labels.min() < 0 or labels.max() >= num_classes):
-        raise DataError(f"labels must lie in [0, {num_classes})")
+    labels = class_labels(labels, num_classes)
     if not np.all(np.isfinite(logits)):
         raise DataError("logits must be finite")
+    return labels
 
 
 def lade_dv_regularizer(logits: Array, labels: Array, stats: ClassStats,
@@ -205,9 +212,8 @@ def lade_dv_regularizer(logits: Array, labels: Array, stats: ClassStats,
     and the value is `lam` times their mean; only their columns of f are
     formed. The term is invariant to a constant shift of any column of f.
     """
-    logits = np.asarray(logits, dtype=np.float64)
-    labels = np.asarray(labels, dtype=np.int64)
-    _check_batch(logits, labels, stats.num_classes)
+    logits = real_values(logits, "logits")
+    labels = _check_batch(logits, labels, stats.num_classes)
     if not 0 <= lam < np.inf:
         raise DomainError(f"lade lambda must be {'>= 0' if lam < 0 else 'finite'}")
     return _lade_dv(logits, labels, stats, lam)
@@ -250,10 +256,9 @@ def total_loss(spec: LossSpec, logits: Array, labels: Array,
     The complete objective: LADE adds `lade_dv_regularizer` at weight
     `spec.lam`. The gradient is a fresh array that the caller owns.
     """
-    logits = np.asarray(logits, dtype=np.float64)
-    labels = np.asarray(labels, dtype=np.int64)
+    logits = real_values(logits, "logits")
     k = stats.num_classes
-    _check_batch(logits, labels, k)
+    labels = _check_batch(logits, labels, k)
     if spec.weights.shape != (k,):
         raise DataError("loss spec does not match the class statistics")
 

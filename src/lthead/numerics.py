@@ -12,7 +12,8 @@ from typing import Callable
 
 import numpy as np
 
-from .exceptions import DomainError, EvaluationError, ShapeError, StateError
+from .exceptions import (DataError, DomainError, EvaluationError, ShapeError,
+                         StateError)
 
 Array = np.ndarray
 
@@ -91,9 +92,17 @@ def logsumexp_rows(m: Array) -> Array:
     return mx + np.log(np.sum(e, axis=1, keepdims=True))
 
 
+def real_values(values, name: str) -> Array:
+    """`values` as float64; a complex, string or object array is a DataError."""
+    values = np.asarray(values)
+    if values.dtype.kind not in "biuf":
+        raise DataError(f"{name} must be real numbers, got dtype {values.dtype}")
+    return values.astype(np.float64, copy=False)
+
+
 def softmax_rows(logits: Array) -> Array:
     """Row-stochastic softmax of a 2-D array, computed via log-sum-exp."""
-    logits = np.asarray(logits, dtype=np.float64)
+    logits = real_values(logits, "logits")
     if logits.ndim != 2:
         raise ShapeError(f"softmax_rows expects a 2-D array, got {logits.shape}")
     if not np.all(np.isfinite(logits)):

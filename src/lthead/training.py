@@ -27,9 +27,9 @@ from .decoder import (DecoderConfig, DecoderHead, backward_batch, forward_batch,
 from .exceptions import (ConfigError, DataError, DivergenceError, DomainError,
                          ShapeError)
 from .losses import (GROUP_FEW, GROUP_MANY, GROUP_MEDIUM, VARIANTS, ClassStats,
-                     _whole_numbers, build_class_stats, make_loss_spec,
+                     build_class_stats, class_labels, make_loss_spec,
                      total_loss)
-from .numerics import Array, _row_tiles, linear
+from .numerics import Array, _row_tiles, linear, real_values
 
 EVAL_CHUNK = 512  # fixed so evaluation arithmetic never depends on dataset size
 
@@ -294,17 +294,14 @@ def metrics_from_predictions(predictions, labels, stats: ClassStats,
     every macro average (with a warning). Macro averages accumulate in class
     order so results are reproducible digit for digit.
     """
-    predictions = _whole_numbers(predictions, "predictions")
-    labels = _whole_numbers(labels, "labels")
     k = stats.num_classes
-    if predictions.shape != labels.shape or predictions.ndim != 1:
+    predictions = class_labels(predictions, k, "predictions")
+    labels = class_labels(labels, k)
+    if predictions.shape != labels.shape:
         raise DataError(f"predictions {predictions.shape} and labels "
                         f"{labels.shape} must be matching vectors")
     if labels.size == 0:
         raise DataError("cannot evaluate on an empty test set")
-    if labels.min() < 0 or labels.max() >= k \
-            or predictions.min() < 0 or predictions.max() >= k:
-        raise DataError(f"labels and predictions must lie in [0, {k})")
 
     support = np.bincount(labels, minlength=k)
     predicted = np.bincount(predictions, minlength=k)
@@ -393,7 +390,7 @@ class TextClassEmbeddings:
 
     @staticmethod
     def from_matrix(matrix: Array) -> "TextClassEmbeddings":
-        matrix = np.asarray(matrix, dtype=np.float64)
+        matrix = real_values(matrix, "class embeddings")
         if matrix.ndim != 2:
             raise ShapeError("class embeddings must be a (K, D) matrix")
         if matrix.shape[0] == 0:
@@ -410,7 +407,7 @@ def zero_shot_classify(image_embs: Array,
     follow the class rows' rule, finite and nonzero norms; rescaling one by a
     positive constant that keeps the rule changes its result only by rounding.
     """
-    image_embs = np.asarray(image_embs, dtype=np.float64)
+    image_embs = real_values(image_embs, "image embeddings")
     if image_embs.ndim != 2 or image_embs.shape[1] != class_embs.matrix.shape[1]:
         raise ShapeError("image embeddings must be (N, D) with matching D")
     predictions = np.empty(image_embs.shape[0], dtype=np.int64)

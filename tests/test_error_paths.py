@@ -1,22 +1,26 @@
 """Raise sites that no other test reaches: each call must fail with the
-given exception type and message."""
+given exception type and message. Below them, a sweep meets every label-like
+and real-valued argument of an `lthead` export with each malformed kind."""
 
+import inspect
 import math
 import os
 
 import numpy as np
 import pytest
 
+import lthead
 from lthead import (CLASS_BALANCED, ConfigError, DataError, DecoderConfig,
                     DomainError, EvaluationError, FeatureDataset, FormatError,
                     ShapeError, StateError, SyntheticSpec, TextClassEmbeddings,
                     TrainConfig, backward_batch, build_class_stats,
                     finite_diff_check, forward_batch, init_calibrator,
-                    init_decoder, make_loss_spec, make_rng,
-                    metrics_from_predictions, parse_run_config, read_text_rows,
-                    run_gradcheck, sample_batch, softmax_rows,
+                    init_decoder, lade_dv_regularizer, make_loss_spec,
+                    make_rng, metrics_from_predictions, parse_run_config,
+                    read_text_rows, run_gradcheck, sample_batch, softmax_rows,
                     stats_from_counts, total_loss, zero_shot_classify)
 from lthead.calibrators import apply_batch
+from lthead.data import class_index
 from lthead.decoder import pool_batch
 
 STATS = stats_from_counts([5, 3, 1])
@@ -146,10 +150,10 @@ CASES = {
         DataError, "cannot evaluate on an empty test set"),
     "metrics_label_above_k": (
         lambda: metrics_from_predictions(np.array([0, 1]), np.array([0, 3]), STATS),
-        DataError, r"labels and predictions must lie in \[0, 3\)"),
+        DataError, r"labels must lie in \[0, 3\)"),
     "metrics_negative_prediction": (
         lambda: metrics_from_predictions(np.array([-1, 1]), np.array([0, 1]), STATS),
-        DataError, r"labels and predictions must lie in \[0, 3\)"),
+        DataError, r"predictions must lie in \[0, 3\)"),
     "metrics_fractional_predictions": (  # np.int64 would truncate to [1, 0, 2]
         lambda: metrics_from_predictions([1.7, 0.2, 2.9], [1, 0, 2], STATS),
         DataError, r"predictions must be whole numbers below 2\^63"),
@@ -211,6 +215,15 @@ CASES = {
     "class_stats_fractional_labels": (  # np.int64 would count [1, 1, 1]
         lambda: build_class_stats([0.5, 1.2, 2.0], 3),
         DataError, r"labels must be whole numbers below 2\^63"),
+    "class_stats_labels_2d": (  # np.bincount: "object too deep"
+        lambda: build_class_stats(np.array([[0, 1], [1, 2]]), 3),
+        DataError, r"labels must be a vector, got shape \(2, 2\)"),
+    "loss_nan_labels": (  # int(): "cannot convert float NaN to integer"
+        lambda: total_loss(SPEC, np.zeros((2, 3)), [math.nan, 1.0], STATS),
+        DataError, r"labels must be whole numbers below 2\^63"),
+    "class_index_negative_label": (  # np.bincount: "no negative elements"
+        lambda: class_index([-1, 1], 3),
+        DataError, r"labels must lie in \[0, 3\), got range \[-1, 1\]"),
     "counts_empty": (
         lambda: stats_from_counts([]),
         DataError, "counts must be a non-empty vector"),
@@ -238,3 +251,125 @@ def test_raises(call, error, match):
     with pytest.raises(error, match=match) as info:
         call()
     assert type(info.value) is error
+
+
+# The input rules per dtype kind (README, losses). Label-like arguments take
+# integers and whole, finite floats below 2^63; class ids must also form a
+# vector in [0, K). Real-valued arguments take bool, integer and float arrays.
+# Every other input is a `DataError` whose message starts with the argument's
+# name: never a silent cast, a numpy warning or a bare numpy error.
+MALFORMED_LABELS = {
+    "fraction": [0.5, 1.0],
+    "nan": [math.nan, 1.0],
+    "inf": [math.inf, 1.0],
+    "negative": [-1, 1],
+    "at_k": [3, 1],
+    "two_to_63": [2.0 ** 63, 1.0],
+    "string": ["0", "1"],
+    "bool": [True, False],
+    "complex": [1 + 0j, 0j],
+    "beyond_int64": [2 ** 70, 1],  # a Python int: an object array
+    "2d": [[0], [1]],
+}
+LABEL_ENTRIES = {  # (export, argument): (call with a two-entry value, message name)
+    ("build_class_stats", "labels"): (lambda v: build_class_stats(v, 3), "labels"),
+    ("total_loss", "labels"): (
+        lambda v: total_loss(SPEC, np.zeros((2, 3)), v, STATS), "labels"),
+    ("lade_dv_regularizer", "labels"): (
+        lambda v: lade_dv_regularizer(np.zeros((2, 3)), v, STATS), "labels"),
+    ("metrics_from_predictions", "predictions"): (
+        lambda v: metrics_from_predictions(v, [0, 1], STATS), "predictions"),
+    ("metrics_from_predictions", "labels"): (
+        lambda v: metrics_from_predictions([0, 1], v, STATS), "labels"),
+    ("FeatureDataset", "labels"): (
+        lambda v: FeatureDataset(np.ones((2, 1, 2)), v, 3), "labels"),
+    ("class_index", "labels"): (lambda v: class_index(v, 3), "labels"),
+    ("stats_from_counts", "counts"): (stats_from_counts, "counts"),
+}
+NOT_CLASS_IDS = {("stats_from_counts", "counts")}  # counts have no K to exceed
+
+MALFORMED_REALS = {"complex": np.complex128, "string": "U1", "object": object}
+REAL_ENTRIES = {  # (export, argument): (call, well-formed shape, message name)
+    ("total_loss", "logits"): (
+        lambda v: total_loss(SPEC, v, LABELS, STATS), (2, 3), "logits"),
+    ("lade_dv_regularizer", "logits"): (
+        lambda v: lade_dv_regularizer(v, LABELS, STATS), (2, 3), "logits"),
+    ("softmax_rows", "logits"): (softmax_rows, (2, 3), "logits"),
+    ("FeatureDataset", "features"): (
+        lambda v: FeatureDataset(v, [0, 1], 3), (2, 1, 2), "features"),
+    ("TextClassEmbeddings.from_matrix", "matrix"): (
+        TextClassEmbeddings.from_matrix, (3, 2), "class embeddings"),
+    ("zero_shot_classify", "image_embs"): (
+        lambda v: zero_shot_classify(v, EMB), (2, 3), "image embeddings"),
+}
+
+# Records that checked entries build; they validate nothing themselves.
+UNCHECKED_RECORDS = {
+    ("ClassStats", "counts"): "built by build_class_stats and stats_from_counts",
+    ("TextClassEmbeddings", "matrix"): "built by TextClassEmbeddings.from_matrix",
+}
+SWEPT_ARGUMENTS = {"labels", "predictions", "counts", "logits", "features",
+                   "image_embs", "matrix"}
+
+
+def _raises_naming(call, value, name):
+    with pytest.raises(DataError, match=f"^{name} ") as info:
+        call(value)
+    assert type(info.value) is DataError
+
+
+@pytest.mark.filterwarnings("error")  # a ComplexWarning would mean a cast ran
+@pytest.mark.parametrize("entry, kind", [
+    (entry, kind) for entry in LABEL_ENTRIES for kind in MALFORMED_LABELS
+    if not (entry in NOT_CLASS_IDS and kind == "at_k")],
+    ids=lambda x: ".".join(x) if isinstance(x, tuple) else x)
+def test_label_like_argument_refuses(entry, kind):
+    call, name = LABEL_ENTRIES[entry]
+    _raises_naming(call, MALFORMED_LABELS[kind], name)
+
+
+@pytest.mark.parametrize("entry", LABEL_ENTRIES, ids=".".join)
+def test_label_like_argument_accepts_whole_floats(entry):
+    call, _ = LABEL_ENTRIES[entry]
+    call(np.array([0.0, 1.0]))
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("kind", MALFORMED_REALS)
+@pytest.mark.parametrize("entry", REAL_ENTRIES, ids=".".join)
+def test_real_valued_argument_refuses(entry, kind):
+    call, shape, name = REAL_ENTRIES[entry]
+    _raises_naming(call, np.ones(shape, dtype=MALFORMED_REALS[kind]), name)
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("dtype", [bool, np.int32, np.uint8])
+@pytest.mark.parametrize("entry", REAL_ENTRIES, ids=".".join)
+def test_real_valued_argument_accepts_bool_and_integers(entry, dtype):
+    call, shape, _ = REAL_ENTRIES[entry]
+    call(np.ones(shape, dtype=dtype))
+
+
+def _exported_arguments():
+    """(qualified name, parameter) for every export and its static methods."""
+    for name, obj in vars(lthead).items():
+        if name.startswith("_") or not callable(obj) or (
+                inspect.isclass(obj) and issubclass(obj, BaseException)):
+            continue
+        entries = [(name, obj)]
+        if inspect.isclass(obj):
+            entries += [(f"{name}.{attr}", getattr(obj, attr))
+                        for attr, raw in vars(obj).items()
+                        if not attr.startswith("_")
+                        and isinstance(raw, (staticmethod, classmethod))]
+        for qualified, fn in entries:
+            for param in inspect.signature(fn).parameters:
+                yield qualified, param
+
+
+def test_every_swept_argument_of_an_export_has_a_sweep_row():
+    swept = set(LABEL_ENTRIES) | set(REAL_ENTRIES) | set(UNCHECKED_RECORDS)
+    missing = [arg for arg in _exported_arguments()
+               if arg[1] in SWEPT_ARGUMENTS and arg not in swept]
+    assert missing == []
+    assert {"labels", "logits", "matrix"} <= {p for _, p in _exported_arguments()}
