@@ -24,11 +24,11 @@ from .losses import (VARIANTS, ClassStats, LossSpec, bsm_biases,
                      total_loss)
 from .numerics import (GradCheckReport, ParamVector, dropout_mask,
                        finite_diff_check, gelu, gelu_with_grad, layer_norm,
-                       layer_norm_backward, make_rng, softmax_rows)
+                       layer_norm_backward, make_rng, sgd_step, softmax_rows)
 from .training import (EvalReport, TextClassEmbeddings, TrainConfig,
                        config_fingerprint, evaluate, lr_at,
                        metrics_from_predictions, parse_run_config,
-                       render_report, report_json, sgd_step,
-                       train_stage1, train_stage2, zero_shot_classify)
+                       render_report, report_json, train_stage1,
+                       train_stage2, zero_shot_classify)
 
 __version__ = "0.1.0"

@@ -20,13 +20,11 @@ from __future__ import annotations
 
 import struct
 
-import numpy as np
-
 from .calibrators import CALIBRATOR_VARIANTS, Calibrator, calibrator_layout
 from .data import expect_end, read_array, read_header, write_binary
 from .decoder import DecoderConfig, DecoderHead, param_count
 from .exceptions import ConfigError, FormatError
-from .losses import ClassStats, _checked_counts, stats_from_counts
+from .losses import ClassStats, stats_from_counts
 from .numerics import layout_size
 
 MAGIC = b"LTFH"
@@ -38,11 +36,12 @@ _CONFIG = struct.Struct("<IIddII")
 
 def save_checkpoint(path, head: DecoderHead, class_counts,
                     calibrator: Calibrator | None = None) -> None:
-    """Write a checkpoint, rejecting first what `load_checkpoint` would refuse."""
+    """Write a checkpoint, rejecting first what `load_checkpoint` would refuse:
+    counts pass the `stats_from_counts` that load ends with, then the length."""
     cfg = head.config
-    if np.shape(class_counts) != (cfg.num_classes,):
+    counts = stats_from_counts(class_counts).counts
+    if counts.shape != (cfg.num_classes,):
         raise FormatError("class counts length must equal num_classes")
-    counts, _ = _checked_counts(class_counts)
     if calibrator is not None and (calibrator.num_classes, calibrator.dim) != (
             cfg.num_classes, cfg.dim):
         raise FormatError(

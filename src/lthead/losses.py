@@ -62,7 +62,10 @@ def build_class_stats(labels, num_classes: int) -> ClassStats:
 def _whole_numbers(values, name: str) -> Array:
     """`values` as int64, or a DataError naming `name` unless they are integers
     or whole, finite floats below 2^63."""
-    values = np.asarray(values)
+    try:
+        values = np.asarray(values)
+    except ValueError:  # a ragged nested sequence
+        raise DataError(f"{name} must be an array, not a ragged sequence") from None
     kind = values.dtype.kind
     # a cast would truncate fractions, garble nan, and parse or round the rest
     if kind not in "iuf" or kind == "f" and not np.all(
@@ -101,8 +104,8 @@ def stats_from_counts(counts) -> ClassStats:
     """ClassStats from a precomputed count vector (e.g. a checkpoint)."""
     counts, total = _checked_counts(counts)
     priors = counts / total
-    groups = np.where(counts > 100, GROUP_MANY,
-                      np.where(counts >= 20, GROUP_MEDIUM, GROUP_FEW))
+    groups = np.where(counts > 100, GROUP_MANY, GROUP_MEDIUM)  # one string array
+    groups[counts < 20] = GROUP_FEW
     return ClassStats(counts=counts, priors=priors, groups=groups)
 
 
@@ -195,7 +198,8 @@ def _check_batch(logits: Array, labels, num_classes: int) -> Array:
     if logits.ndim != 2 or logits.shape[1] != num_classes:
         raise DataError(
             f"logits must be (batch, {num_classes}), got {logits.shape}")
-    if np.shape(labels) != logits.shape[:1]:
+    labels = _whole_numbers(labels, "labels")
+    if labels.shape != logits.shape[:1]:
         raise DataError("labels must be a vector matching the batch size")
     labels = class_labels(labels, num_classes)
     if not np.all(np.isfinite(logits)):

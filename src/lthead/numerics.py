@@ -1,6 +1,6 @@
-"""Deterministic float64 numerics: flat parameter storage, stable reductions,
-layers (affine, layer norm, GELU) with analytic backward passes, and a
-central-difference gradient checker that validates every backward.
+"""Deterministic float64 numerics: flat parameter storage and its tiled SGD
+update, stable reductions, layers (affine, layer norm, GELU) with analytic
+backward passes, and a central-difference gradient checker for every backward.
 """
 
 from __future__ import annotations
@@ -94,7 +94,10 @@ def logsumexp_rows(m: Array) -> Array:
 
 def real_values(values, name: str) -> Array:
     """`values` as float64; a complex, string or object array is a DataError."""
-    values = np.asarray(values)
+    try:
+        values = np.asarray(values)
+    except ValueError:  # a ragged nested sequence
+        raise DataError(f"{name} must be an array, not a ragged sequence") from None
     if values.dtype.kind not in "biuf":
         raise DataError(f"{name} must be real numbers, got dtype {values.dtype}")
     return values.astype(np.float64, copy=False)
@@ -281,6 +284,36 @@ def gelu(x, out: Array | None = None):
     derivative steps, so the two agree bit for bit. `out` is as there.
     """
     return _gelu(x, False, out)[0]
+
+
+def sgd_step(params: Array, grads: Array, velocity: Array, lr: float,
+             momentum: float, weight_decay: float) -> None:
+    """Classic SGD with momentum; the L2 term is folded into the gradient.
+
+    `params`, `grads` and `velocity` are flat vectors sharing one layout; a
+    run's velocity starts at zero. Updates parameters and velocity in place.
+    """
+    if grads.shape != params.shape or velocity.shape != params.shape:
+        raise ShapeError(f"gradient {grads.shape} and velocity "
+                         f"{velocity.shape} must match parameters "
+                         f"{params.shape}")
+    # The six passes run tile by tile through one tile-sized scratch buffer,
+    # which holds the decayed gradient and then the update; each element
+    # sees the whole-vector expressions' operations in their order.
+    step, tiles = _row_tiles(params.size)
+    buf = np.empty(step)
+    for s in tiles:
+        v = velocity[s]
+        g = buf[:v.size]
+        v *= momentum
+        if weight_decay != 0.0:
+            np.multiply(params[s], weight_decay, out=g)
+            g += grads[s]
+            v += g
+        else:
+            v += grads[s]
+        np.multiply(v, lr, out=g)
+        params[s] -= g
 
 
 def dropout_mask(shape, rate: float, rng: np.random.Generator) -> Array:

@@ -4,8 +4,8 @@ Stage one trains the decoder head with instance-balanced batches under the
 configured loss. Stage two freezes the head and trains only a calibrator,
 with the batch sampler and loss of its `calibrators.RECIPES` entry.
 
-Both stages run one loop, `_sgd_loop`: SGD with momentum, weight decay
-folded into the gradient, linear warmup, and cosine decay to zero.
+Both stages run one loop, `_sgd_loop`: SGD with momentum (`numerics.sgd_step`,
+weight decay folded into the gradient), linear warmup, and cosine decay to zero.
 """
 
 from __future__ import annotations
@@ -29,7 +29,7 @@ from .exceptions import (ConfigError, DataError, DivergenceError, DomainError,
 from .losses import (GROUP_FEW, GROUP_MANY, GROUP_MEDIUM, VARIANTS, ClassStats,
                      build_class_stats, class_labels, make_loss_spec,
                      total_loss)
-from .numerics import Array, _row_tiles, linear, real_values
+from .numerics import Array, linear, real_values, sgd_step
 
 EVAL_CHUNK = 512  # fixed so evaluation arithmetic never depends on dataset size
 
@@ -125,36 +125,6 @@ def lr_at(cfg: TrainConfig, iteration: int) -> float:
     span = cfg.total_iters - cfg.warmup_iters
     progress = (iteration - cfg.warmup_iters) / span
     return cfg.lr0 * 0.5 * (1.0 + math.cos(math.pi * progress))
-
-
-def sgd_step(params: Array, grads: Array, velocity: Array, lr: float,
-             momentum: float, weight_decay: float) -> None:
-    """Classic SGD with momentum; the L2 term is folded into the gradient.
-
-    `params`, `grads` and `velocity` are flat vectors sharing one layout; a
-    run's velocity starts at zero. Updates parameters and velocity in place.
-    """
-    if grads.shape != params.shape or velocity.shape != params.shape:
-        raise ShapeError(f"gradient {grads.shape} and velocity "
-                         f"{velocity.shape} must match parameters "
-                         f"{params.shape}")
-    # The six passes run tile by tile through one tile-sized scratch buffer,
-    # which holds the decayed gradient and then the update; each element
-    # sees the whole-vector expressions' operations in their order.
-    step, tiles = _row_tiles(params.size)
-    buf = np.empty(step)
-    for s in tiles:
-        v = velocity[s]
-        g = buf[:v.size]
-        v *= momentum
-        if weight_decay != 0.0:
-            np.multiply(params[s], weight_decay, out=g)
-            g += grads[s]
-            v += g
-        else:
-            v += grads[s]
-        np.multiply(v, lr, out=g)
-        params[s] -= g
 
 
 def _check_matches_head(ds: FeatureDataset, config: DecoderConfig) -> None:

@@ -17,8 +17,9 @@ from lthead import (CLASS_BALANCED, ConfigError, DataError, DecoderConfig,
                     finite_diff_check, forward_batch, init_calibrator,
                     init_decoder, lade_dv_regularizer, make_loss_spec,
                     make_rng, metrics_from_predictions, parse_run_config,
-                    read_text_rows, run_gradcheck, sample_batch, softmax_rows,
-                    stats_from_counts, total_loss, zero_shot_classify)
+                    read_text_rows, run_gradcheck, sample_batch,
+                    save_checkpoint, softmax_rows, stats_from_counts,
+                    total_loss, zero_shot_classify)
 from lthead.calibrators import apply_batch
 from lthead.data import class_index
 from lthead.decoder import pool_batch
@@ -227,6 +228,10 @@ CASES = {
     "counts_empty": (
         lambda: stats_from_counts([]),
         DataError, "counts must be a non-empty vector"),
+    "checkpoint_counts_ragged": (  # np.shape: "inhomogeneous shape"
+        lambda: save_checkpoint(os.path.join(os.devnull, "model.ckpt"), HEAD,
+                                [[5], [3, 1], [1]]),
+        DataError, "^counts must be an array, not a ragged sequence"),
     "softmax_rows_1d": (
         lambda: softmax_rows(np.zeros(3)),
         ShapeError, r"softmax_rows expects a 2-D array, got \(3,\)"),
@@ -270,6 +275,7 @@ MALFORMED_LABELS = {
     "complex": [1 + 0j, 0j],
     "beyond_int64": [2 ** 70, 1],  # a Python int: an object array
     "2d": [[0], [1]],
+    "ragged": [[0], [1, 2]],
 }
 LABEL_ENTRIES = {  # (export, argument): (call with a two-entry value, message name)
     ("build_class_stats", "labels"): (lambda v: build_class_stats(v, 3), "labels"),
@@ -340,6 +346,23 @@ def test_label_like_argument_accepts_whole_floats(entry):
 def test_real_valued_argument_refuses(entry, kind):
     call, shape, name = REAL_ENTRIES[entry]
     _raises_naming(call, np.ones(shape, dtype=MALFORMED_REALS[kind]), name)
+
+
+def _ragged(shape):
+    """Nested lists of `shape` whose last innermost list is one entry longer."""
+    rows = np.ones(shape).tolist()
+    inner = rows
+    while isinstance(inner[-1], list):
+        inner = inner[-1]
+    inner.append(1.0)
+    return rows
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("entry", REAL_ENTRIES, ids=".".join)
+def test_real_valued_argument_refuses_ragged(entry):
+    call, shape, name = REAL_ENTRIES[entry]
+    _raises_naming(call, _ragged(shape), name)
 
 
 @pytest.mark.filterwarnings("error")

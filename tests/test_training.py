@@ -10,6 +10,8 @@ import numpy.testing as npt
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import lthead.numerics
+import lthead.training
 from lthead import (CALIBRATOR_VARIANTS, ConfigError, DecoderConfig,
                     DivergenceError, DomainError, ShapeError,
                     DataError, FeatureDataset, SyntheticSpec,
@@ -110,6 +112,11 @@ class TestSgdStep:
         from lthead import ShapeError
         with pytest.raises(ShapeError):
             sgd_step(params, np.zeros(4), np.zeros(3), 0.1, 0.9, 0.0)
+
+    def test_training_calls_the_numerics_update(self):
+        # the benchmark traces lthead.training.sgd_step: it must be this one
+        assert lthead.training.sgd_step is lthead.numerics.sgd_step
+        assert lthead.sgd_step is lthead.numerics.sgd_step
 
     @pytest.mark.parametrize("weight_decay", [0.0, 5e-4])
     @pytest.mark.parametrize("size", [1, _TILE, _TILE + 5])
