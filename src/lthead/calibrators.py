@@ -21,7 +21,7 @@ import numpy as np
 
 from .data import CLASS_BALANCED, INSTANCE_BALANCED
 from .exceptions import ConfigError, ShapeError, StateError
-from .numerics import FAN_IN, Array, ParamVector, linear
+from .numerics import FAN_IN, Array, ParamVector, linear, real_values
 
 
 def calibrator_layout(variant: str, num_classes: int, dim: int) -> list:
@@ -35,7 +35,7 @@ def calibrator_layout(variant: str, num_classes: int, dim: int) -> list:
 
 def context_weight_norms(cls_weight: Array) -> Array:
     """Row norms of the classifier weight; recompute if the classifier changes."""
-    return np.sqrt(np.sum(np.asarray(cls_weight, dtype=np.float64) ** 2, axis=1))
+    return np.sqrt(np.sum(real_values(cls_weight, "cls_weight") ** 2, axis=1))
 
 
 class Calibrator:
@@ -145,9 +145,9 @@ class ApplyCache(NamedTuple):
 def apply_batch(cal: Calibrator, pooled: Array, logits: Array,
                 weight_norms: Array) -> tuple[Array, ApplyCache]:
     """Adjust a batch of logits: (B, D) pooled features, (B, K) logits."""
-    pooled = np.asarray(pooled, dtype=np.float64)
-    logits = np.asarray(logits, dtype=np.float64)
-    weight_norms = np.asarray(weight_norms, dtype=np.float64)
+    pooled = real_values(pooled, "pooled")
+    logits = real_values(logits, "logits")
+    weight_norms = real_values(weight_norms, "weight_norms")
     if pooled.ndim != 2 or logits.ndim != 2 or pooled.shape[0] != logits.shape[0]:
         raise ShapeError("pooled features and logits must share a batch axis")
     if pooled.shape[1] != cal.dim or logits.shape[1] != cal.num_classes \
@@ -167,7 +167,7 @@ def backward_batch(cal: Calibrator, cache: ApplyCache,
     """
     if cache.variant != cal.variant:
         raise StateError("cache was produced by a different calibrator variant")
-    dadjusted = np.asarray(dadjusted, dtype=np.float64)
+    dadjusted = real_values(dadjusted, "dadjusted")
     if dadjusted.shape != cache.shape:
         raise StateError("gradient shape does not match the cached apply")
     grads = ParamVector(cal.params.layout)

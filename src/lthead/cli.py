@@ -10,7 +10,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import replace
+from dataclasses import MISSING, fields, replace
 
 import numpy as np
 
@@ -33,6 +33,8 @@ from .training import (TrainConfig, evaluate, metrics_from_predictions,
 _USAGE_EXIT = 1
 _DATA_EXIT = 2
 _DIVERGENCE_EXIT = 3
+# gen-data's optional flags: the SyntheticSpec fields that have a default
+_GEN_OPTIONS = [f for f in fields(SyntheticSpec) if f.default is not MISSING]
 
 
 class _Parser(argparse.ArgumentParser):
@@ -53,11 +55,9 @@ def _build_parser() -> _Parser:
     p.add_argument("--head-count", type=int, required=True)
     p.add_argument("--ratio", type=float, required=True)
     p.add_argument("--dim", type=int, required=True)
-    p.add_argument("--tokens", type=int, default=1)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--separation", type=float, default=1.0)
-    p.add_argument("--noise", type=float, default=1.0)
-    p.add_argument("--test-per-class", type=int, default=20)
+    for f in _GEN_OPTIONS:
+        p.add_argument(f"--{f.name.replace('_', '-')}", type=type(f.default),
+                       default=f.default)
     p.add_argument("--out", required=True,
                    help="writes OUT.train and OUT.test feature files")
 
@@ -112,9 +112,7 @@ def _load_feature_file(path) -> FeatureDataset:
 def _cmd_gen_data(args) -> int:
     spec = SyntheticSpec(num_classes=args.classes, head_count=args.head_count,
                          imbalance_ratio=args.ratio, dim=args.dim,
-                         tokens=args.tokens, separation=args.separation,
-                         noise=args.noise, test_per_class=args.test_per_class,
-                         seed=args.seed)
+                         **{f.name: getattr(args, f.name) for f in _GEN_OPTIONS})
     train, test = generate_synthetic_lt(spec)
     save_features(train, f"{args.out}.train")
     save_features(test, f"{args.out}.test")

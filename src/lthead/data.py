@@ -54,8 +54,6 @@ class FeatureDataset:
         self.features = np.ascontiguousarray(real_values(self.features, "features"))
         if self.features.ndim != 3:
             raise DataError(f"features must be (N, T, D), got {self.features.shape}")
-        if self.num_classes < 1:
-            raise DataError("num_classes must be >= 1")
         self.labels = class_labels(self.labels, self.num_classes)
         if self.labels.shape != (self.features.shape[0],):
             raise DataError("labels length must match the sample count")

@@ -32,7 +32,7 @@ from .exceptions import ConfigError, ShapeError, StateError
 from .numerics import (FAN_IN, Array, LayerNormCache, ParamVector, dropout_mask,
                        dropout_scale, gelu, gelu_with_grad, layer_norm,
                        layer_norm_backward, layout_size, linear, linear_backward,
-                       softmax_last)
+                       real_values, softmax_last)
 
 
 @dataclass(frozen=True)
@@ -291,7 +291,7 @@ def pool_batch(head: DecoderHead, tokens: Array, rng, train_mode: bool,
     forward that fails partway leaves `out` marked incomplete, and
     `backward_batch` rejects it.
     """
-    x = np.asarray(tokens, dtype=np.float64)
+    x = real_values(tokens, "tokens")
     if x.ndim != 3:
         raise ShapeError(f"expected (B, T, D) tokens, got shape {x.shape}")
     if x.shape[1] < 1:
@@ -344,7 +344,7 @@ def backward_batch(head: DecoderHead, cache: ForwardCache, dlogits: Array,
     if cache.pooled is None:
         raise StateError("forward cache is incomplete: the forward that "
                          "was overwriting it did not finish")
-    dlogits = np.asarray(dlogits, dtype=np.float64)
+    dlogits = real_values(dlogits, "dlogits")
     if dlogits.ndim != 2 or dlogits.shape[1] != head.config.num_classes:
         raise ShapeError(f"dlogits must be (B, {head.config.num_classes})")
     if dlogits.shape[0] != cache.pooled.shape[0]:

@@ -77,6 +77,9 @@ def _whole_numbers(values, name: str) -> Array:
 def class_labels(values, num_classes: int, name: str = "labels") -> Array:
     """`values` as an int64 vector of class ids in [0, num_classes), or a
     DataError naming `name`: the one rule for labels and predictions."""
+    if not isinstance(num_classes, (int, np.integer)) or num_classes < 1:
+        raise DataError(f"num_classes must be >= 1 and an integer, "
+                        f"got {num_classes!r}")
     values = _whole_numbers(values, name)
     if values.ndim != 1:
         raise DataError(f"{name} must be a vector, got shape {values.shape}")

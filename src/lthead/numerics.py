@@ -93,7 +93,8 @@ def logsumexp_rows(m: Array) -> Array:
 
 
 def real_values(values, name: str) -> Array:
-    """`values` as float64; a complex, string or object array is a DataError."""
+    """`values` as float64, the same array if it already is: the one reader of
+    real-valued input. Complex, string, object or ragged input is a DataError."""
     try:
         values = np.asarray(values)
     except ValueError:  # a ragged nested sequence
@@ -173,9 +174,9 @@ def layer_norm(x: Array, gamma: Array, beta: Array) -> tuple[Array, LayerNormCac
     The input is read in C order, so every row is reduced over unit-stride
     values whatever the input's layout.
     """
-    x = np.asarray(x, dtype=np.float64, order="C")
-    gamma = np.asarray(gamma, dtype=np.float64)
-    beta = np.asarray(beta, dtype=np.float64)
+    x = np.asarray(real_values(x, "x"), order="C")
+    gamma = real_values(gamma, "gamma")
+    beta = real_values(beta, "beta")
     if x.ndim == 0:
         raise ShapeError("layer_norm needs a vector or a (..., D) stack, "
                          "got a 0-d scalar")
@@ -203,6 +204,7 @@ def layer_norm_backward(cache: LayerNormCache,
     dgamma/dbeta are summed over all leading axes of `dy` in one reduction
     each; dx's row sums run over C-ordered rows, like the forward's.
     """
+    dy = real_values(dy, "dy")
     xhat, inv_std, gamma = cache.xhat, cache.inv_std, cache.gamma
     lead = tuple(range(dy.ndim - 1))
     dgamma = np.sum(dy * xhat, axis=lead)
@@ -231,7 +233,7 @@ def _gelu(x, derivative: bool, out: Array | None = None) -> tuple:
     `out` (a C-contiguous float64 array of x's shape) may be x itself.
     0-d input without `out` gives scalars.
     """
-    x = np.asarray(x, dtype=np.float64)
+    x = real_values(x, "x")
     value = np.empty(x.shape) if out is None else out
     if out is not None and (
             not isinstance(out, np.ndarray) or out.shape != x.shape
@@ -293,6 +295,7 @@ def sgd_step(params: Array, grads: Array, velocity: Array, lr: float,
     `params`, `grads` and `velocity` are flat vectors sharing one layout; a
     run's velocity starts at zero. Updates parameters and velocity in place.
     """
+    grads = real_values(grads, "grads")
     if grads.shape != params.shape or velocity.shape != params.shape:
         raise ShapeError(f"gradient {grads.shape} and velocity "
                          f"{velocity.shape} must match parameters "
@@ -356,13 +359,13 @@ def finite_diff_check(f: Callable[[Array], tuple[float, Array]],
     coordinates whose gradient is below 1e-4 are judged absolutely.
     """
     eps, floor = 1e-5, 1e-4
-    params = np.asarray(params, dtype=np.float64)
+    params = real_values(params, "params")
     if params.ndim != 1:
         raise ShapeError("finite_diff_check expects a flat parameter vector")
     value, grad = f(params)
     if not np.isfinite(value):
         raise EvaluationError(f"function value is not finite: {value}")
-    grad = np.asarray(grad, dtype=np.float64).ravel()
+    grad = real_values(grad, "gradient").ravel()
     if grad.shape != params.shape:
         raise ShapeError("analytic gradient length does not match parameters")
 

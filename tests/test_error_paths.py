@@ -13,13 +13,14 @@ import lthead
 from lthead import (CLASS_BALANCED, ConfigError, DataError, DecoderConfig,
                     DomainError, EvaluationError, FeatureDataset, FormatError,
                     ShapeError, StateError, SyntheticSpec, TextClassEmbeddings,
-                    TrainConfig, backward_batch, build_class_stats,
-                    finite_diff_check, forward_batch, init_calibrator,
-                    init_decoder, lade_dv_regularizer, make_loss_spec,
-                    make_rng, metrics_from_predictions, parse_run_config,
-                    read_text_rows, run_gradcheck, sample_batch,
-                    save_checkpoint, softmax_rows, stats_from_counts,
-                    total_loss, zero_shot_classify)
+                    TrainConfig, backward_batch, build_class_stats, calibrators,
+                    context_weight_norms, finite_diff_check, forward_batch,
+                    gelu, gelu_with_grad, init_calibrator, init_decoder,
+                    lade_dv_regularizer, layer_norm, layer_norm_backward,
+                    make_loss_spec, make_rng, metrics_from_predictions,
+                    parse_run_config, read_text_rows, run_gradcheck,
+                    sample_batch, save_checkpoint, sgd_step, softmax_rows,
+                    stats_from_counts, total_loss, zero_shot_classify)
 from lthead.calibrators import apply_batch
 from lthead.data import class_index
 from lthead.decoder import pool_batch
@@ -31,6 +32,9 @@ HEAD = init_decoder(DecoderConfig(dim=8, num_classes=3, depth=1, heads=2),
                     make_rng(0))
 CACHE = forward_batch(HEAD, np.ones((2, 1, 8)), make_rng(1), True)[1]
 CAL = init_calibrator("marc", 3, 8, make_rng(2))
+CAL_CACHE = apply_batch(CAL, np.zeros((2, 8)), np.zeros((2, 3)), np.ones(3))[1]
+LN_CACHE = layer_norm(np.ones((3, 2)), np.ones(2), np.zeros(2))[1]
+HEAD2 = init_decoder(DecoderConfig(dim=8, num_classes=2, depth=0), make_rng(0))
 DS = FeatureDataset(features=np.ones((3, 1, 2)), labels=[0, 1, 2], num_classes=3)
 EMB = TextClassEmbeddings.from_matrix(np.eye(3))
 SPEC_KW = dict(num_classes=3, head_count=10, imbalance_ratio=2.0, dim=2)
@@ -182,6 +186,15 @@ CASES = {
         lambda: FeatureDataset(features=np.ones((3, 1, 2)), labels=[0, 0, 0],
                                num_classes=0),
         DataError, "num_classes must be >= 1"),
+    "dataset_fractional_num_classes": (  # would build a 2.5-class dataset
+        lambda: FeatureDataset(np.ones((2, 1, 2)), [0, 1], 2.5),
+        DataError, r"^num_classes must be >= 1 and an integer, got 2\.5"),
+    "class_stats_string_num_classes": (  # np.bincount: UFuncTypeError
+        lambda: build_class_stats([0, 1], "3"),
+        DataError, "^num_classes must be >= 1 and an integer, got '3'"),
+    "class_index_fractional_num_classes": (
+        lambda: class_index([0, 1], 2.5),
+        DataError, r"^num_classes must be >= 1 and an integer, got 2\.5"),
     "dataset_unknown_role": (
         lambda: FeatureDataset(features=np.ones((3, 1, 2)), labels=[0, 1, 2],
                                num_classes=3, role="validation"),
@@ -291,8 +304,11 @@ LABEL_ENTRIES = {  # (export, argument): (call with a two-entry value, message n
         lambda v: FeatureDataset(np.ones((2, 1, 2)), v, 3), "labels"),
     ("class_index", "labels"): (lambda v: class_index(v, 3), "labels"),
     ("stats_from_counts", "counts"): (stats_from_counts, "counts"),
+    ("save_checkpoint", "class_counts"): (  # writes into the test's tmp_path
+        lambda v: save_checkpoint("model.ckpt", HEAD2, v), "counts"),
 }
-NOT_CLASS_IDS = {("stats_from_counts", "counts")}  # counts have no K to exceed
+NOT_CLASS_IDS = {("stats_from_counts", "counts"),  # counts have no K to exceed
+                 ("save_checkpoint", "class_counts")}
 
 MALFORMED_REALS = {"complex": np.complex128, "string": "U1", "object": object}
 REAL_ENTRIES = {  # (export, argument): (call, well-formed shape, message name)
@@ -307,6 +323,44 @@ REAL_ENTRIES = {  # (export, argument): (call, well-formed shape, message name)
         TextClassEmbeddings.from_matrix, (3, 2), "class embeddings"),
     ("zero_shot_classify", "image_embs"): (
         lambda v: zero_shot_classify(v, EMB), (2, 3), "image embeddings"),
+    ("forward_batch", "tokens"): (
+        lambda v: forward_batch(HEAD, v, None, False), (2, 1, 8), "tokens"),
+    ("backward_batch", "dlogits"): (
+        lambda v: backward_batch(HEAD, CACHE, v), (2, 3), "dlogits"),
+    ("layer_norm", "x"): (
+        lambda v: layer_norm(v, np.ones(2), np.zeros(2)), (3, 2), "x"),
+    ("layer_norm", "gamma"): (
+        lambda v: layer_norm(np.ones((3, 2)), v, np.zeros(2)), (2,), "gamma"),
+    ("layer_norm", "beta"): (
+        lambda v: layer_norm(np.ones((3, 2)), np.ones(2), v), (2,), "beta"),
+    ("layer_norm_backward", "dy"): (
+        lambda v: layer_norm_backward(LN_CACHE, v), (3, 2), "dy"),
+    ("gelu", "x"): (gelu, (2, 3), "x"),
+    ("gelu_with_grad", "x"): (gelu_with_grad, (2, 3), "x"),
+    ("sgd_step", "grads"): (  # params and velocity are written in place
+        lambda v: sgd_step(np.zeros(3), v, np.zeros(3), 0.1, 0.9, 0.0),
+        (3,), "grads"),
+    ("context_weight_norms", "cls_weight"): (
+        context_weight_norms, (3, 2), "cls_weight"),
+    ("finite_diff_check", "params"): (
+        lambda v: finite_diff_check(lambda p: (0.0, np.zeros(2)), v),
+        (2,), "params"),
+    ("finite_diff_check", "f"): (  # the gradient that f returns
+        lambda v: finite_diff_check(lambda p: (0.0, v), np.zeros(2)),
+        (2,), "gradient"),
+    # not exports, so the guard below does not ask for these rows
+    ("calibrators.apply_batch", "pooled"): (
+        lambda v: apply_batch(CAL, v, np.zeros((2, 3)), np.ones(3)),
+        (2, 8), "pooled"),
+    ("calibrators.apply_batch", "logits"): (
+        lambda v: apply_batch(CAL, np.zeros((2, 8)), v, np.ones(3)),
+        (2, 3), "logits"),
+    ("calibrators.apply_batch", "weight_norms"): (
+        lambda v: apply_batch(CAL, np.zeros((2, 8)), np.zeros((2, 3)), v),
+        (3,), "weight_norms"),
+    ("calibrators.backward_batch", "dadjusted"): (
+        lambda v: calibrators.backward_batch(CAL, CAL_CACHE, v),
+        (2, 3), "dadjusted"),
 }
 
 # Records that checked entries build; they validate nothing themselves.
@@ -314,8 +368,15 @@ UNCHECKED_RECORDS = {
     ("ClassStats", "counts"): "built by build_class_stats and stats_from_counts",
     ("TextClassEmbeddings", "matrix"): "built by TextClassEmbeddings.from_matrix",
 }
-SWEPT_ARGUMENTS = {"labels", "predictions", "counts", "logits", "features",
-                   "image_embs", "matrix"}
+# Scalars that share a swept argument's name.
+NOT_ARRAYS = {
+    ("SyntheticSpec", "tokens"): "the token count per sample",
+    ("LossSpec", "gamma"): "focal's exponent",
+    ("make_loss_spec", "gamma"): "focal's exponent",
+}
+SWEPT_ARGUMENTS = {"labels", "predictions", "counts", "class_counts", "logits",
+                   "features", "image_embs", "matrix", "tokens", "dlogits",
+                   "x", "gamma", "beta", "dy", "grads", "cls_weight"}
 
 
 def _raises_naming(call, value, name):
@@ -329,13 +390,15 @@ def _raises_naming(call, value, name):
     (entry, kind) for entry in LABEL_ENTRIES for kind in MALFORMED_LABELS
     if not (entry in NOT_CLASS_IDS and kind == "at_k")],
     ids=lambda x: ".".join(x) if isinstance(x, tuple) else x)
-def test_label_like_argument_refuses(entry, kind):
+def test_label_like_argument_refuses(entry, kind, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
     call, name = LABEL_ENTRIES[entry]
     _raises_naming(call, MALFORMED_LABELS[kind], name)
 
 
 @pytest.mark.parametrize("entry", LABEL_ENTRIES, ids=".".join)
-def test_label_like_argument_accepts_whole_floats(entry):
+def test_label_like_argument_accepts_whole_floats(entry, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
     call, _ = LABEL_ENTRIES[entry]
     call(np.array([0.0, 1.0]))
 
@@ -349,8 +412,12 @@ def test_real_valued_argument_refuses(entry, kind):
 
 
 def _ragged(shape):
-    """Nested lists of `shape` whose last innermost list is one entry longer."""
+    """Nested lists of `shape` whose last innermost list is one entry longer;
+    a vector's last entry becomes a list instead."""
     rows = np.ones(shape).tolist()
+    if len(shape) == 1:
+        rows[-1] = [1.0]
+        return rows
     inner = rows
     while isinstance(inner[-1], list):
         inner = inner[-1]
@@ -391,7 +458,8 @@ def _exported_arguments():
 
 
 def test_every_swept_argument_of_an_export_has_a_sweep_row():
-    swept = set(LABEL_ENTRIES) | set(REAL_ENTRIES) | set(UNCHECKED_RECORDS)
+    swept = (set(LABEL_ENTRIES) | set(REAL_ENTRIES) | set(UNCHECKED_RECORDS)
+             | set(NOT_ARRAYS))
     missing = [arg for arg in _exported_arguments()
                if arg[1] in SWEPT_ARGUMENTS and arg not in swept]
     assert missing == []
