@@ -37,9 +37,9 @@ with tempfile.TemporaryDirectory() as tmp:
 print()
 
 draws = 50_000
-idx = sample_batch(train, stats, INSTANCE_BALANCED, draws, make_rng(1))
+idx = sample_batch(train, INSTANCE_BALANCED, draws, make_rng(1))
 inst = np.bincount(train.labels[idx], minlength=6) / draws
-idx = sample_batch(train, stats, CLASS_BALANCED, draws, make_rng(2))
+idx = sample_batch(train, CLASS_BALANCED, draws, make_rng(2))
 bal = np.bincount(train.labels[idx], minlength=6) / draws
 
 print(f"class frequencies over {draws} draws:")

@@ -116,7 +116,7 @@ def _cmd_gen_data(args) -> int:
     train, test = generate_synthetic_lt(spec)
     save_features(train, f"{args.out}.train")
     save_features(test, f"{args.out}.test")
-    counts = np.bincount(train.labels, minlength=train.num_classes)
+    counts = train.class_counts
     print(f"wrote {args.out}.train ({train.num_samples} samples, "
           f"head {counts.max()}, tail {counts.min()}) and "
           f"{args.out}.test ({test.num_samples} samples)")
@@ -133,8 +133,7 @@ def _cmd_train(args) -> int:
                                    depth=cfg.depth, heads=cfg.heads,
                                    mlp_ratio=cfg.mlp_ratio, dropout=cfg.dropout)
     head, log = train_stage1(ds, cfg, decoder_config, make_rng(cfg.seed))
-    counts = np.bincount(ds.labels, minlength=ds.num_classes)
-    save_checkpoint(args.out, head, counts)
+    save_checkpoint(args.out, head, ds.class_counts)
     log_path = args.log or f"{args.out}.losses.csv"
     with open(log_path, "w") as fh:
         fh.write("iteration,loss\n")
@@ -158,8 +157,7 @@ def _cmd_calibrate(args) -> int:
     head, _, _ = load_checkpoint(args.ckpt)
     ds = _load_feature_file(args.features)
     cal, _ = train_stage2(head, ds, cfg, method, make_rng(args.seed))
-    counts = np.bincount(ds.labels, minlength=ds.num_classes)
-    save_checkpoint(args.out, head, counts, calibrator=cal)
+    save_checkpoint(args.out, head, ds.class_counts, calibrator=cal)
     print(f"calibrated with {method} for {cfg.stage2_iters} iterations; "
           f"checkpoint {args.out}")
     return 0

@@ -22,11 +22,12 @@ import math
 import os
 import struct
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from .exceptions import ConfigError, DataError, DomainError, FormatError
-from .losses import ClassStats, class_labels
+from .losses import class_labels
 from .numerics import Array, real_values
 
 MAGIC = b"IMBF"
@@ -43,18 +44,22 @@ INSTANCE_BALANCED = "instance_balanced"
 CLASS_BALANCED = "class_balanced"
 
 
-@dataclass
+@dataclass(frozen=True)
 class FeatureDataset:
+    """One split. Its class layout is computed on first read and kept, so its
+    arrays must not be edited in place; the library never does."""
     features: Array  # (N, T, D) float64
     labels: Array    # (N,) int64
     num_classes: int
     role: str = ROLE_TRAIN
 
     def __post_init__(self):
-        self.features = np.ascontiguousarray(real_values(self.features, "features"))
+        object.__setattr__(self, "features", np.ascontiguousarray(
+            real_values(self.features, "features")))
         if self.features.ndim != 3:
             raise DataError(f"features must be (N, T, D), got {self.features.shape}")
-        self.labels = class_labels(self.labels, self.num_classes)
+        object.__setattr__(self, "labels",
+                           class_labels(self.labels, self.num_classes))
         if self.labels.shape != (self.features.shape[0],):
             raise DataError("labels length must match the sample count")
         if not np.all(np.isfinite(self.features)):
@@ -74,9 +79,19 @@ class FeatureDataset:
     def dim(self) -> int:
         return self.features.shape[2]
 
+    @cached_property
+    def class_counts(self) -> Array:
+        """(K,) samples per class."""
+        return np.bincount(self.labels, minlength=self.num_classes)
+
+    @cached_property
+    def class_index(self) -> tuple[Array, Array]:
+        """(stable sorted order of the labels, one start offset per class)."""
+        starts = np.concatenate([[0], np.cumsum(self.class_counts)[:-1]])
+        return np.argsort(self.labels, kind="stable"), starts
+
     def is_class_balanced(self) -> bool:
-        counts = np.bincount(self.labels, minlength=self.num_classes)
-        return bool(np.all(counts == counts[0]))
+        return bool(np.all(self.class_counts == self.class_counts[0]))
 
 
 @dataclass(frozen=True)
@@ -277,25 +292,13 @@ def load_text_table(path) -> FeatureDataset:
                           num_classes=int(labels.max()) + 1)
 
 
-def class_index(labels: Array, num_classes: int) -> tuple[Array, Array]:
-    """Stable per-class index layout of labels that meet `class_labels`:
-    (sorted order, one start offset per class), else a DataError."""
-    labels = class_labels(labels, num_classes)
-    order = np.argsort(labels, kind="stable")
-    counts = np.bincount(labels, minlength=num_classes)
-    starts = np.concatenate([[0], np.cumsum(counts)[:-1]])
-    return order, starts
-
-
-def sample_batch(ds: FeatureDataset, stats: ClassStats, strategy: str,
-                 batch_size: int, rng: np.random.Generator,
-                 index=None) -> Array:
+def sample_batch(ds: FeatureDataset, strategy: str, batch_size: int,
+                 rng: np.random.Generator) -> Array:
     """Draw `batch_size` dataset indices i.i.d. with replacement.
 
     instance_balanced picks samples uniformly, so batch class frequencies
     follow the skewed prior. class_balanced picks a class uniformly, then a
-    sample within it. Pass a precomputed `class_index(...)` tuple as `index`
-    to avoid re-sorting in a training loop.
+    sample within it, from the dataset's `class_counts` and `class_index`.
     """
     if ds.num_samples == 0:
         raise DataError("cannot sample from an empty dataset")
@@ -304,13 +307,12 @@ def sample_batch(ds: FeatureDataset, stats: ClassStats, strategy: str,
     if strategy == INSTANCE_BALANCED:
         return rng.integers(0, ds.num_samples, size=batch_size)
     if strategy == CLASS_BALANCED:
-        counts = stats.counts
+        counts = ds.class_counts
         if np.any(counts < 1):
             raise DataError("class-balanced sampling needs every class "
                             "to have at least one sample")
-        order, starts = index if index is not None else class_index(
-            ds.labels, stats.num_classes)
-        classes = rng.integers(0, stats.num_classes, size=batch_size)
+        order, starts = ds.class_index
+        classes = rng.integers(0, ds.num_classes, size=batch_size)
         within = rng.integers(0, counts[classes])
         return order[starts[classes] + within]
     raise ConfigError(f"unknown sampling strategy {strategy!r}")

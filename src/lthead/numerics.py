@@ -206,6 +206,9 @@ def layer_norm_backward(cache: LayerNormCache,
     """
     dy = real_values(dy, "dy")
     xhat, inv_std, gamma = cache.xhat, cache.inv_std, cache.gamma
+    if dy.shape != xhat.shape:
+        raise ShapeError(f"dy shape {dy.shape} does not match the cached "
+                         f"forward's {xhat.shape}")
     lead = tuple(range(dy.ndim - 1))
     dgamma = np.sum(dy * xhat, axis=lead)
     dbeta = np.sum(dy, axis=lead)
@@ -293,13 +296,17 @@ def sgd_step(params: Array, grads: Array, velocity: Array, lr: float,
     """Classic SGD with momentum; the L2 term is folded into the gradient.
 
     `params`, `grads` and `velocity` are flat vectors sharing one layout; a
-    run's velocity starts at zero. Updates parameters and velocity in place.
+    run's velocity starts at zero. Updates parameters and velocity in place,
+    once both are checked to be float64 arrays of the gradient's shape.
     """
     grads = real_values(grads, "grads")
-    if grads.shape != params.shape or velocity.shape != params.shape:
-        raise ShapeError(f"gradient {grads.shape} and velocity "
-                         f"{velocity.shape} must match parameters "
-                         f"{params.shape}")
+    for name, arr in (("params", params), ("velocity", velocity)):
+        if not isinstance(arr, np.ndarray):
+            raise ShapeError(f"{name} must be a {grads.shape} float64 array, "
+                             f"got {type(arr).__name__}")
+        if arr.shape != grads.shape or arr.dtype != np.float64:
+            raise ShapeError(f"{name} must be a {grads.shape} float64 array, "
+                             f"got {arr.shape} {arr.dtype}")
     # The six passes run tile by tile through one tile-sized scratch buffer,
     # which holds the decayed gradient and then the update; each element
     # sees the whole-vector expressions' operations in their order.

@@ -21,7 +21,7 @@ import numpy as np
 from . import calibrators as cal_mod
 from .calibrators import (CALIBRATOR_VARIANTS, RECIPES, Calibrator,
                           context_weight_norms, init_calibrator)
-from .data import INSTANCE_BALANCED, FeatureDataset, class_index, sample_batch
+from .data import INSTANCE_BALANCED, FeatureDataset, sample_batch
 from .decoder import (DecoderConfig, DecoderHead, backward_batch, forward_batch,
                       init_decoder, pool_batch)
 from .exceptions import (ConfigError, DataError, DivergenceError, DomainError,
@@ -32,6 +32,7 @@ from .losses import (GROUP_FEW, GROUP_MANY, GROUP_MEDIUM, VARIANTS, ClassStats,
 from .numerics import Array, linear, real_values, sgd_step
 
 EVAL_CHUNK = 512  # fixed so evaluation arithmetic never depends on dataset size
+_DECODER_DEFAULTS = {f.name: f.default for f in fields(DecoderConfig)}
 
 
 @dataclass(frozen=True)
@@ -49,10 +50,10 @@ class TrainConfig:
     lade_lambda: float = 0.1
     stage2_method: str | None = None
     stage2_iters: int = 2048
-    depth: int = 3
-    heads: int = 4
-    mlp_ratio: float = 4.0
-    dropout: float = 0.5
+    depth: int = _DECODER_DEFAULTS["depth"]
+    heads: int = _DECODER_DEFAULTS["heads"]
+    mlp_ratio: float = _DECODER_DEFAULTS["mlp_ratio"]
+    dropout: float = _DECODER_DEFAULTS["dropout"]
 
     def __post_init__(self):
         for f in fields(self):
@@ -144,7 +145,7 @@ def _class_stats(ds: FeatureDataset, config: DecoderConfig) -> ClassStats:
 
 def _sgd_loop(sched: TrainConfig, ds: FeatureDataset, stats: ClassStats,
               strategy: str, spec, rng: np.random.Generator, params: Array,
-              forward, backward, label: str, index=None) -> Array:
+              forward, backward, label: str) -> Array:
     """Run `sched`'s SGD iterations on `params`; return the loss log.
 
     `forward(idx, previous cache or None)` returns (logits, cache), and
@@ -154,7 +155,7 @@ def _sgd_loop(sched: TrainConfig, ds: FeatureDataset, stats: ClassStats,
     log = np.empty(sched.total_iters)
     cache = None
     for it in range(sched.total_iters):
-        idx = sample_batch(ds, stats, strategy, sched.batch_size, rng, index=index)
+        idx = sample_batch(ds, strategy, sched.batch_size, rng)
         logits, cache = forward(idx, cache)
         if not np.all(np.isfinite(logits)):
             raise DivergenceError(f"non-finite logits at {label} {it}")
@@ -228,7 +229,7 @@ def train_stage2(head: DecoderHead, ds: FeatureDataset, cfg: TrainConfig,
         stage2_schedule(cfg), ds, stats, RECIPES[variant].sampling, spec, rng,
         cal.params.vector, forward,
         lambda cache, dadj: cal_mod.backward_batch(cal, cache, dadj).vector,
-        "stage-2 iteration", index=class_index(ds.labels, ds.num_classes))
+        "stage-2 iteration")
     return cal, log
 
 

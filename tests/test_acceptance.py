@@ -112,11 +112,11 @@ def test_criterion_4_sampler_statistics():
     stats = build_class_stats(labels, 2)
     draws = 10 ** 5
 
-    idx = sample_batch(ds, stats, CLASS_BALANCED, draws, make_rng(41))
+    idx = sample_batch(ds, CLASS_BALANCED, draws, make_rng(41))
     freq_cb = float(np.mean(ds.labels[idx] == 0))
     sigma_cb = math.sqrt(0.5 * 0.5 / draws)
 
-    idx = sample_batch(ds, stats, INSTANCE_BALANCED, draws, make_rng(42))
+    idx = sample_batch(ds, INSTANCE_BALANCED, draws, make_rng(42))
     freq_ib = float(np.mean(ds.labels[idx] == 0))
     sigma_ib = math.sqrt(0.75 * 0.25 / draws)
 

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import struct
 
@@ -191,25 +192,22 @@ class TestSamplers:
 
     def test_class_balanced_marginal(self):
         ds = self._dataset([3, 1])
-        stats = build_class_stats(ds.labels, 2)
-        idx = sample_batch(ds, stats, CLASS_BALANCED, 20000, make_rng(0))
+        idx = sample_batch(ds, CLASS_BALANCED, 20000, make_rng(0))
         freq0 = np.mean(ds.labels[idx] == 0)
         sigma = math.sqrt(0.25 / 20000)
         assert abs(freq0 - 0.5) < 3 * sigma
 
     def test_instance_balanced_marginal(self):
         ds = self._dataset([3, 1])
-        stats = build_class_stats(ds.labels, 2)
-        idx = sample_batch(ds, stats, INSTANCE_BALANCED, 20000, make_rng(1))
+        idx = sample_batch(ds, INSTANCE_BALANCED, 20000, make_rng(1))
         freq0 = np.mean(ds.labels[idx] == 0)
         sigma = math.sqrt(0.75 * 0.25 / 20000)
         assert abs(freq0 - 0.75) < 3 * sigma
 
     def test_single_draw_reproducible(self):
         ds = self._dataset([4, 2, 1])
-        stats = build_class_stats(ds.labels, 3)
-        a = sample_batch(ds, stats, CLASS_BALANCED, 1, make_rng(7))
-        b = sample_batch(ds, stats, CLASS_BALANCED, 1, make_rng(7))
+        a = sample_batch(ds, CLASS_BALANCED, 1, make_rng(7))
+        b = sample_batch(ds, CLASS_BALANCED, 1, make_rng(7))
         npt.assert_array_equal(a, b)
         assert a.shape == (1,)
 
@@ -221,12 +219,12 @@ class TestSamplers:
         n = 10 ** 5
         crit = scipy_stats.chi2.ppf(0.99, df=3)
 
-        idx = sample_batch(ds, stats, CLASS_BALANCED, n, make_rng(2))
+        idx = sample_batch(ds, CLASS_BALANCED, n, make_rng(2))
         observed = np.bincount(ds.labels[idx], minlength=4)
         chi2 = np.sum((observed - n / 4) ** 2 / (n / 4))
         assert chi2 < crit
 
-        idx = sample_batch(ds, stats, INSTANCE_BALANCED, n, make_rng(3))
+        idx = sample_batch(ds, INSTANCE_BALANCED, n, make_rng(3))
         observed = np.bincount(ds.labels[idx], minlength=4)
         expected = n * stats.priors
         chi2 = np.sum((observed - expected) ** 2 / expected)
@@ -235,19 +233,63 @@ class TestSamplers:
     def test_empty_dataset_rejected(self):
         ds = FeatureDataset(features=np.zeros((0, 1, 2)),
                             labels=np.zeros(0, dtype=np.int64), num_classes=2)
-        stats = build_class_stats(np.array([0, 1]), 2)
         with pytest.raises(DataError):
-            sample_batch(ds, stats, INSTANCE_BALANCED, 4, make_rng(0))
+            sample_batch(ds, INSTANCE_BALANCED, 4, make_rng(0))
 
     def test_class_balanced_needs_nonempty_classes(self):
-        ds = self._dataset([4, 0])
-        with pytest.warns(UserWarning):
-            stats = build_class_stats(ds.labels, 2)  # class 1 empty
+        ds = self._dataset([4, 0])  # class 1 empty
         with pytest.raises(DataError):
-            sample_batch(ds, stats, CLASS_BALANCED, 4, make_rng(0))
+            sample_batch(ds, CLASS_BALANCED, 4, make_rng(0))
+
+    def test_class_balanced_reads_the_datasets_own_counts(self):
+        # no caller-supplied class statistics can skew the draw any more
+        ds = self._dataset([1, 9])
+        draws = 2000
+        idx = sample_batch(ds, CLASS_BALANCED, draws, make_rng(11))
+        hits = np.sum(ds.labels[idx] == 0)
+        assert abs(hits - draws / 2) < 3 * math.sqrt(0.25 * draws)
+
+    def test_class_balanced_draw_sequence(self):
+        # a uniform class, then a uniform rank among that class's samples in
+        # dataset order: the draws that every class-balanced golden run pins
+        labels = make_rng(4).permutation(np.repeat(np.arange(3), [5, 2, 4]))
+        ds = FeatureDataset(features=np.zeros((11, 1, 2)), labels=labels,
+                            num_classes=3)
+        rng = make_rng(8)
+        classes = rng.integers(0, 3, size=64)
+        within = rng.integers(0, np.array([5, 2, 4])[classes])
+        want = [np.flatnonzero(labels == c)[w] for c, w in zip(classes, within)]
+        npt.assert_array_equal(
+            sample_batch(ds, CLASS_BALANCED, 64, make_rng(8)), want)
 
 
 class TestFeatureDataset:
+    def test_frozen_and_class_layout_cached(self):
+        labels = make_rng(5).permutation(np.repeat(np.arange(4), [6, 3, 1, 2]))
+        ds = FeatureDataset(features=np.zeros((12, 1, 2)), labels=labels,
+                            num_classes=5)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            ds.labels = np.zeros(12, dtype=np.int64)
+        npt.assert_array_equal(ds.class_counts, np.bincount(labels, minlength=5))
+        order, starts = ds.class_index
+        npt.assert_array_equal(order, np.argsort(labels, kind="stable"))
+        npt.assert_array_equal(starts, [0, 6, 9, 10, 12])
+        assert ds.class_counts is ds.class_counts
+        assert ds.class_index is ds.class_index
+
+    @pytest.mark.parametrize("counts", [[1], [0, 3], [3, 0], [2, 0, 1], [0, 0]])
+    def test_class_layout(self, counts):
+        labels = make_rng(sum(counts)).permutation(
+            np.repeat(np.arange(len(counts)), counts))
+        ds = FeatureDataset(features=np.zeros((labels.size, 1, 2)),
+                            labels=labels, num_classes=len(counts))
+        npt.assert_array_equal(ds.class_counts, counts)
+        order, starts = ds.class_index
+        npt.assert_array_equal(starts, np.cumsum([0] + counts[:-1]))
+        for c, (start, n) in enumerate(zip(starts, counts)):
+            npt.assert_array_equal(order[start:start + n],
+                                   np.flatnonzero(labels == c))
+
     def test_label_range_enforced(self):
         with pytest.raises(DataError):
             FeatureDataset(features=np.zeros((2, 1, 2)),

@@ -22,7 +22,6 @@ from lthead import (CLASS_BALANCED, ConfigError, DataError, DecoderConfig,
                     sample_batch, save_checkpoint, sgd_step, softmax_rows,
                     stats_from_counts, total_loss, zero_shot_classify)
 from lthead.calibrators import apply_batch
-from lthead.data import class_index
 from lthead.decoder import pool_batch
 
 STATS = stats_from_counts([5, 3, 1])
@@ -38,6 +37,15 @@ HEAD2 = init_decoder(DecoderConfig(dim=8, num_classes=2, depth=0), make_rng(0))
 DS = FeatureDataset(features=np.ones((3, 1, 2)), labels=[0, 1, 2], num_classes=3)
 EMB = TextClassEmbeddings.from_matrix(np.eye(3))
 SPEC_KW = dict(num_classes=3, head_count=10, imbalance_ratio=2.0, dim=2)
+
+
+def _sgd_step_int64_params():
+    velocity = np.zeros(2)
+    try:
+        sgd_step(np.zeros(2, dtype=np.int64), np.ones(2), velocity, 0.1, 0.9, 0.0)
+    finally:  # refused before anything was written
+        np.testing.assert_array_equal(velocity, 0.0)
+
 
 CASES = {
     "loss_logits_not_k_wide": (
@@ -111,10 +119,14 @@ CASES = {
         lambda: apply_batch(CAL, np.zeros(8), np.zeros((1, 3)), np.ones(3)),
         ShapeError, "pooled features and logits must share a batch axis"),
     "sample_batch_size_0": (
-        lambda: sample_batch(DS, STATS, CLASS_BALANCED, 0, make_rng(0)),
+        lambda: sample_batch(DS, CLASS_BALANCED, 0, make_rng(0)),
         DomainError, "batch_size must be >= 1"),
+    "sample_class_balanced_unseen_class": (  # stats-driven IndexError before
+        lambda: sample_batch(FeatureDataset(np.ones((2, 1, 2)), [0, 1], 3),
+                             CLASS_BALANCED, 4, make_rng(0)),
+        DataError, "class-balanced sampling needs every class to have at least"),
     "sample_unknown_strategy": (
-        lambda: sample_batch(DS, STATS, "stratified", 4, make_rng(0)),
+        lambda: sample_batch(DS, "stratified", 4, make_rng(0)),
         ConfigError, "unknown sampling strategy 'stratified'"),
     "config_negative_total_iters": (
         lambda: TrainConfig(total_iters=-1),
@@ -192,9 +204,6 @@ CASES = {
     "class_stats_string_num_classes": (  # np.bincount: UFuncTypeError
         lambda: build_class_stats([0, 1], "3"),
         DataError, "^num_classes must be >= 1 and an integer, got '3'"),
-    "class_index_fractional_num_classes": (
-        lambda: class_index([0, 1], 2.5),
-        DataError, r"^num_classes must be >= 1 and an integer, got 2\.5"),
     "dataset_unknown_role": (
         lambda: FeatureDataset(features=np.ones((3, 1, 2)), labels=[0, 1, 2],
                                num_classes=3, role="validation"),
@@ -235,9 +244,6 @@ CASES = {
     "loss_nan_labels": (  # int(): "cannot convert float NaN to integer"
         lambda: total_loss(SPEC, np.zeros((2, 3)), [math.nan, 1.0], STATS),
         DataError, r"labels must be whole numbers below 2\^63"),
-    "class_index_negative_label": (  # np.bincount: "no negative elements"
-        lambda: class_index([-1, 1], 3),
-        DataError, r"labels must lie in \[0, 3\), got range \[-1, 1\]"),
     "counts_empty": (
         lambda: stats_from_counts([]),
         DataError, "counts must be a non-empty vector"),
@@ -251,6 +257,27 @@ CASES = {
     "softmax_rows_inf": (
         lambda: softmax_rows(np.array([[0.0, math.inf]])),
         DomainError, "softmax_rows requires finite logits"),
+    "sgd_step_int64_params": (  # numpy: UFuncTypeError after velocity moved
+        _sgd_step_int64_params,
+        ShapeError, r"^params must be a \(2,\) float64 array, got \(2,\) int64"),
+    "sgd_step_list_params": (  # bare AttributeError: no .shape
+        lambda: sgd_step([0.0, 0.0], np.ones(2), np.zeros(2), 0.1, 0.9, 0.0),
+        ShapeError, r"^params must be a \(2,\) float64 array, got list"),
+    "sgd_step_short_velocity": (
+        lambda: sgd_step(np.zeros(2), np.ones(2), np.zeros(3), 0.1, 0.9, 0.0),
+        ShapeError, r"^velocity must be a \(2,\) float64 array, got \(3,\) float64"),
+    "sgd_step_list_velocity": (
+        lambda: sgd_step(np.zeros(2), np.ones(2), [0.0, 0.0], 0.1, 0.9, 0.0),
+        ShapeError, r"^velocity must be a \(2,\) float64 array, got list"),
+    "layer_norm_backward_dy_wider": (  # numpy: broadcast ValueError
+        lambda: layer_norm_backward(LN_CACHE, np.ones((3, 5))),
+        ShapeError, r"dy shape \(3, 5\) does not match the cached forward's \(3, 2\)"),
+    "layer_norm_backward_dy_more_rows": (
+        lambda: layer_norm_backward(LN_CACHE, np.ones((4, 2))),
+        ShapeError, r"dy shape \(4, 2\) does not match the cached forward's \(3, 2\)"),
+    "layer_norm_backward_dy_1d": (
+        lambda: layer_norm_backward(LN_CACHE, np.ones(2)),
+        ShapeError, r"dy shape \(2,\) does not match the cached forward's \(3, 2\)"),
     "finite_diff_params_2d": (
         lambda: finite_diff_check(lambda p: (0.0, p), np.zeros((2, 2))),
         ShapeError, "finite_diff_check expects a flat parameter vector"),
@@ -302,7 +329,6 @@ LABEL_ENTRIES = {  # (export, argument): (call with a two-entry value, message n
         lambda v: metrics_from_predictions([0, 1], v, STATS), "labels"),
     ("FeatureDataset", "labels"): (
         lambda v: FeatureDataset(np.ones((2, 1, 2)), v, 3), "labels"),
-    ("class_index", "labels"): (lambda v: class_index(v, 3), "labels"),
     ("stats_from_counts", "counts"): (stats_from_counts, "counts"),
     ("save_checkpoint", "class_counts"): (  # writes into the test's tmp_path
         lambda v: save_checkpoint("model.ckpt", HEAD2, v), "counts"),

@@ -167,6 +167,11 @@ class TestRunConfig:
         cfg = parse_run_config("# cfg\n\nseed=5\nloss=focal\n")
         assert cfg.seed == 5 and cfg.loss == "focal"
 
+    @pytest.mark.parametrize("name", ["depth", "heads", "mlp_ratio", "dropout"])
+    def test_decoder_shape_defaults_are_the_decoders(self, name):
+        decoder = DecoderConfig(dim=8, num_classes=3)
+        assert getattr(TrainConfig(), name) == getattr(decoder, name)
+
     def test_invalid_warmup(self):
         with pytest.raises(ConfigError):
             TrainConfig(total_iters=100, warmup_iters=100)
