@@ -122,6 +122,8 @@ class SyntheticSpec:
             raise ConfigError("dim and tokens must be >= 1")
         if self.test_per_class < 0:
             raise ConfigError("test_per_class must be >= 0")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
 
 
 def exponential_profile(head_count: int, ratio: float, num_classes: int) -> Array:

@@ -58,6 +58,9 @@ class DecoderConfig:
             raise ConfigError(
                 f"mlp_ratio {self.mlp_ratio} at dim {self.dim} gives MLP width "
                 f"{self.mlp_ratio * self.dim}; it must be at least 1 and finite")
+        if param_count(self) > (limit := np.iinfo(np.intp).max // 8):
+            raise ConfigError("the head needs more parameters than one float64 "
+                              f"array can hold ({limit})")
 
     @property
     def head_dim(self) -> int:
@@ -117,6 +120,8 @@ class DecoderHead:
 
     def __init__(self, config: DecoderConfig, vector: Array | None = None):
         self.config = config
+        if vector is None:  # allocated first: a huge depth fails before its layout
+            vector = np.zeros(param_count(config))
         self.params = ParamVector(param_layout(config), vector)
         self.blocks = [
             BlockParams(**{n: self.params[f"blocks.{i}.{n}"] for n in BLOCK_FIELDS})

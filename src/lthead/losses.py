@@ -152,8 +152,9 @@ def ldam_margins(stats: ClassStats, max_margin: float = 0.5) -> Array:
 class LossSpec:
     """A loss variant with its derived per-class vectors.
 
-    `weights`, `biases`, and `margins` are finite vectors of length K;
-    variants that do not use a vector leave it at its identity value.
+    `weights`, `biases`, and `margins` are finite vectors of length K, stored
+    as the spec's own read-only float64 copies; variants that do not use a
+    vector leave it at its identity value.
     """
     variant: str
     weights: Array
@@ -165,6 +166,10 @@ class LossSpec:
     def __post_init__(self):
         if self.variant not in VARIANTS:
             raise ConfigError(f"unknown loss variant {self.variant!r}")
+        for name in ("weights", "biases", "margins"):  # later caller edits miss them
+            vec = real_values(getattr(self, name), f"loss {name}").copy()
+            vec.flags.writeable = False
+            object.__setattr__(self, name, vec)
         vecs = (self.weights, self.biases, self.margins)
         if ({np.shape(v) for v in vecs} != {(np.size(self.weights),)}
                 or not np.isfinite(vecs).all()):
@@ -223,21 +228,20 @@ def lade_dv_regularizer(logits: Array, labels: Array, stats: ClassStats,
     labels = _check_batch(logits, labels, stats.num_classes)
     if not 0 <= lam < np.inf:
         raise DomainError(f"lade lambda must be {'>= 0' if lam < 0 else 'finite'}")
-    return _lade_dv(logits, labels, stats, lam)
-
-
-def _lade_dv(logits: Array, labels: Array, stats: ClassStats,
-             lam: float) -> tuple[float, Array]:
-    """`lade_dv_regularizer` on logits and labels that passed `_check_batch`."""
     dlogits = np.zeros_like(logits)
-    if lam == 0.0:
-        return 0.0, dlogits
+    return _lade_dv(logits, labels, bsm_biases(stats), lam, dlogits), dlogits
 
+
+def _lade_dv(logits: Array, labels: Array, biases: Array, lam: float,
+             out: Array) -> float:
+    """`lade_dv_regularizer`'s value on checked input; adds its gradient to `out`."""
+    if lam == 0.0:
+        return 0.0
     batch = logits.shape[0]
     present, which, members = np.unique(labels, return_inverse=True,
                                         return_counts=True)
     n_present = present.shape[0]
-    cols = logits[:, present] - bsm_biases(stats)[present]  # all K: a zero count raises
+    cols = logits[:, present] - biases[present]
     col_max = cols.max(axis=0)
     # One contiguous row per present class: each row sum then adds the
     # column's entries in the same pairwise order as a 1-D sum would.
@@ -251,9 +255,10 @@ def _lade_dv(logits: Array, labels: Array, stats: ClassStats,
     own = np.insert(cols[order, which[order]], starts, 0.0)
     own_mean = np.add.reduceat(own, starts + np.arange(n_present)) / members
     terms = -own_mean + col_max + np.log(expsums / batch)
-    dlogits[:, present] = (lam / n_present * (expcols / expsums[:, None])).T
-    dlogits[np.arange(batch), labels] -= (lam / (n_present * members))[which]
-    return float(lam * np.mean(terms)), dlogits
+    block = (lam / n_present * (expcols / expsums[:, None])).T  # (B, P)
+    block[np.arange(batch), which] -= (lam / (n_present * members))[which]
+    out[:, present] += block  # one add per entry: a dense add's bits
+    return float(lam * np.mean(terms))
 
 
 def total_loss(spec: LossSpec, logits: Array, labels: Array,
@@ -261,7 +266,8 @@ def total_loss(spec: LossSpec, logits: Array, labels: Array,
     """Mean loss over the batch and its exact gradient w.r.t. the logits.
 
     The complete objective: LADE adds `lade_dv_regularizer` at weight
-    `spec.lam`. The gradient is a fresh array that the caller owns.
+    `spec.lam` on `spec.biases`. `stats` is read only for K and the spec match
+    check. The gradient is a fresh array that the caller owns.
     """
     logits = real_values(logits, "logits")
     k = stats.num_classes
@@ -291,8 +297,6 @@ def total_loss(spec: LossSpec, logits: Array, labels: Array,
     z[rows, labels] -= 1.0
     z *= coef[:, None]
     z /= batch
-    if spec.variant == "lade":
-        reg, dreg = _lade_dv(logits, labels, stats, spec.lam)  # checked above
-        value += reg
-        z += dreg
+    if spec.variant == "lade":  # the batch was checked above
+        value += _lade_dv(logits, labels, spec.biases, spec.lam, z)
     return value, z

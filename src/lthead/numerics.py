@@ -26,6 +26,8 @@ def make_rng(seed: int) -> np.random.Generator:
 
     Identical seeds reproduce identical draw sequences on every platform.
     """
+    if seed < 0:
+        raise DomainError(f"seed must be >= 0, got {seed}")
     return np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed)))
 
 

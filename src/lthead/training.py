@@ -60,6 +60,8 @@ class TrainConfig:
             value = getattr(self, f.name)
             if f.type == "float" and not math.isfinite(value):
                 raise ConfigError(f"{f.name} must be finite, got {value}")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
         if self.total_iters < 0 or self.stage2_iters < 0:
             raise ConfigError("iteration counts must be >= 0")
         if self.total_iters > 0 and not 0 <= self.warmup_iters < self.total_iters:

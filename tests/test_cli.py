@@ -63,6 +63,13 @@ class TestGenData:
         assert err == [f"error: {field} must be finite, got {value}"]
         assert not list(tmp_path.iterdir())
 
+    def test_negative_seed_exit_2(self, tmp_path, capsys):
+        assert run(["gen-data", "--classes", "3", "--head-count", "20",
+                    "--ratio", "4", "--dim", "2", "--seed", "-1",
+                    "--out", str(tmp_path / "d")]) == 2
+        assert capsys.readouterr().err == "error: seed must be >= 0, got -1\n"
+        assert not list(tmp_path.iterdir())
+
 
 class TestTrain:
     def test_checkpoint_and_loss_log(self, workspace):
@@ -138,6 +145,55 @@ class TestTrain:
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("error:") and "MLP width" in err[0]
 
+    @pytest.mark.parametrize("line, message", [
+        ("seed=-1", "seed must be >= 0, got -1"),
+        ("mlp_ratio=1e300", "the head needs more parameters than one float64 "
+                            "array can hold"),
+    ])
+    def test_config_refused_before_training_exit_2(self, workspace, tmp_path,
+                                                   capsys, line, message):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text(f"total_iters=4\nbatch_size=8\nwarmup_iters=1\nheads=2\n"
+                       f"{line}\n")
+        assert run(["train", "--features", str(workspace / "data.train"),
+                    "--config", str(cfg), "--out", str(tmp_path / "x.ckpt")]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith(f"error: {message}")
+        assert not list(tmp_path.glob("x.ckpt*"))
+
+    def test_huge_depth_out_of_memory_before_its_layout(self, workspace, tmp_path):
+        # 10^8 blocks need 182 GiB. The head allocates its flat vector before
+        # it builds the per-block layout, so under an address-space limit the
+        # run ends in the out-of-memory exit without building that list; the
+        # child refuses the layout to prove it. The limit binds the child only.
+        import os
+        import subprocess
+        import sys
+        from pathlib import Path
+        cfg = tmp_path / "deep.cfg"
+        cfg.write_text("total_iters=4\nbatch_size=8\nwarmup_iters=1\nheads=2\n"
+                       "depth=100000000\n")
+        argv = ["train", "--features", str(workspace / "data.train"),
+                "--config", str(cfg), "--out", str(tmp_path / "x.ckpt")]
+        child = (
+            "import resource, sys\n"
+            "resource.setrlimit(resource.RLIMIT_AS, (2 ** 30, 2 ** 30))\n"
+            "import lthead.decoder\n"
+            "def refuse(config):\n"
+            "    raise AssertionError('layout built before the allocation')\n"
+            "lthead.decoder.param_layout = refuse\n"
+            "from lthead.cli import main\n"
+            f"sys.exit(main({argv!r}))\n")
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1")
+        env["PYTHONPATH"] = os.pathsep.join(
+            p for p in (src, env.get("PYTHONPATH")) if p)
+        proc = subprocess.run([sys.executable, "-c", child], env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 2, proc.stderr
+        err = proc.stderr.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: out of memory: ")
+
     def test_divergence_exit_3(self, workspace, tmp_path):
         cfg = tmp_path / "boom.cfg"
         cfg.write_text("seed=1\ntotal_iters=30\nbatch_size=8\nwarmup_iters=2\n"
@@ -185,6 +241,12 @@ class TestCalibrate:
         assert code == 0
         assert "calibrated with crt " in capsys.readouterr().out
         assert load_checkpoint(out)[2].variant == "crt"
+
+    def test_negative_seed_exit_2(self, workspace, tmp_path, capsys):
+        code, out = self._calibrate(workspace, tmp_path, "neg", "stage2_iters=20\n",
+                                    "--method", "crt", "--seed", "-1")
+        assert code == 2 and not out.exists()
+        assert capsys.readouterr().err == "error: seed must be >= 0, got -1\n"
 
     def test_no_variant_exit_1(self, workspace, tmp_path, capsys):
         code, out = self._calibrate(workspace, tmp_path, "none",

@@ -128,6 +128,12 @@ CASES = {
     "sample_unknown_strategy": (
         lambda: sample_batch(DS, "stratified", 4, make_rng(0)),
         ConfigError, "unknown sampling strategy 'stratified'"),
+    "config_negative_seed": (  # numpy: "expected non-negative integer"
+        lambda: TrainConfig(seed=-1),
+        ConfigError, "^seed must be >= 0, got -1$"),
+    "make_rng_negative_seed": (
+        lambda: make_rng(-1),
+        DomainError, "^seed must be >= 0, got -1$"),
     "config_negative_total_iters": (
         lambda: TrainConfig(total_iters=-1),
         ConfigError, "iteration counts must be >= 0"),
@@ -220,12 +226,18 @@ CASES = {
     "synthetic_zero_tokens": (
         lambda: SyntheticSpec(**SPEC_KW, tokens=0),
         ConfigError, "dim and tokens must be >= 1"),
+    "synthetic_negative_seed": (
+        lambda: SyntheticSpec(**SPEC_KW, seed=-1),
+        ConfigError, "^seed must be >= 0, got -1$"),
     "synthetic_negative_test_per_class": (
         lambda: SyntheticSpec(**SPEC_KW, test_per_class=-1),
         ConfigError, "test_per_class must be >= 0"),
     "text_rows_empty_file": (
         lambda: read_text_rows(os.devnull),
         FormatError, "no data rows"),
+    "decoder_params_beyond_one_array": (  # np.zeros: "Maximum allowed dimension"
+        lambda: DecoderConfig(dim=4, num_classes=3, heads=2, mlp_ratio=1e300),
+        ConfigError, "the head needs more parameters than one float64 array"),
     "decoder_negative_depth": (
         lambda: DecoderConfig(dim=8, num_classes=3, depth=-1),
         ConfigError, "depth must be >= 0"),
