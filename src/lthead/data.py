@@ -28,7 +28,7 @@ import numpy as np
 
 from .exceptions import ConfigError, DataError, DomainError, FormatError
 from .losses import class_labels
-from .numerics import Array, real_values
+from .numerics import Array, check_seed, real_values
 
 MAGIC = b"IMBF"
 VERSION = 1
@@ -46,8 +46,9 @@ CLASS_BALANCED = "class_balanced"
 
 @dataclass(frozen=True)
 class FeatureDataset:
-    """One split. Its class layout is computed on first read and kept, so its
-    arrays must not be edited in place; the library never does."""
+    """One split. It keeps a read-only copy of its labels and computes its
+    class layout from them on first read; its features must not be edited
+    in place, and the library never does."""
     features: Array  # (N, T, D) float64
     labels: Array    # (N,) int64
     num_classes: int
@@ -58,8 +59,9 @@ class FeatureDataset:
             real_values(self.features, "features")))
         if self.features.ndim != 3:
             raise DataError(f"features must be (N, T, D), got {self.features.shape}")
-        object.__setattr__(self, "labels",
-                           class_labels(self.labels, self.num_classes))
+        labels = class_labels(self.labels, self.num_classes).copy()
+        labels.flags.writeable = False  # later caller edits miss the counts
+        object.__setattr__(self, "labels", labels)
         if self.labels.shape != (self.features.shape[0],):
             raise DataError("labels length must match the sample count")
         if not np.all(np.isfinite(self.features)):
@@ -122,8 +124,9 @@ class SyntheticSpec:
             raise ConfigError("dim and tokens must be >= 1")
         if self.test_per_class < 0:
             raise ConfigError("test_per_class must be >= 0")
-        if self.seed < 0:
-            raise ConfigError(f"seed must be >= 0, got {self.seed}")
+        if self.noise < 0:
+            raise ConfigError(f"noise must be >= 0, got {self.noise}")
+        check_seed(self.seed, ConfigError)
 
 
 def exponential_profile(head_count: int, ratio: float, num_classes: int) -> Array:

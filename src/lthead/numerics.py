@@ -21,13 +21,20 @@ _GELU_C = math.sqrt(2.0 / math.pi)
 _GELU_A = 0.044715
 
 
+def check_seed(seed, error: type[Exception] = DomainError) -> None:
+    """Raise `error` unless `seed` is an integer >= 0, the seeds PCG64 takes."""
+    if not isinstance(seed, (int, np.integer)):
+        raise error(f"seed must be an integer, got {seed!r}")
+    if seed < 0:
+        raise error(f"seed must be >= 0, got {seed}")
+
+
 def make_rng(seed: int) -> np.random.Generator:
     """Seeded PCG64 generator, the only randomness source in the library.
 
     Identical seeds reproduce identical draw sequences on every platform.
     """
-    if seed < 0:
-        raise DomainError(f"seed must be >= 0, got {seed}")
+    check_seed(seed)
     return np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed)))
 
 
@@ -368,6 +375,8 @@ def finite_diff_check(f: Callable[[Array], tuple[float, Array]],
     coordinates whose gradient is below 1e-4 are judged absolutely.
     """
     eps, floor = 1e-5, 1e-4
+    if not (math.isfinite(tol) and tol > 0):  # else every check passes or fails
+        raise DomainError(f"tol must be finite and > 0, got {tol}")
     params = real_values(params, "params")
     if params.ndim != 1:
         raise ShapeError("finite_diff_check expects a flat parameter vector")

@@ -29,7 +29,7 @@ from .exceptions import (ConfigError, DataError, DivergenceError, DomainError,
 from .losses import (GROUP_FEW, GROUP_MANY, GROUP_MEDIUM, VARIANTS, ClassStats,
                      build_class_stats, class_labels, make_loss_spec,
                      total_loss)
-from .numerics import Array, linear, real_values, sgd_step
+from .numerics import Array, check_seed, linear, real_values, sgd_step
 
 EVAL_CHUNK = 512  # fixed so evaluation arithmetic never depends on dataset size
 _DECODER_DEFAULTS = {f.name: f.default for f in fields(DecoderConfig)}
@@ -60,8 +60,7 @@ class TrainConfig:
             value = getattr(self, f.name)
             if f.type == "float" and not math.isfinite(value):
                 raise ConfigError(f"{f.name} must be finite, got {value}")
-        if self.seed < 0:
-            raise ConfigError(f"seed must be >= 0, got {self.seed}")
+        check_seed(self.seed, ConfigError)
         if self.total_iters < 0 or self.stage2_iters < 0:
             raise ConfigError("iteration counts must be >= 0")
         if self.total_iters > 0 and not 0 <= self.warmup_iters < self.total_iters:
@@ -210,23 +209,31 @@ def train_stage2(head: DecoderHead, ds: FeatureDataset, cfg: TrainConfig,
                  ) -> tuple[Calibrator, Array]:
     """Stage two: freeze the head and train only the calibrator.
 
-    A frozen head makes each sample's pooled feature constant, so `pool_batch`
-    forms the (N, D) features once, without the classifier; each batch's
-    logits come from them, and iterations touch only calibrator parameters.
+    A frozen head makes each sample's pooled feature and logits constant, so
+    one `EVAL_CHUNK` pass forms the (N, D) pooled features and, when K <= D,
+    the (N, K) logit table too: a step gathers its batch's rows, and the
+    table is never larger than the pooled array. When K > D each step forms
+    its batch's logits from the pooled rows instead, so no (N, K) array
+    exists. Iterations touch only calibrator parameters.
     """
-    cal = init_calibrator(variant, head.config.num_classes, head.config.dim, rng)
+    k, d = head.config.num_classes, head.config.dim
+    cal = init_calibrator(variant, k, d, rng)
     stats = _class_stats(ds, head.config)
     spec = make_loss_spec(RECIPES[variant].loss, stats)
-    pooled = np.empty((ds.num_samples, head.config.dim))
+    pooled = np.empty((ds.num_samples, d))
+    table = np.empty((ds.num_samples, k)) if k <= d else None
     for start in range(0, ds.num_samples, EVAL_CHUNK):
         rows = slice(start, start + EVAL_CHUNK)
         pooled[rows] = pool_batch(head, ds.features[rows], None, train_mode=False)[0]
+        if table is not None:
+            table[rows] = linear(pooled[rows], head.cls_weight, head.cls_bias)
     norms = context_weight_norms(head.cls_weight)
 
     def forward(idx, _):
         batch = pooled[idx]
-        return cal_mod.apply_batch(
-            cal, batch, linear(batch, head.cls_weight, head.cls_bias), norms)
+        logits = (linear(batch, head.cls_weight, head.cls_bias)
+                  if table is None else table[idx])
+        return cal_mod.apply_batch(cal, batch, logits, norms)
     log = _sgd_loop(
         stage2_schedule(cfg), ds, stats, RECIPES[variant].sampling, spec, rng,
         cal.params.vector, forward,

@@ -92,6 +92,18 @@ WIDE_K = {
         "c407b5819b3ebca06f11f364c69c3fa1897896756d30198a8724b33215e1a400"),
 }
 
+# variant -> sha256 of the calibrator vector and loss log after 30 stage-two
+# iterations at criterion 5's shape (K=50, D=64, T=1, depth 3, B=256) on its
+# 5,522 train rows, eleven EVAL_CHUNKs, from an 8-iteration bsm head. Taken
+# from the code that formed each batch's frozen logits per step, not from a
+# per-chunk (N, K) table.
+C5_STAGE_TWO = {
+    "crt": "b04e408e6785c271eed8ad853d99d3095f940cac18427651b4e1143c160bc041",
+    "lws": "cbc6ad52af3a7863f387d52ff614c2dae575c31dd7da9554e676463d08153dc7",
+    "disalign": "6098444a98f818cf0ac9426aedd9715c08a3882ba3da47ceb14fdf2dc88100d9",
+    "marc": "580e4a7cdf5d11b40325b6f10a17dfb9af0d06cc58793d341c24f52d67218c0c",
+}
+
 WIDE_K_RUN = """
 import hashlib
 import sys
@@ -191,6 +203,27 @@ def test_multi_chunk_stage_two_and_eval_match_pinned_hash(multi_chunk, variant):
     report = report_json(evaluate(head, cal, test,
                                   build_class_stats(train.labels, 8)))
     assert sha(blob + report.encode()) == MULTI_CHUNK[variant]
+
+
+@pytest.fixture(scope="module")
+def c5_head():
+    spec = SyntheticSpec(num_classes=50, head_count=500, imbalance_ratio=100.0,
+                         dim=64, tokens=1, noise=2.0, test_per_class=0, seed=37)
+    train, _ = generate_synthetic_lt(spec)
+    assert train.num_samples > 2 * EVAL_CHUNK
+    cfg = TrainConfig(seed=11, total_iters=8, batch_size=256, warmup_iters=1,
+                      lr0=0.1, loss="bsm", stage2_iters=30)
+    dc = DecoderConfig(dim=64, num_classes=50, depth=3, heads=4, dropout=0.0)
+    head, _ = train_stage1(train, cfg, dc, make_rng(cfg.seed))
+    return train, cfg, head
+
+
+@pytest.mark.bits
+@pytest.mark.parametrize("variant", list(C5_STAGE_TWO))
+def test_c5_stage_two_matches_pinned_hash(c5_head, variant):
+    train, cfg, head = c5_head
+    cal, log = train_stage2(head, train, cfg, variant, make_rng(12))
+    assert sha(cal.params.vector.tobytes() + log.tobytes()) == C5_STAGE_TWO[variant]
 
 
 @pytest.mark.bits

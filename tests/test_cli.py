@@ -63,6 +63,13 @@ class TestGenData:
         assert err == [f"error: {field} must be finite, got {value}"]
         assert not list(tmp_path.iterdir())
 
+    def test_negative_noise_exit_2(self, tmp_path, capsys):
+        assert run(["gen-data", "--classes", "3", "--head-count", "20",
+                    "--ratio", "4", "--dim", "2", "--noise", "-1",
+                    "--out", str(tmp_path / "d")]) == 2
+        assert capsys.readouterr().err == "error: noise must be >= 0, got -1.0\n"
+        assert not list(tmp_path.iterdir())
+
     def test_negative_seed_exit_2(self, tmp_path, capsys):
         assert run(["gen-data", "--classes", "3", "--head-count", "20",
                     "--ratio", "4", "--dim", "2", "--seed", "-1",
@@ -445,6 +452,14 @@ class TestGradcheckCommand:
         assert run(["gradcheck", "--module", "losses", "--tol", "1e-5"]) == 0
         out = capsys.readouterr().out
         assert "PASS losses.ce" in out and "FAIL" not in out
+
+    @pytest.mark.parametrize("tol", ["inf", "nan", "-1", "0"])
+    def test_tolerance_that_cannot_fail_or_pass_exit_2(self, capsys, tol):
+        # inf would pass every check, and nan, 0 or a negative fail every one
+        assert run(["gradcheck", "--module", "losses", "--tol", tol]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == f"error: tol must be finite and > 0, got {float(tol)}\n"
 
 
 class TestReportCommand:

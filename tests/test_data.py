@@ -277,6 +277,26 @@ class TestFeatureDataset:
         assert ds.class_counts is ds.class_counts
         assert ds.class_index is ds.class_index
 
+    @pytest.mark.parametrize("read_first", [False, True])
+    def test_owns_a_read_only_copy_of_its_labels(self, read_first):
+        labels = np.array([0, 1, 0, 0], dtype=np.int64)
+        ds = FeatureDataset(features=np.zeros((4, 1, 2)), labels=labels,
+                            num_classes=2)
+        want = FeatureDataset(features=np.zeros((4, 1, 2)),
+                              labels=labels.copy(), num_classes=2)
+        if read_first:
+            ds.class_counts, ds.class_index
+        labels[:] = 1
+        assert not ds.labels.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            ds.labels[0] = 1
+        npt.assert_array_equal(ds.labels, [0, 1, 0, 0])
+        npt.assert_array_equal(ds.class_counts, [3, 1])
+        npt.assert_array_equal(ds.class_index[0], want.class_index[0])
+        npt.assert_array_equal(ds.class_index[1], [0, 3])
+        npt.assert_array_equal(sample_batch(ds, CLASS_BALANCED, 32, make_rng(2)),
+                               sample_batch(want, CLASS_BALANCED, 32, make_rng(2)))
+
     @pytest.mark.parametrize("counts", [[1], [0, 3], [3, 0], [2, 0, 1], [0, 0]])
     def test_class_layout(self, counts):
         labels = make_rng(sum(counts)).permutation(

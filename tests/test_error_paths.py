@@ -134,6 +134,15 @@ CASES = {
     "make_rng_negative_seed": (
         lambda: make_rng(-1),
         DomainError, "^seed must be >= 0, got -1$"),
+    "config_fractional_seed": (  # make_rng: SeedSequence's bare TypeError
+        lambda: TrainConfig(seed=1.5),
+        ConfigError, r"^seed must be an integer, got 1\.5$"),
+    "make_rng_fractional_seed": (
+        lambda: make_rng(1.5),
+        DomainError, r"^seed must be an integer, got 1\.5$"),
+    "make_rng_string_seed": (
+        lambda: make_rng("1"),
+        DomainError, "^seed must be an integer, got '1'$"),
     "config_negative_total_iters": (
         lambda: TrainConfig(total_iters=-1),
         ConfigError, "iteration counts must be >= 0"),
@@ -229,6 +238,21 @@ CASES = {
     "synthetic_negative_seed": (
         lambda: SyntheticSpec(**SPEC_KW, seed=-1),
         ConfigError, "^seed must be >= 0, got -1$"),
+    "synthetic_fractional_seed": (
+        lambda: SyntheticSpec(**SPEC_KW, seed=1.5),
+        ConfigError, r"^seed must be an integer, got 1\.5$"),
+    "synthetic_negative_noise": (  # would draw clusters with noise |noise|
+        lambda: SyntheticSpec(**SPEC_KW, noise=-1.0),
+        ConfigError, r"^noise must be >= 0, got -1\.0$"),
+    "gradcheck_infinite_tol": (  # would pass every check
+        lambda: finite_diff_check(lambda v: (0.0, v), np.zeros(2), tol=math.inf),
+        DomainError, "^tol must be finite and > 0, got inf$"),
+    "gradcheck_nan_tol": (  # would fail every check
+        lambda: finite_diff_check(lambda v: (0.0, v), np.zeros(2), tol=math.nan),
+        DomainError, "^tol must be finite and > 0, got nan$"),
+    "gradcheck_negative_tol": (
+        lambda: finite_diff_check(lambda v: (0.0, v), np.zeros(2), tol=-1.0),
+        DomainError, r"^tol must be finite and > 0, got -1\.0$"),
     "synthetic_negative_test_per_class": (
         lambda: SyntheticSpec(**SPEC_KW, test_per_class=-1),
         ConfigError, "test_per_class must be >= 0"),

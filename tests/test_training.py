@@ -22,8 +22,8 @@ from lthead import (CALIBRATOR_VARIANTS, ConfigError, DecoderConfig,
                     parse_run_config, save_checkpoint,
                     sgd_step, softmax_rows, stats_from_counts, train_stage1,
                     train_stage2, zero_shot_classify)
-from lthead.decoder import param_count
-from lthead.numerics import _TILE
+from lthead.decoder import param_count, pool_batch
+from lthead.numerics import _TILE, linear
 from lthead.training import (EVAL_CHUNK, EvalReport, report_json,
                              render_report, stage2_schedule)
 
@@ -365,6 +365,50 @@ class TestTrainStage2:
         finally:
             tracemalloc.stop()
         assert peak < EVAL_CHUNK * k * 8 / 4
+
+    @pytest.mark.parametrize("k, calls", [
+        (8, [EVAL_CHUNK, EVAL_CHUNK, 76]),  # K = D: one table, per chunk
+        (9, [16] * 5)])  # K > D: each step's batch, no (N, K) array
+    def test_frozen_logits_come_from_a_table_only_when_k_fits_d(
+            self, monkeypatch, k, calls):
+        n, d = 2 * EVAL_CHUNK + 76, 8
+        ds = FeatureDataset(features=make_rng(0).standard_normal((n, 1, d)),
+                            labels=np.arange(n) % k, num_classes=k)
+        head = init_decoder(DecoderConfig(dim=d, num_classes=k, depth=1,
+                                          heads=2), make_rng(0))
+        rows = []
+
+        def counting_linear(x, weight, bias):
+            rows.append(x.shape[0])
+            return linear(x, weight, bias)
+        monkeypatch.setattr("lthead.training.linear", counting_linear)
+        for variant in CALIBRATOR_VARIANTS:
+            rows.clear()
+            train_stage2(head, ds, small_cfg(stage2_iters=5, batch_size=16),
+                         variant, make_rng(1))
+            assert rows == calls, variant
+
+    def test_peak_holds_pooled_features_table_and_one_chunk(self):
+        # K <= D: beyond the (N, D) pooled features and the (N, K) table,
+        # stage two holds one chunk's pooling pass and its (EVAL_CHUNK, K)
+        # logit block; a second array of N rows would be 6.6 MB more.
+        n, k, d = 16384, 50, 64
+        ds = FeatureDataset(features=make_rng(0).standard_normal((n, 1, d)),
+                            labels=np.arange(n) % k, num_classes=k)
+        head = init_decoder(DecoderConfig(dim=d, num_classes=k, depth=1,
+                                          heads=4), make_rng(0))
+        tracemalloc.start()
+        try:
+            pool_batch(head, ds.features[:EVAL_CHUNK], None, train_mode=False)
+            chunk = tracemalloc.get_traced_memory()[1] + 8 * EVAL_CHUNK * k
+            for variant in CALIBRATOR_VARIANTS:
+                tracemalloc.reset_peak()
+                train_stage2(head, ds, small_cfg(stage2_iters=5, batch_size=256),
+                             variant, make_rng(1))
+                peak = tracemalloc.get_traced_memory()[1]
+                assert peak <= 8 * n * (d + k) + chunk, (variant, peak)
+        finally:
+            tracemalloc.stop()
 
     def test_unknown_variant(self, monkeypatch):
         train, _ = tiny_problem()
