@@ -32,7 +32,7 @@ labels = np.array([0, 2, 4, 4])  # two samples from the rarest class
 print("loss on one random batch (two samples from the rarest class):")
 for variant in ("ce", "cbw", "focal", "ldam", "bsm", "lade"):
     spec = make_loss_spec(variant, stats)
-    value, dlogits = total_loss(spec, logits, labels, stats)
+    value, dlogits = total_loss(spec, logits, labels)
     tail_grad = np.abs(dlogits[2:, 4]).mean()
     print(f"  {variant:5s} value={value:7.4f}   mean |grad| on true tail "
           f"logit = {tail_grad:.4f}")
@@ -40,15 +40,15 @@ for variant in ("ce", "cbw", "focal", "ldam", "bsm", "lade"):
 print()
 print("reductions back to cross-entropy:")
 spec_ce = make_loss_spec("ce", stats)
-v_ce, _ = total_loss(spec_ce, logits, labels, stats)
-v_f0, _ = total_loss(make_loss_spec("focal", stats, gamma=0.0), logits, labels, stats)
-v_l0, _ = total_loss(make_loss_spec("ldam", stats, max_margin=0.0), logits, labels, stats)
+v_ce, _ = total_loss(spec_ce, logits, labels)
+v_f0, _ = total_loss(make_loss_spec("focal", stats, gamma=0.0), logits, labels)
+v_l0, _ = total_loss(make_loss_spec("ldam", stats, max_margin=0.0), logits, labels)
 print(f"  focal(gamma=0) - ce = {abs(v_f0 - v_ce):.2e}")
 print(f"  ldam(margin=0) - ce = {abs(v_l0 - v_ce):.2e}")
 
 eq_stats = stats_from_counts(np.full(5, 100))
-v_ce_eq, _ = total_loss(make_loss_spec("ce", eq_stats), logits, labels, eq_stats)
-v_bsm_eq, _ = total_loss(make_loss_spec("bsm", eq_stats), logits, labels, eq_stats)
-v_cbw_eq, _ = total_loss(make_loss_spec("cbw", eq_stats), logits, labels, eq_stats)
+v_ce_eq, _ = total_loss(make_loss_spec("ce", eq_stats), logits, labels)
+v_bsm_eq, _ = total_loss(make_loss_spec("bsm", eq_stats), logits, labels)
+v_cbw_eq, _ = total_loss(make_loss_spec("cbw", eq_stats), logits, labels)
 print(f"  bsm(equal counts) - ce = {abs(v_bsm_eq - v_ce_eq):.2e}")
 print(f"  cbw(equal counts) - ce = {abs(v_cbw_eq - v_ce_eq):.2e}")

@@ -28,7 +28,7 @@ import numpy as np
 
 from .exceptions import ConfigError, DataError, DomainError, FormatError
 from .losses import class_labels
-from .numerics import Array, check_seed, real_values
+from .numerics import Array, check_int_fields, check_seed, real_values
 
 MAGIC = b"IMBF"
 VERSION = 1
@@ -110,6 +110,7 @@ class SyntheticSpec:
     seed: int = 0
 
     def __post_init__(self):
+        check_int_fields(self)
         for name in ("imbalance_ratio", "separation", "noise"):
             if not math.isfinite(value := getattr(self, name)):
                 raise ConfigError(f"{name} must be finite, got {value}")

@@ -29,10 +29,11 @@ from dataclasses import dataclass, make_dataclass
 import numpy as np
 
 from .exceptions import ConfigError, ShapeError, StateError
-from .numerics import (FAN_IN, Array, LayerNormCache, ParamVector, dropout_mask,
-                       dropout_scale, gelu, gelu_with_grad, layer_norm,
-                       layer_norm_backward, layout_size, linear, linear_backward,
-                       real_values, softmax_last)
+from .numerics import (FAN_IN, Array, LayerNormCache, ParamVector,
+                       check_int_fields, dropout_mask, dropout_scale, gelu,
+                       gelu_with_grad, layer_norm, layer_norm_backward,
+                       layout_size, linear, linear_backward, real_values,
+                       softmax_last)
 
 
 @dataclass(frozen=True)
@@ -45,6 +46,7 @@ class DecoderConfig:
     dropout: float = 0.5
 
     def __post_init__(self):
+        check_int_fields(self)
         if self.dim < 1 or self.num_classes < 1:
             raise ConfigError("dim and num_classes must be positive")
         if self.depth < 0:

@@ -46,15 +46,17 @@ def _loss_checks(tol: float) -> list[CheckResult]:
 
         def f(vec, spec=spec):
             lg = vec.reshape(batch, k)
-            value, dl = total_loss(spec, lg, labels, stats)
+            value, dl = total_loss(spec, lg, labels)
             return value, dl.ravel()
 
         report = finite_diff_check(f, logits0.ravel(), tol=tol)
         results.append(CheckResult(f"losses.{variant}", report))
 
+    reg_spec = make_loss_spec("lade", stats, lam=0.3)
+
     def f_reg(vec):
         lg = vec.reshape(batch, k)
-        value, dl = lade_dv_regularizer(lg, labels, stats, lam=0.3)
+        value, dl = lade_dv_regularizer(reg_spec, lg, labels)
         return value, dl.ravel()
 
     results.append(CheckResult("losses.lade_regularizer",
@@ -101,7 +103,7 @@ def _decoder_checks(tol: float) -> list[CheckResult]:
             # train mode is the differentiable one; a re-seeded generator
             # makes the dropout masks identical per evaluation
             logits, cache = forward_batch(head, toks, make_rng(41), True)
-            value, dlogits = total_loss(spec, logits, labels, stats)
+            value, dlogits = total_loss(spec, logits, labels)
             grads, dtokens = backward_batch(head, cache, dlogits)
             return value, grads, dtokens
 
@@ -148,7 +150,7 @@ def _calibrator_checks(tol: float) -> list[CheckResult]:
         def f_params(vec, variant=variant):
             cal = Calibrator(variant, k, d, vec)
             adjusted, cache = cal_mod.apply_batch(cal, pooled0, logits0, norms)
-            value, dadj = total_loss(spec, adjusted, labels, stats)
+            value, dadj = total_loss(spec, adjusted, labels)
             return value, cal_mod.backward_batch(cal, cache, dadj).vector
 
         results.append(CheckResult(

@@ -33,7 +33,8 @@ VARIANTS = ("ce", "cbw", "focal", "ldam", "bsm", "lade")
 
 @dataclass(frozen=True)
 class ClassStats:
-    """Per-class counts, priors, and many/medium/few group tags."""
+    """Per-class counts, priors, and many/medium/few group tags, which
+    `stats_from_counts` stores as read-only arrays of the stats' own."""
     counts: Array   # (K,) int64
     priors: Array   # (K,) float64, sums to 1
     groups: Array   # (K,) unicode tags
@@ -104,11 +105,17 @@ def _checked_counts(counts) -> tuple[Array, int]:
 
 
 def stats_from_counts(counts) -> ClassStats:
-    """ClassStats from a precomputed count vector (e.g. a checkpoint)."""
+    """ClassStats from a precomputed count vector (e.g. a checkpoint).
+
+    The stats own read-only copies, so a later edit to `counts` misses them.
+    """
     counts, total = _checked_counts(counts)
+    counts = counts.copy()
     priors = counts / total
     groups = np.where(counts > 100, GROUP_MANY, GROUP_MEDIUM)  # one string array
     groups[counts < 20] = GROUP_FEW
+    for vec in (counts, priors, groups):
+        vec.flags.writeable = False
     return ClassStats(counts=counts, priors=priors, groups=groups)
 
 
@@ -215,26 +222,25 @@ def _check_batch(logits: Array, labels, num_classes: int) -> Array:
     return labels
 
 
-def lade_dv_regularizer(logits: Array, labels: Array, stats: ClassStats,
-                        lam: float = 0.1) -> tuple[float, Array]:
+def lade_dv_regularizer(spec: LossSpec, logits: Array,
+                        labels: Array) -> tuple[float, Array]:
     """Donsker-Varadhan disentangling term on bias-removed logits.
 
-    With f_j = logits_j - log(n_j), each class present in the batch
-    contributes  -mean_{i: y_i = j} f_j(x_i) + log mean_i exp(f_j(x_i)),
-    and the value is `lam` times their mean; only their columns of f are
-    formed. The term is invariant to a constant shift of any column of f.
+    With f_j = logits_j - spec.biases_j (log n_j in a lade spec), each class
+    present in the batch contributes  -mean_{i: y_i = j} f_j(x_i) +
+    log mean_i exp(f_j(x_i)),  and the value is `spec.lam` times their mean;
+    only their columns of f are formed. The term is invariant to a constant
+    shift of any column of f.
     """
     logits = real_values(logits, "logits")
-    labels = _check_batch(logits, labels, stats.num_classes)
-    if not 0 <= lam < np.inf:
-        raise DomainError(f"lade lambda must be {'>= 0' if lam < 0 else 'finite'}")
+    labels = _check_batch(logits, labels, spec.weights.size)
     dlogits = np.zeros_like(logits)
-    return _lade_dv(logits, labels, bsm_biases(stats), lam, dlogits), dlogits
+    return _lade_dv(spec, logits, labels, dlogits), dlogits
 
 
-def _lade_dv(logits: Array, labels: Array, biases: Array, lam: float,
-             out: Array) -> float:
+def _lade_dv(spec: LossSpec, logits: Array, labels: Array, out: Array) -> float:
     """`lade_dv_regularizer`'s value on checked input; adds its gradient to `out`."""
+    lam, biases = spec.lam, spec.biases
     if lam == 0.0:
         return 0.0
     batch = logits.shape[0]
@@ -261,19 +267,16 @@ def _lade_dv(logits: Array, labels: Array, biases: Array, lam: float,
     return float(lam * np.mean(terms))
 
 
-def total_loss(spec: LossSpec, logits: Array, labels: Array,
-               stats: ClassStats) -> tuple[float, Array]:
+def total_loss(spec: LossSpec, logits: Array,
+               labels: Array) -> tuple[float, Array]:
     """Mean loss over the batch and its exact gradient w.r.t. the logits.
 
-    The complete objective: LADE adds `lade_dv_regularizer` at weight
-    `spec.lam` on `spec.biases`. `stats` is read only for K and the spec match
-    check. The gradient is a fresh array that the caller owns.
+    The complete objective: LADE adds `lade_dv_regularizer(spec, ...)`. K is
+    the length of the spec's vectors. The gradient is a fresh array that the
+    caller owns.
     """
     logits = real_values(logits, "logits")
-    k = stats.num_classes
-    labels = _check_batch(logits, labels, k)
-    if spec.weights.shape != (k,):
-        raise DataError("loss spec does not match the class statistics")
+    labels = _check_batch(logits, labels, spec.weights.size)
 
     batch = logits.shape[0]
     rows = np.arange(batch)
@@ -298,5 +301,5 @@ def total_loss(spec: LossSpec, logits: Array, labels: Array,
     z *= coef[:, None]
     z /= batch
     if spec.variant == "lade":  # the batch was checked above
-        value += _lade_dv(logits, labels, spec.biases, spec.lam, z)
+        value += _lade_dv(spec, logits, labels, z)
     return value, z

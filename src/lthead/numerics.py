@@ -7,13 +7,13 @@ from __future__ import annotations
 
 import math
 from collections.abc import Mapping
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Callable
 
 import numpy as np
 
-from .exceptions import (DataError, DomainError, EvaluationError, ShapeError,
-                         StateError)
+from .exceptions import (ConfigError, DataError, DomainError, EvaluationError,
+                         ShapeError, StateError)
 
 Array = np.ndarray
 
@@ -21,10 +21,23 @@ _GELU_C = math.sqrt(2.0 / math.pi)
 _GELU_A = 0.044715
 
 
+def check_integer(value, name: str, error: type[Exception] = DomainError) -> None:
+    """Raise `error` naming `name` unless `value` is a Python or numpy integer."""
+    if not isinstance(value, (int, np.integer)):
+        raise error(f"{name} must be an integer, got {value!r}")
+
+
+def check_int_fields(config) -> None:
+    """`check_integer` on every `int` field of the dataclass `config`; a
+    refusal is a ConfigError that names the field."""
+    for f in fields(config):
+        if f.type == "int":
+            check_integer(getattr(config, f.name), f.name, ConfigError)
+
+
 def check_seed(seed, error: type[Exception] = DomainError) -> None:
     """Raise `error` unless `seed` is an integer >= 0, the seeds PCG64 takes."""
-    if not isinstance(seed, (int, np.integer)):
-        raise error(f"seed must be an integer, got {seed!r}")
+    check_integer(seed, "seed", error)
     if seed < 0:
         raise error(f"seed must be >= 0, got {seed}")
 

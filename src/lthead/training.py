@@ -29,7 +29,8 @@ from .exceptions import (ConfigError, DataError, DivergenceError, DomainError,
 from .losses import (GROUP_FEW, GROUP_MANY, GROUP_MEDIUM, VARIANTS, ClassStats,
                      build_class_stats, class_labels, make_loss_spec,
                      total_loss)
-from .numerics import Array, check_seed, linear, real_values, sgd_step
+from .numerics import (Array, check_int_fields, check_seed, linear,
+                       real_values, sgd_step)
 
 EVAL_CHUNK = 512  # fixed so evaluation arithmetic never depends on dataset size
 _DECODER_DEFAULTS = {f.name: f.default for f in fields(DecoderConfig)}
@@ -56,6 +57,7 @@ class TrainConfig:
     dropout: float = _DECODER_DEFAULTS["dropout"]
 
     def __post_init__(self):
+        check_int_fields(self)
         for f in fields(self):
             value = getattr(self, f.name)
             if f.type == "float" and not math.isfinite(value):
@@ -144,9 +146,9 @@ def _class_stats(ds: FeatureDataset, config: DecoderConfig) -> ClassStats:
     return build_class_stats(ds.labels, ds.num_classes)
 
 
-def _sgd_loop(sched: TrainConfig, ds: FeatureDataset, stats: ClassStats,
-              strategy: str, spec, rng: np.random.Generator, params: Array,
-              forward, backward, label: str) -> Array:
+def _sgd_loop(sched: TrainConfig, ds: FeatureDataset, strategy: str, spec,
+              rng: np.random.Generator, params: Array, forward, backward,
+              label: str) -> Array:
     """Run `sched`'s SGD iterations on `params`; return the loss log.
 
     `forward(idx, previous cache or None)` returns (logits, cache), and
@@ -160,7 +162,7 @@ def _sgd_loop(sched: TrainConfig, ds: FeatureDataset, stats: ClassStats,
         logits, cache = forward(idx, cache)
         if not np.all(np.isfinite(logits)):
             raise DivergenceError(f"non-finite logits at {label} {it}")
-        value, dlogits = total_loss(spec, logits, ds.labels[idx], stats)
+        value, dlogits = total_loss(spec, logits, ds.labels[idx])
         if not np.isfinite(value):
             raise DivergenceError(f"non-finite loss at {label} {it}")
         sgd_step(params, backward(cache, dlogits), velocity, lr_at(sched, it),
@@ -174,16 +176,19 @@ def train_stage1(ds: FeatureDataset, cfg: TrainConfig,
                  rng: np.random.Generator) -> tuple[DecoderHead, Array]:
     """Stage one: train the head under cfg.loss with instance-balanced batches.
 
-    Returns the trained head and the per-iteration loss log.
+    The head's shape comes from `decoder_config` alone; `cfg.depth`, `heads`,
+    `mlp_ratio` and `dropout` are not read here (`lthead train` builds
+    `decoder_config` from them). Returns the trained head and the
+    per-iteration loss log.
     """
-    stats = _class_stats(ds, decoder_config)
-    spec = make_loss_spec(cfg.loss, stats, gamma=cfg.focal_gamma,
-                          max_margin=cfg.ldam_max_margin, lam=cfg.lade_lambda)
+    spec = make_loss_spec(cfg.loss, _class_stats(ds, decoder_config),
+                          gamma=cfg.focal_gamma, max_margin=cfg.ldam_max_margin,
+                          lam=cfg.lade_lambda)
     head = init_decoder(decoder_config, rng)
     grads = DecoderHead(decoder_config)  # overwritten by every backward pass
     # each forward overwrites the last one's cache block by block
     log = _sgd_loop(
-        cfg, ds, stats, INSTANCE_BALANCED, spec, rng, head.params.vector,
+        cfg, ds, INSTANCE_BALANCED, spec, rng, head.params.vector,
         lambda idx, cache: forward_batch(head, ds.features[idx], rng,
                                          train_mode=True, out=cache),
         lambda cache, dlogits: backward_batch(head, cache, dlogits,
@@ -218,8 +223,7 @@ def train_stage2(head: DecoderHead, ds: FeatureDataset, cfg: TrainConfig,
     """
     k, d = head.config.num_classes, head.config.dim
     cal = init_calibrator(variant, k, d, rng)
-    stats = _class_stats(ds, head.config)
-    spec = make_loss_spec(RECIPES[variant].loss, stats)
+    spec = make_loss_spec(RECIPES[variant].loss, _class_stats(ds, head.config))
     pooled = np.empty((ds.num_samples, d))
     table = np.empty((ds.num_samples, k)) if k <= d else None
     for start in range(0, ds.num_samples, EVAL_CHUNK):
@@ -235,7 +239,7 @@ def train_stage2(head: DecoderHead, ds: FeatureDataset, cfg: TrainConfig,
                   if table is None else table[idx])
         return cal_mod.apply_batch(cal, batch, logits, norms)
     log = _sgd_loop(
-        stage2_schedule(cfg), ds, stats, RECIPES[variant].sampling, spec, rng,
+        stage2_schedule(cfg), ds, RECIPES[variant].sampling, spec, rng,
         cal.params.vector, forward,
         lambda cache, dadj: cal_mod.backward_batch(cal, cache, dadj).vector,
         "stage-2 iteration")
@@ -365,7 +369,8 @@ def _unit_rows(matrix: Array, what: str) -> Array:
 
 @dataclass(frozen=True)
 class TextClassEmbeddings:
-    """Unit-normalized class text embeddings, one row per class."""
+    """Unit-normalized class text embeddings, one row per class; `from_matrix`
+    stores them read-only."""
     matrix: Array  # (K, D)
 
     @staticmethod
@@ -375,7 +380,9 @@ class TextClassEmbeddings:
             raise ShapeError("class embeddings must be a (K, D) matrix")
         if matrix.shape[0] == 0:
             raise ShapeError("class embeddings need at least one row")
-        return TextClassEmbeddings(matrix=_unit_rows(matrix, "class embeddings"))
+        unit = _unit_rows(matrix, "class embeddings")  # a fresh array
+        unit.flags.writeable = False
+        return TextClassEmbeddings(matrix=unit)
 
 
 def zero_shot_classify(image_embs: Array,

@@ -2,6 +2,7 @@
 given exception type and message. Below them, a sweep meets every label-like
 and real-valued argument of an `lthead` export with each malformed kind."""
 
+import dataclasses
 import inspect
 import math
 import os
@@ -49,27 +50,23 @@ def _sgd_step_int64_params():
 
 CASES = {
     "loss_logits_not_k_wide": (
-        lambda: total_loss(SPEC, np.zeros((2, 4)), LABELS, STATS),
+        lambda: total_loss(SPEC, np.zeros((2, 4)), LABELS),
         DataError, r"logits must be \(batch, 3\), got \(2, 4\)"),
     "loss_logits_1d": (
-        lambda: total_loss(SPEC, np.zeros(3), LABELS, STATS),
+        lambda: total_loss(SPEC, np.zeros(3), LABELS),
         DataError, r"logits must be \(batch, 3\), got \(3,\)"),
     "loss_labels_too_long": (
-        lambda: total_loss(SPEC, np.zeros((2, 3)), np.array([0, 1, 2]), STATS),
+        lambda: total_loss(SPEC, np.zeros((2, 3)), np.array([0, 1, 2])),
         DataError, "labels must be a vector matching the batch size"),
     "loss_labels_2d": (
-        lambda: total_loss(SPEC, np.zeros((2, 3)), LABELS[:, None], STATS),
+        lambda: total_loss(SPEC, np.zeros((2, 3)), LABELS[:, None]),
         DataError, "labels must be a vector matching the batch size"),
     "loss_logits_nan": (
-        lambda: total_loss(SPEC, np.array([[0.0, np.nan, 0.0]] * 2), LABELS, STATS),
+        lambda: total_loss(SPEC, np.array([[0.0, np.nan, 0.0]] * 2), LABELS),
         DataError, "logits must be finite"),
     "loss_logits_inf": (
-        lambda: total_loss(SPEC, np.array([[0.0, 0.0, -np.inf]] * 2), LABELS, STATS),
+        lambda: total_loss(SPEC, np.array([[0.0, 0.0, -np.inf]] * 2), LABELS),
         DataError, "logits must be finite"),
-    "loss_spec_of_other_k": (
-        lambda: total_loss(make_loss_spec("ce", stats_from_counts([5, 3, 1, 1])),
-                           np.zeros((2, 3)), LABELS, STATS),
-        DataError, "loss spec does not match the class statistics"),
     "forward_tokens_2d": (
         lambda: forward_batch(HEAD, np.ones((2, 8)), None, False),
         ShapeError, r"expected \(B, T, D\) tokens, got shape \(2, 8\)"),
@@ -278,7 +275,7 @@ CASES = {
         lambda: build_class_stats(np.array([[0, 1], [1, 2]]), 3),
         DataError, r"labels must be a vector, got shape \(2, 2\)"),
     "loss_nan_labels": (  # int(): "cannot convert float NaN to integer"
-        lambda: total_loss(SPEC, np.zeros((2, 3)), [math.nan, 1.0], STATS),
+        lambda: total_loss(SPEC, np.zeros((2, 3)), [math.nan, 1.0]),
         DataError, r"labels must be whole numbers below 2\^63"),
     "counts_empty": (
         lambda: stats_from_counts([]),
@@ -334,6 +331,38 @@ def test_raises(call, error, match):
     assert type(info.value) is error
 
 
+INT_CONFIGS = {TrainConfig: {}, SyntheticSpec: SPEC_KW,  # valid keywords
+               DecoderConfig: dict(dim=8, num_classes=3)}
+INT_FIELDS = [(config, f.name) for config in INT_CONFIGS
+              for f in dataclasses.fields(config) if f.type == "int"]
+
+
+def test_int_fields_are_found():
+    assert {(TrainConfig, "batch_size"), (SyntheticSpec, "tokens"),
+            (SyntheticSpec, "head_count"), (DecoderConfig, "depth"),
+            (TrainConfig, "seed")} <= set(INT_FIELDS)
+
+
+@pytest.mark.parametrize("config, name", INT_FIELDS,
+                         ids=[f"{c.__name__}.{n}" for c, n in INT_FIELDS])
+def test_int_field_refuses_a_fraction(config, name):
+    kwargs = INT_CONFIGS[config]
+    whole = getattr(config(**kwargs), name)
+    with pytest.raises(ConfigError,
+                       match=rf"^{name} must be an integer, got {whole}\.5$") as info:
+        config(**{**kwargs, name: whole + 0.5})
+    assert type(info.value) is ConfigError
+
+
+@pytest.mark.parametrize("config", INT_CONFIGS, ids=lambda c: c.__name__)
+def test_int_fields_accept_numpy_integers(config):
+    kwargs = INT_CONFIGS[config]
+    plain = config(**kwargs)
+    as_int64 = {name: np.int64(getattr(plain, name))
+                for c, name in INT_FIELDS if c is config}
+    assert config(**{**kwargs, **as_int64}) == plain
+
+
 # The input rules per dtype kind (README, losses). Label-like arguments take
 # integers and whole, finite floats below 2^63; class ids must also form a
 # vector in [0, K). Real-valued arguments take bool, integer and float arrays.
@@ -356,9 +385,9 @@ MALFORMED_LABELS = {
 LABEL_ENTRIES = {  # (export, argument): (call with a two-entry value, message name)
     ("build_class_stats", "labels"): (lambda v: build_class_stats(v, 3), "labels"),
     ("total_loss", "labels"): (
-        lambda v: total_loss(SPEC, np.zeros((2, 3)), v, STATS), "labels"),
+        lambda v: total_loss(SPEC, np.zeros((2, 3)), v), "labels"),
     ("lade_dv_regularizer", "labels"): (
-        lambda v: lade_dv_regularizer(np.zeros((2, 3)), v, STATS), "labels"),
+        lambda v: lade_dv_regularizer(SPEC, np.zeros((2, 3)), v), "labels"),
     ("metrics_from_predictions", "predictions"): (
         lambda v: metrics_from_predictions(v, [0, 1], STATS), "predictions"),
     ("metrics_from_predictions", "labels"): (
@@ -375,9 +404,9 @@ NOT_CLASS_IDS = {("stats_from_counts", "counts"),  # counts have no K to exceed
 MALFORMED_REALS = {"complex": np.complex128, "string": "U1", "object": object}
 REAL_ENTRIES = {  # (export, argument): (call, well-formed shape, message name)
     ("total_loss", "logits"): (
-        lambda v: total_loss(SPEC, v, LABELS, STATS), (2, 3), "logits"),
+        lambda v: total_loss(SPEC, v, LABELS), (2, 3), "logits"),
     ("lade_dv_regularizer", "logits"): (
-        lambda v: lade_dv_regularizer(v, LABELS, STATS), (2, 3), "logits"),
+        lambda v: lade_dv_regularizer(SPEC, v, LABELS), (2, 3), "logits"),
     ("softmax_rows", "logits"): (softmax_rows, (2, 3), "logits"),
     ("FeatureDataset", "features"): (
         lambda v: FeatureDataset(v, [0, 1], 3), (2, 1, 2), "features"),

@@ -125,8 +125,8 @@ class TestBsmBiases:
         for _ in range(20):
             logits = rng.standard_normal((6, 3))
             labels = rng.integers(0, 3, size=6)
-            vb, gb = total_loss(spec_bsm, logits, labels, stats)
-            vc, gc = total_loss(spec_ce, logits, labels, stats)
+            vb, gb = total_loss(spec_bsm, logits, labels)
+            vc, gc = total_loss(spec_ce, logits, labels)
             assert abs(vb - vc) < 1e-12
             npt.assert_allclose(gb, gc, rtol=0, atol=1e-12)
 
@@ -143,8 +143,8 @@ class TestLdamMargins:
         spec_ce = make_loss_spec("ce", stats)
         logits = make_rng(5).standard_normal((4, 2))
         labels = np.array([0, 1, 1, 0])
-        v1, g1 = total_loss(spec, logits, labels, stats)
-        v2, g2 = total_loss(spec_ce, logits, labels, stats)
+        v1, g1 = total_loss(spec, logits, labels)
+        v2, g2 = total_loss(spec_ce, logits, labels)
         assert v1 == v2
         npt.assert_array_equal(g1, g2)
 
@@ -161,14 +161,14 @@ class TestLossEval:
     def test_ce_analytic(self):
         stats = stats_for([1, 1])
         spec = make_loss_spec("ce", stats)
-        value, dlogits = total_loss(spec, np.zeros((1, 2)), np.array([0]), stats)
+        value, dlogits = total_loss(spec, np.zeros((1, 2)), np.array([0]))
         assert value == pytest.approx(LN2, abs=1e-12)
         npt.assert_allclose(dlogits, [[-0.5, 0.5]], rtol=0, atol=1e-12)
 
     def test_focal_analytic(self):
         stats = stats_for([1, 1])
         spec = make_loss_spec("focal", stats, gamma=2.0)
-        value, _ = total_loss(spec, np.zeros((1, 2)), np.array([0]), stats)
+        value, _ = total_loss(spec, np.zeros((1, 2)), np.array([0]))
         assert value == pytest.approx(0.25 * LN2, abs=1e-12)
 
     def test_focal_gamma_zero_equals_ce(self):
@@ -179,8 +179,8 @@ class TestLossEval:
         for _ in range(100):
             logits = rng.standard_normal((8, 5)) * 3
             labels = rng.integers(0, 5, size=8)
-            vf, gf = total_loss(spec_f, logits, labels, stats)
-            vc, gc = total_loss(spec_c, logits, labels, stats)
+            vf, gf = total_loss(spec_f, logits, labels)
+            vc, gc = total_loss(spec_c, logits, labels)
             assert abs(vf - vc) < 1e-12
             npt.assert_allclose(gf, gc, rtol=0, atol=1e-12)
 
@@ -191,9 +191,8 @@ class TestLossEval:
         logits, labels = np.array([[1e308, -1e308]]), np.array([1])
         with np.errstate(over="ignore"):
             _, grad_f = total_loss(make_loss_spec("focal", stats, gamma=gamma),
-                                   logits, labels, stats)
-            _, grad_c = total_loss(make_loss_spec("ce", stats), logits, labels,
-                                   stats)
+                                   logits, labels)
+            _, grad_c = total_loss(make_loss_spec("ce", stats), logits, labels)
         npt.assert_array_equal(grad_c, [[1.0, -1.0]])
         npt.assert_array_equal(grad_f, grad_c)
 
@@ -205,7 +204,7 @@ class TestLossEval:
         stats = stats_for([5, 5])
         spec = make_loss_spec("ce", stats)
         with pytest.raises(DataError):
-            total_loss(spec, np.zeros((1, 2)), np.array([2]), stats)
+            total_loss(spec, np.zeros((1, 2)), np.array([2]))
 
     @pytest.mark.parametrize("variant", ["ce", "cbw", "focal", "ldam", "bsm", "lade"])
     def test_gradient_matches_finite_differences(self, variant):
@@ -216,7 +215,7 @@ class TestLossEval:
         labels = rng.integers(0, 5, size=6)
 
         def f(vec):
-            value, dl = total_loss(spec, vec.reshape(6, 5), labels, stats)
+            value, dl = total_loss(spec, vec.reshape(6, 5), labels)
             return value, dl.ravel()
 
         report = finite_diff_check(f, logits0.ravel(), tol=1e-5)
@@ -232,8 +231,8 @@ class TestLossEval:
         logits = rng.standard_normal((6, 5))
         labels = rng.integers(0, 5, size=6)
         shifts = rng.standard_normal((6, 1)) * 7
-        v1, _ = total_loss(spec, logits, labels, stats)
-        v2, _ = total_loss(spec, logits + shifts, labels, stats)
+        v1, _ = total_loss(spec, logits, labels)
+        v2, _ = total_loss(spec, logits + shifts, labels)
         assert abs(v1 - v2) < 1e-12
 
     @pytest.mark.parametrize("variant", ["ce", "cbw", "bsm", "ldam"])
@@ -243,7 +242,7 @@ class TestLossEval:
         rng = make_rng(10)
         logits = rng.standard_normal((7, 5))
         labels = rng.integers(0, 5, size=7)
-        _, dlogits = total_loss(spec, logits, labels, stats)
+        _, dlogits = total_loss(spec, logits, labels)
         npt.assert_allclose(dlogits.sum(axis=1), 0.0, rtol=0, atol=1e-12)
 
     @pytest.mark.parametrize("variant", ["cbw", "bsm", "lade"])
@@ -257,8 +256,8 @@ class TestLossEval:
         for _ in range(20):
             logits = rng.standard_normal((5, 4))
             labels = rng.integers(0, 4, size=5)
-            v1, _ = total_loss(spec, logits, labels, stats)
-            v2, _ = total_loss(spec_ce, logits, labels, stats)
+            v1, _ = total_loss(spec, logits, labels)
+            v2, _ = total_loss(spec_ce, logits, labels)
             assert abs(v1 - v2) < 1e-12
 
     @pytest.mark.parametrize("variant", ["ce", "cbw", "focal", "ldam", "bsm"])
@@ -271,12 +270,12 @@ class TestLossEval:
         for bump in np.linspace(0.0, 4.0, 17):
             logits = base.copy()
             logits[0, 1] += bump
-            value, _ = total_loss(spec, logits, labels, stats)
+            value, _ = total_loss(spec, logits, labels)
             values.append(value)
         assert all(a > b for a, b in zip(values, values[1:]))
 
 
-def out_of_place_total_loss(spec, logits, labels, stats):
+def out_of_place_total_loss(spec, logits, labels):
     """total_loss as it was before its single buffer: one array per step."""
     batch = logits.shape[0]
     rows = np.arange(batch)
@@ -306,7 +305,7 @@ def out_of_place_total_loss(spec, logits, labels, stats):
         value = float(np.mean(w * ce))
         dlogits = grad_base * w[:, None] / batch
     if spec.variant == "lade":
-        reg, dreg = lade_dv_regularizer(logits, labels, stats, spec.lam)
+        reg, dreg = lade_dv_regularizer(spec, logits, labels)
         value += reg
         dlogits += dreg
     return value, dlogits
@@ -315,11 +314,10 @@ def out_of_place_total_loss(spec, logits, labels, stats):
 class TestTotalLossBits:
     COUNTS = [300, 120, 80, 41, 15, 7, 3, 1]
 
-    def assert_matches_reference(self, spec, logits, labels, stats):
+    def assert_matches_reference(self, spec, logits, labels):
         before = logits.copy()
-        value, dlogits = total_loss(spec, logits, labels, stats)
-        ref_value, ref_dlogits = out_of_place_total_loss(spec, logits, labels,
-                                                         stats)
+        value, dlogits = total_loss(spec, logits, labels)
+        ref_value, ref_dlogits = out_of_place_total_loss(spec, logits, labels)
         npt.assert_array_equal(logits, before, strict=True)
         assert np.float64(value).tobytes() == np.float64(ref_value).tobytes()
         npt.assert_array_equal(dlogits, ref_dlogits, strict=True)
@@ -334,7 +332,7 @@ class TestTotalLossBits:
             for batch in (1, 9, 64):
                 logits = rng.standard_normal((batch, 8)) * scale
                 labels = rng.integers(0, 8, size=batch)
-                self.assert_matches_reference(spec, logits, labels, stats)
+                self.assert_matches_reference(spec, logits, labels)
 
     @pytest.mark.parametrize("gamma", [0.0, 0.5, 1.0, 2.0])
     def test_focal_bitwise_with_certain_row(self, gamma):
@@ -347,8 +345,8 @@ class TestTotalLossBits:
             # row 0's true class takes all the mass: p_true == 1 exactly
             logits[0] = -1000.0
             logits[0, labels[0]] = 0.0
-            self.assert_matches_reference(spec, logits, labels, stats)
-        _, dlogits = total_loss(spec, logits, labels, stats)
+            self.assert_matches_reference(spec, logits, labels)
+        _, dlogits = total_loss(spec, logits, labels)
         assert np.all(np.isfinite(dlogits))
         npt.assert_array_equal(dlogits[0], 0.0)
 
@@ -365,7 +363,7 @@ class TestTotalLossBits:
                 logits = rng.standard_normal((batch, 8)) * scale
                 logits[rng.random(logits.shape) < 0.2] = -0.0
                 labels = rng.integers(0, 8, size=batch)
-                self.assert_matches_reference(spec, logits, labels, stats)
+                self.assert_matches_reference(spec, logits, labels)
 
     def test_zero_max_margin_is_positive_zeros(self):
         margins = ldam_margins(stats_for(self.COUNTS), 0.0)
@@ -383,10 +381,10 @@ def test_peak_memory_three_batch_arrays(variant):
     spec = make_loss_spec(variant, stats)
     logits = rng.standard_normal((batch, k)) * 3
     labels = rng.integers(0, k, size=batch)
-    total_loss(spec, logits, labels, stats)
+    total_loss(spec, logits, labels)
     tracemalloc.start()
     try:
-        total_loss(spec, logits, labels, stats)
+        total_loss(spec, logits, labels)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -405,10 +403,10 @@ def test_peak_memory_two_batch_arrays_but_lade(variant):
     spec = make_loss_spec(variant, stats)
     logits = rng.standard_normal((batch, k)) * 3
     labels = rng.integers(0, k, size=batch)
-    total_loss(spec, logits, labels, stats)
+    total_loss(spec, logits, labels)
     tracemalloc.start()
     try:
-        total_loss(spec, logits, labels, stats)
+        total_loss(spec, logits, labels)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -426,10 +424,10 @@ def test_peak_memory_lade_reads_only_present_columns():
     spec = make_loss_spec("lade", stats)
     logits = rng.standard_normal((batch, k)) * 3
     labels = rng.integers(0, k, size=batch)
-    total_loss(spec, logits, labels, stats)
+    total_loss(spec, logits, labels)
     tracemalloc.start()
     try:
-        total_loss(spec, logits, labels, stats)
+        total_loss(spec, logits, labels)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -447,7 +445,7 @@ def test_total_loss_takes_lade_biases_from_the_spec(monkeypatch):
     assert len(calls) == 1
     logits = make_rng(20).standard_normal((6, 3))
     for _ in range(3):
-        total_loss(spec, logits, np.array([0, 1, 2, 0, 1, 0]), stats)
+        total_loss(spec, logits, np.array([0, 1, 2, 0, 1, 0]))
     assert len(calls) == 1
 
 
@@ -501,7 +499,7 @@ class TestLossSpecValidation:
         npt.assert_array_equal(getattr(spec, field), 1.0 if field == "weights" else 0.0)
         for name in vecs:
             assert not getattr(spec, name).flags.writeable
-        value, _ = total_loss(spec, np.zeros((2, 3)), [0, 1], self.STATS)
+        value, _ = total_loss(spec, np.zeros((2, 3)), [0, 1])
         assert value == math.log(3.0)
 
     def test_list_vectors_stored_as_float64(self):
@@ -511,25 +509,16 @@ class TestLossSpecValidation:
 
 class TestScalarDomains:
     STATS = stats_for([30, 10, 5])
-    LOGITS = np.zeros((2, 3))
-    LABELS = np.array([0, 2])
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_non_finite_max_margin_rejected(self, bad):
         with pytest.raises(DomainError, match="max_margin must be finite"):
             ldam_margins(self.STATS, bad)
 
-    @pytest.mark.parametrize("bad", [np.nan, np.inf])
-    def test_non_finite_lade_lambda_rejected(self, bad):
-        with pytest.raises(DomainError, match="lade lambda must be finite"):
-            lade_dv_regularizer(self.LOGITS, self.LABELS, self.STATS, bad)
-
     @pytest.mark.parametrize("bad", [-0.5, -np.inf])
     def test_negative_messages_kept(self, bad):
         with pytest.raises(DomainError, match="^max_margin must be >= 0$"):
             ldam_margins(self.STATS, bad)
-        with pytest.raises(DomainError, match="^lade lambda must be >= 0$"):
-            lade_dv_regularizer(self.LOGITS, self.LABELS, self.STATS, bad)
 
 
 def loop_lade(logits, labels, stats, lam):
@@ -571,7 +560,8 @@ class TestLadeRegularizer:
     @given(lade_cases())
     def test_matches_loop_bitwise(self, case):
         logits, labels, stats, lam = case
-        value, dlogits = lade_dv_regularizer(logits, labels, stats, lam)
+        value, dlogits = lade_dv_regularizer(
+            make_loss_spec("lade", stats, lam=lam), logits, labels)
         ref_value, ref_dlogits = loop_lade(logits, labels, stats, lam)
         assert np.float64(value).tobytes() == np.float64(ref_value).tobytes()
         assert dlogits.tobytes() == ref_dlogits.tobytes()
@@ -584,8 +574,9 @@ class TestLadeRegularizer:
         col %= logits.shape[1]
         shifted = logits.copy()
         shifted[:, col] += shift
-        v1, _ = lade_dv_regularizer(logits, labels, stats, lam)
-        v2, _ = lade_dv_regularizer(shifted, labels, stats, lam)
+        spec = make_loss_spec("lade", stats, lam=lam)
+        v1, _ = lade_dv_regularizer(spec, logits, labels)
+        v2, _ = lade_dv_regularizer(spec, shifted, labels)
         scale = 1.0 + abs(shift) + np.abs(logits).max()
         assert v2 == pytest.approx(v1, rel=0, abs=1e-12 * scale)
 
@@ -598,13 +589,13 @@ class TestLadeRegularizer:
         stats = stats_for([30, 10, 5])
         logits = make_rng(16).standard_normal((6, 3))
         labels = np.array([0, 1, 2, 0, 1, 0])
-        value, grad = total_loss(make_loss_spec("lade", stats, lam=0.3),
-                                 logits, labels, stats)
+        spec = make_loss_spec("lade", stats, lam=0.3)
+        value, grad = total_loss(spec, logits, labels)
         assert len(calls) == 1
         # the public regularizer keeps its own check
-        reg, dreg = lade_dv_regularizer(logits, labels, stats, lam=0.3)
+        reg, dreg = lade_dv_regularizer(spec, logits, labels)
         assert len(calls) == 2
-        bsm, dbsm = total_loss(make_loss_spec("bsm", stats), logits, labels, stats)
+        bsm, dbsm = total_loss(make_loss_spec("bsm", stats), logits, labels)
         assert value == bsm + reg
         dbsm += dreg
         assert grad.tobytes() == dbsm.tobytes()
@@ -612,7 +603,8 @@ class TestLadeRegularizer:
     def test_all_zero_logits(self):
         stats = stats_for([10, 10])
         value, dlogits = lade_dv_regularizer(
-            np.zeros((4, 2)) + bsm_biases(stats), np.array([0, 0, 1, 1]), stats)
+            make_loss_spec("lade", stats), np.zeros((4, 2)) + bsm_biases(stats),
+            np.array([0, 0, 1, 1]))
         assert value == 0.0
 
     def test_column_shift_cancellation(self):
@@ -620,10 +612,11 @@ class TestLadeRegularizer:
         rng = make_rng(12)
         logits = rng.standard_normal((6, 3))
         labels = np.array([0, 1, 2, 0, 1, 0])
-        v1, _ = lade_dv_regularizer(logits, labels, stats, lam=0.3)
+        spec = make_loss_spec("lade", stats, lam=0.3)
+        v1, _ = lade_dv_regularizer(spec, logits, labels)
         shifted = logits.copy()
         shifted[:, 1] += 4.2  # constant shift of one class column
-        v2, _ = lade_dv_regularizer(shifted, labels, stats, lam=0.3)
+        v2, _ = lade_dv_regularizer(spec, shifted, labels)
         assert v1 == pytest.approx(v2, abs=1e-12)
 
     def test_lambda_zero_equals_bsm(self):
@@ -634,8 +627,8 @@ class TestLadeRegularizer:
         for _ in range(100):
             logits = rng.standard_normal((6, 3))
             labels = rng.integers(0, 3, size=6)
-            v1, g1 = total_loss(spec, logits, labels, stats)
-            v2, g2 = total_loss(spec_bsm, logits, labels, stats)
+            v1, g1 = total_loss(spec, logits, labels)
+            v2, g2 = total_loss(spec_bsm, logits, labels)
             assert abs(v1 - v2) < 1e-12
             npt.assert_allclose(g1, g2, rtol=0, atol=1e-12)
 
@@ -644,7 +637,8 @@ class TestLadeRegularizer:
         rng = make_rng(14)
         logits = rng.standard_normal((4, 3))
         labels = np.array([0, 0, 0, 0])
-        value, dlogits = lade_dv_regularizer(logits, labels, stats, lam=0.5)
+        value, dlogits = lade_dv_regularizer(
+            make_loss_spec("lade", stats, lam=0.5), logits, labels)
         npt.assert_array_equal(dlogits[:, 1:], np.zeros((4, 2)))
 
     def test_gradient_matches_finite_differences(self):
@@ -652,9 +646,10 @@ class TestLadeRegularizer:
         rng = make_rng(15)
         logits0 = rng.standard_normal((6, 3))
         labels = np.array([0, 1, 2, 0, 1, 0])
+        spec = make_loss_spec("lade", stats, lam=0.7)
 
         def f(vec):
-            value, dl = lade_dv_regularizer(vec.reshape(6, 3), labels, stats, 0.7)
+            value, dl = lade_dv_regularizer(spec, vec.reshape(6, 3), labels)
             return value, dl.ravel()
 
         report = finite_diff_check(f, logits0.ravel(), tol=1e-5)
@@ -680,7 +675,7 @@ def test_lade_bits_match_pinned_hash():
         labels = np.resize(labels, batch)
         logits = rng.standard_normal((batch, k)) * scale
         spec = make_loss_spec("lade", stats, lam=lam)
-        for value, grad in (total_loss(spec, logits, labels, stats),
-                            lade_dv_regularizer(logits, labels, stats, lam)):
+        for value, grad in (total_loss(spec, logits, labels),
+                            lade_dv_regularizer(spec, logits, labels)):
             digest.update(np.float64(value).tobytes() + grad.tobytes())
     assert digest.hexdigest() == LADE_BITS

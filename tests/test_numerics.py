@@ -439,7 +439,7 @@ class TestFiniteDiffCheck:
         labels = np.array([1])
 
         def f(p):
-            value, dl = total_loss(spec, p.reshape(1, 3), labels, stats)
+            value, dl = total_loss(spec, p.reshape(1, 3), labels)
             return value, dl.ravel()
 
         report = finite_diff_check(f, np.array([0.2, -0.4, 1.1]), tol=1e-5)
