@@ -10,11 +10,11 @@ onto plain cross-entropy.
 
 import numpy as np
 
-from lthead import (bsm_biases, cbw_weights, ldam_margins, make_loss_spec,
-                    make_rng, stats_from_counts, total_loss)
+from lthead import (ClassStats, bsm_biases, cbw_weights, ldam_margins,
+                    make_loss_spec, make_rng, total_loss)
 
 counts = np.array([400, 150, 60, 12, 3])
-stats = stats_from_counts(counts)
+stats = ClassStats(counts)
 
 print("class counts:", counts.tolist())
 print("group tags:  ", [str(g) for g in stats.groups])
@@ -46,7 +46,7 @@ v_l0, _ = total_loss(make_loss_spec("ldam", stats, max_margin=0.0), logits, labe
 print(f"  focal(gamma=0) - ce = {abs(v_f0 - v_ce):.2e}")
 print(f"  ldam(margin=0) - ce = {abs(v_l0 - v_ce):.2e}")
 
-eq_stats = stats_from_counts(np.full(5, 100))
+eq_stats = ClassStats(np.full(5, 100))
 v_ce_eq, _ = total_loss(make_loss_spec("ce", eq_stats), logits, labels)
 v_bsm_eq, _ = total_loss(make_loss_spec("bsm", eq_stats), logits, labels)
 v_cbw_eq, _ = total_loss(make_loss_spec("cbw", eq_stats), logits, labels)

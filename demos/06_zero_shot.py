@@ -23,7 +23,7 @@ def cosines(images, class_embs):
 
 # orthonormal class embeddings: the closed form is e / (e + K - 1)
 for k in (2, 3, 10):
-    emb = TextClassEmbeddings.from_matrix(np.eye(k))
+    emb = TextClassEmbeddings(np.eye(k))
     preds = zero_shot_classify(np.eye(k)[:1], emb)
     probs = softmax_rows(np.eye(k)[:1] @ emb.matrix.T)
     print(f"K={k:2d}: image aligned with class 0 -> class {preds[0]}, "
@@ -34,7 +34,7 @@ print()
 # a noisy clustered problem: accuracy degrades gracefully with noise
 rng = make_rng(0)
 k, d, per_class = 6, 32, 50
-class_embs = TextClassEmbeddings.from_matrix(rng.standard_normal((k, d)))
+class_embs = TextClassEmbeddings(rng.standard_normal((k, d)))
 labels = np.repeat(np.arange(k), per_class)
 stats = build_class_stats(labels, k)
 

@@ -24,7 +24,7 @@ from .calibrators import CALIBRATOR_VARIANTS, Calibrator, calibrator_layout
 from .data import expect_end, read_array, read_header, write_binary
 from .decoder import DecoderConfig, DecoderHead, param_count
 from .exceptions import ConfigError, FormatError
-from .losses import ClassStats, stats_from_counts
+from .losses import ClassStats
 from .numerics import layout_size
 
 MAGIC = b"LTFH"
@@ -37,9 +37,9 @@ _CONFIG = struct.Struct("<IIddII")
 def save_checkpoint(path, head: DecoderHead, class_counts,
                     calibrator: Calibrator | None = None) -> None:
     """Write a checkpoint, rejecting first what `load_checkpoint` would refuse:
-    counts pass the `stats_from_counts` that load ends with, then the length."""
+    counts pass the `ClassStats` that load ends with, then the length."""
     cfg = head.config
-    counts = stats_from_counts(class_counts).counts
+    counts = ClassStats(class_counts).counts
     if counts.shape != (cfg.num_classes,):
         raise FormatError("class counts length must equal num_classes")
     if calibrator is not None and (calibrator.num_classes, calibrator.dim) != (
@@ -78,4 +78,4 @@ def load_checkpoint(path) -> tuple[DecoderHead, ClassStats, Calibrator | None]:
                 fh, "<f8", size, f"{variant} parameters"))
         expect_end(fh)
 
-    return head, stats_from_counts(counts), calibrator
+    return head, ClassStats(counts), calibrator

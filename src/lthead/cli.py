@@ -182,7 +182,7 @@ def _cmd_eval(args) -> int:
 
 def _cmd_zero_shot(args) -> int:
     _, class_matrix = read_text_rows(args.class_embs)
-    embeddings = TextClassEmbeddings.from_matrix(class_matrix)
+    embeddings = TextClassEmbeddings(class_matrix)
     images = _load_feature_file(args.image_embs)
     if images.tokens_per_sample != 1:
         raise DataError("zero-shot expects one embedding per image (T=1)")

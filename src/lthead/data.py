@@ -18,7 +18,6 @@ Binary feature file layout (all little-endian):
 
 from __future__ import annotations
 
-import math
 import os
 import struct
 from dataclasses import dataclass
@@ -28,7 +27,8 @@ import numpy as np
 
 from .exceptions import ConfigError, DataError, DomainError, FormatError
 from .losses import class_labels
-from .numerics import Array, check_int_fields, check_seed, real_values
+from .numerics import (MAX_FLOAT64_SIZE, Array, check_fields, check_seed,
+                       real_values)
 
 MAGIC = b"IMBF"
 VERSION = 1
@@ -47,16 +47,18 @@ CLASS_BALANCED = "class_balanced"
 @dataclass(frozen=True)
 class FeatureDataset:
     """One split. It keeps a read-only copy of its labels and computes its
-    class layout from them on first read; its features must not be edited
-    in place, and the library never does."""
+    class layout from them on first read. Its features are a read-only view
+    of the given array, not a copy: nothing writes through `features`, but a
+    caller's later edit to its own array reaches them."""
     features: Array  # (N, T, D) float64
     labels: Array    # (N,) int64
     num_classes: int
     role: str = ROLE_TRAIN
 
     def __post_init__(self):
-        object.__setattr__(self, "features", np.ascontiguousarray(
-            real_values(self.features, "features")))
+        features = np.ascontiguousarray(real_values(self.features, "features")).view()
+        features.flags.writeable = False  # the view's flag; the caller's stays
+        object.__setattr__(self, "features", features)
         if self.features.ndim != 3:
             raise DataError(f"features must be (N, T, D), got {self.features.shape}")
         labels = class_labels(self.labels, self.num_classes).copy()
@@ -110,10 +112,7 @@ class SyntheticSpec:
     seed: int = 0
 
     def __post_init__(self):
-        check_int_fields(self)
-        for name in ("imbalance_ratio", "separation", "noise"):
-            if not math.isfinite(value := getattr(self, name)):
-                raise ConfigError(f"{name} must be finite, got {value}")
+        check_fields(self)
         if self.num_classes < 1:
             raise ConfigError("num_classes must be >= 1")
         if self.imbalance_ratio < 1:
@@ -125,6 +124,12 @@ class SyntheticSpec:
             raise ConfigError("dim and tokens must be >= 1")
         if self.test_per_class < 0:
             raise ConfigError("test_per_class must be >= 0")
+        k, head, test, t, d = map(int, (self.num_classes, self.head_count,
+                                        self.test_per_class, self.tokens, self.dim))
+        if k * (head + test) * t * d > MAX_FLOAT64_SIZE:  # bounds both splits
+            raise ConfigError("num_classes * (head_count + test_per_class) * tokens"
+                              f" * dim must be at most {MAX_FLOAT64_SIZE}, the "
+                              "largest float64 array")
         if self.noise < 0:
             raise ConfigError(f"noise must be >= 0, got {self.noise}")
         check_seed(self.seed, ConfigError)

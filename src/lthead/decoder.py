@@ -29,9 +29,9 @@ from dataclasses import dataclass, make_dataclass
 import numpy as np
 
 from .exceptions import ConfigError, ShapeError, StateError
-from .numerics import (FAN_IN, Array, LayerNormCache, ParamVector,
-                       check_int_fields, dropout_mask, dropout_scale, gelu,
-                       gelu_with_grad, layer_norm, layer_norm_backward,
+from .numerics import (FAN_IN, MAX_FLOAT64_SIZE, Array, LayerNormCache,
+                       ParamVector, check_fields, dropout_mask, dropout_scale,
+                       gelu, gelu_with_grad, layer_norm, layer_norm_backward,
                        layout_size, linear, linear_backward, real_values,
                        softmax_last)
 
@@ -46,7 +46,7 @@ class DecoderConfig:
     dropout: float = 0.5
 
     def __post_init__(self):
-        check_int_fields(self)
+        check_fields(self)
         if self.dim < 1 or self.num_classes < 1:
             raise ConfigError("dim and num_classes must be positive")
         if self.depth < 0:
@@ -60,9 +60,9 @@ class DecoderConfig:
             raise ConfigError(
                 f"mlp_ratio {self.mlp_ratio} at dim {self.dim} gives MLP width "
                 f"{self.mlp_ratio * self.dim}; it must be at least 1 and finite")
-        if param_count(self) > (limit := np.iinfo(np.intp).max // 8):
+        if param_count(self) > MAX_FLOAT64_SIZE:
             raise ConfigError("the head needs more parameters than one float64 "
-                              f"array can hold ({limit})")
+                              f"array can hold ({MAX_FLOAT64_SIZE})")
 
     @property
     def head_dim(self) -> int:

@@ -17,12 +17,13 @@ Variants:
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from numbers import Real
 
 import numpy as np
 
 from .exceptions import ConfigError, DataError, DomainError
-from .numerics import Array, logsumexp_rows, real_values
+from .numerics import Array, check_fields, logsumexp_rows, real_values
 
 GROUP_MANY = "many"
 GROUP_MEDIUM = "medium"
@@ -33,11 +34,29 @@ VARIANTS = ("ce", "cbw", "focal", "ldam", "bsm", "lade")
 
 @dataclass(frozen=True)
 class ClassStats:
-    """Per-class counts, priors, and many/medium/few group tags, which
-    `stats_from_counts` stores as read-only arrays of the stats' own."""
-    counts: Array   # (K,) int64
-    priors: Array   # (K,) float64, sums to 1
-    groups: Array   # (K,) unicode tags
+    """Per-class counts and the priors and group tags derived from them, kept
+    as read-only arrays of the stats' own. Groups follow training counts:
+    many > 100, 20 <= medium <= 100, few < 20."""
+    counts: Array                      # (K,) int64
+    priors: Array = field(init=False)  # (K,) float64, sums to 1
+    groups: Array = field(init=False)  # (K,) unicode tags
+
+    def __post_init__(self):
+        counts = _whole_numbers(self.counts, "counts").copy()
+        if counts.ndim != 1 or counts.size == 0:
+            raise DataError("counts must be a non-empty vector")
+        values = counts.tolist()  # Python ints: exact, and cheap on short vectors
+        total = sum(values)
+        if min(values) < 0 or total == 0:
+            raise DataError("counts must be nonnegative with a positive total")
+        if total > np.iinfo(np.int64).max:
+            raise DataError(f"class counts total {total}, more than int64 holds")
+        priors = counts / total
+        groups = np.where(counts > 100, GROUP_MANY, GROUP_MEDIUM)  # one string array
+        groups[counts < 20] = GROUP_FEW
+        for name, vec in (("counts", counts), ("priors", priors), ("groups", groups)):
+            vec.flags.writeable = False
+            object.__setattr__(self, name, vec)
 
     @property
     def num_classes(self) -> int:
@@ -45,11 +64,7 @@ class ClassStats:
 
 
 def build_class_stats(labels, num_classes: int) -> ClassStats:
-    """Histogram labels into ClassStats.
-
-    Group tags follow training-count thresholds: many > 100,
-    20 <= medium <= 100, few < 20.
-    """
+    """Histogram labels into ClassStats."""
     labels = class_labels(labels, num_classes)
     if labels.size == 0:
         raise DataError("cannot build class statistics from zero labels")
@@ -57,7 +72,7 @@ def build_class_stats(labels, num_classes: int) -> ClassStats:
     if np.any(counts == 0):
         warnings.warn("some classes have zero training samples; "
                       "count-based weights and biases are undefined for them")
-    return stats_from_counts(counts)
+    return ClassStats(counts)
 
 
 def _whole_numbers(values, name: str) -> Array:
@@ -90,33 +105,9 @@ def class_labels(values, num_classes: int, name: str = "labels") -> Array:
     return values
 
 
-def _checked_counts(counts) -> tuple[Array, int]:
-    """`counts` as int64 and its exact total, if every class-count rule holds."""
-    counts = _whole_numbers(counts, "counts")
-    if counts.ndim != 1 or counts.size == 0:
-        raise DataError("counts must be a non-empty vector")
-    values = counts.tolist()  # Python ints: exact, and cheap on short vectors
-    total = sum(values)
-    if min(values) < 0 or total == 0:
-        raise DataError("counts must be nonnegative with a positive total")
-    if total > np.iinfo(np.int64).max:
-        raise DataError(f"class counts total {total}, more than int64 holds")
-    return counts, total
-
-
 def stats_from_counts(counts) -> ClassStats:
-    """ClassStats from a precomputed count vector (e.g. a checkpoint).
-
-    The stats own read-only copies, so a later edit to `counts` misses them.
-    """
-    counts, total = _checked_counts(counts)
-    counts = counts.copy()
-    priors = counts / total
-    groups = np.where(counts > 100, GROUP_MANY, GROUP_MEDIUM)  # one string array
-    groups[counts < 20] = GROUP_FEW
-    for vec in (counts, priors, groups):
-        vec.flags.writeable = False
-    return ClassStats(counts=counts, priors=priors, groups=groups)
+    """`ClassStats(counts)`: class statistics from a precomputed count vector."""
+    return ClassStats(counts)
 
 
 def _require_positive_counts(stats: ClassStats, what: str) -> Array:
@@ -187,8 +178,9 @@ class LossSpec:
         if np.any(self.margins < 0):
             raise ConfigError("margins must be nonnegative")
         for name, value in (("focal gamma", self.gamma), ("lade lambda", self.lam)):
-            if not 0 <= value < np.inf:
-                raise ConfigError(f"{name} must be {'>= 0' if value < 0 else 'finite'}")
+            if isinstance(value, Real) and value < 0:  # -inf included
+                raise ConfigError(f"{name} must be >= 0")
+        check_fields(self)
 
 
 def make_loss_spec(variant: str, stats: ClassStats, *, gamma: float = 2.0,

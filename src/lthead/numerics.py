@@ -6,8 +6,10 @@ backward passes, and a central-difference gradient checker for every backward.
 from __future__ import annotations
 
 import math
+import sys
 from collections.abc import Mapping
 from dataclasses import dataclass, fields
+from numbers import Real
 from typing import Callable
 
 import numpy as np
@@ -19,20 +21,31 @@ Array = np.ndarray
 
 _GELU_C = math.sqrt(2.0 / math.pi)
 _GELU_A = 0.044715
+# the most items one float64 array can hold: its byte count must fit an intp
+MAX_FLOAT64_SIZE = np.iinfo(np.intp).max // 8
 
 
 def check_integer(value, name: str, error: type[Exception] = DomainError) -> None:
-    """Raise `error` naming `name` unless `value` is a Python or numpy integer."""
-    if not isinstance(value, (int, np.integer)):
+    """Raise `error` naming `name` unless `value` is a Python or numpy integer
+    other than a bool."""
+    if not isinstance(value, (int, np.integer)) or isinstance(value, bool):
         raise error(f"{name} must be an integer, got {value!r}")
 
 
-def check_int_fields(config) -> None:
-    """`check_integer` on every `int` field of the dataclass `config`; a
-    refusal is a ConfigError that names the field."""
+def check_fields(config) -> None:
+    """The scalar-field rule of every config dataclass: an `int` field holds an
+    integer (`check_integer`) and a `float` field a real number finite as a
+    float64, a bool in neither. A refusal is a ConfigError naming the field."""
     for f in fields(config):
+        value = getattr(config, f.name)
         if f.type == "int":
-            check_integer(getattr(config, f.name), f.name, ConfigError)
+            check_integer(value, f.name, ConfigError)
+        elif f.type == "float":
+            if not isinstance(value, Real) or isinstance(value, bool):
+                raise ConfigError(f"{f.name} must be a real number, got {value!r}")
+            if not (abs(value) <= sys.float_info.max if isinstance(value, int)
+                    else math.isfinite(value)):  # isfinite raises on huge ints
+                raise ConfigError(f"{f.name} must be finite, got {value}")
 
 
 def check_seed(seed, error: type[Exception] = DomainError) -> None:

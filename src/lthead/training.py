@@ -29,8 +29,8 @@ from .exceptions import (ConfigError, DataError, DivergenceError, DomainError,
 from .losses import (GROUP_FEW, GROUP_MANY, GROUP_MEDIUM, VARIANTS, ClassStats,
                      build_class_stats, class_labels, make_loss_spec,
                      total_loss)
-from .numerics import (Array, check_int_fields, check_seed, linear,
-                       real_values, sgd_step)
+from .numerics import (MAX_FLOAT64_SIZE, Array, check_fields, check_seed,
+                       linear, real_values, sgd_step)
 
 EVAL_CHUNK = 512  # fixed so evaluation arithmetic never depends on dataset size
 _DECODER_DEFAULTS = {f.name: f.default for f in fields(DecoderConfig)}
@@ -57,11 +57,7 @@ class TrainConfig:
     dropout: float = _DECODER_DEFAULTS["dropout"]
 
     def __post_init__(self):
-        check_int_fields(self)
-        for f in fields(self):
-            value = getattr(self, f.name)
-            if f.type == "float" and not math.isfinite(value):
-                raise ConfigError(f"{f.name} must be finite, got {value}")
+        check_fields(self)
         check_seed(self.seed, ConfigError)
         if self.total_iters < 0 or self.stage2_iters < 0:
             raise ConfigError("iteration counts must be >= 0")
@@ -73,6 +69,10 @@ class TrainConfig:
             raise ConfigError("lr0 must be positive")
         if self.batch_size < 1:
             raise ConfigError("batch_size must be >= 1")
+        for name in ("batch_size", "total_iters", "stage2_iters"):  # array lengths
+            if getattr(self, name) > MAX_FLOAT64_SIZE:
+                raise ConfigError(f"{name} must be at most {MAX_FLOAT64_SIZE}, "
+                                  "the largest float64 array")
         if not 0 <= self.momentum < 1:
             raise ConfigError("momentum must lie in [0, 1)")
         if self.weight_decay < 0:
@@ -369,20 +369,23 @@ def _unit_rows(matrix: Array, what: str) -> Array:
 
 @dataclass(frozen=True)
 class TextClassEmbeddings:
-    """Unit-normalized class text embeddings, one row per class; `from_matrix`
-    stores them read-only."""
+    """Class text embeddings, one row per class, stored as a fresh read-only
+    matrix of the given rows divided by their norms."""
     matrix: Array  # (K, D)
 
-    @staticmethod
-    def from_matrix(matrix: Array) -> "TextClassEmbeddings":
-        matrix = real_values(matrix, "class embeddings")
+    def __post_init__(self):
+        matrix = real_values(self.matrix, "class embeddings")
         if matrix.ndim != 2:
             raise ShapeError("class embeddings must be a (K, D) matrix")
         if matrix.shape[0] == 0:
             raise ShapeError("class embeddings need at least one row")
         unit = _unit_rows(matrix, "class embeddings")  # a fresh array
         unit.flags.writeable = False
-        return TextClassEmbeddings(matrix=unit)
+        object.__setattr__(self, "matrix", unit)
+
+    @staticmethod
+    def from_matrix(matrix: Array) -> "TextClassEmbeddings":
+        return TextClassEmbeddings(matrix)
 
 
 def zero_shot_classify(image_embs: Array,

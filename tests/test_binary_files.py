@@ -91,10 +91,10 @@ def test_loaded_arrays_are_writable(tmp_path, model, dataset):
     save_checkpoint(tmp_path / "model.ckpt", head, counts, cal)
     ds = load_features(tmp_path / "data.train")
     head2, _, cal2 = load_checkpoint(tmp_path / "model.ckpt")
-    for array in (ds.features, head2.params.vector, head2.cls_weight,
-                  cal2.params.vector):
+    for array in (head2.params.vector, head2.cls_weight, cal2.params.vector):
         assert array.flags.writeable
     assert not ds.labels.flags.writeable  # the dataset's own read-only copy
+    assert not ds.features.flags.writeable  # a read-only view, not a copy
     head2.cls_bias += 1.0
     np.testing.assert_array_equal(head2.cls_bias, head.cls_bias + 1.0)
 

@@ -11,9 +11,10 @@ import numpy as np
 import pytest
 
 import lthead
-from lthead import (CLASS_BALANCED, ConfigError, DataError, DecoderConfig,
-                    DomainError, EvaluationError, FeatureDataset, FormatError,
-                    ShapeError, StateError, SyntheticSpec, TextClassEmbeddings,
+from lthead import (CLASS_BALANCED, ClassStats, ConfigError, DataError,
+                    DecoderConfig, DomainError, EvaluationError,
+                    FeatureDataset, FormatError, LossSpec, ShapeError,
+                    StateError, SyntheticSpec, TextClassEmbeddings,
                     TrainConfig, backward_batch, build_class_stats, calibrators,
                     context_weight_norms, finite_diff_check, forward_batch,
                     gelu, gelu_with_grad, init_calibrator, init_decoder,
@@ -363,6 +364,38 @@ def test_int_fields_accept_numpy_integers(config):
     assert config(**{**kwargs, **as_int64}) == plain
 
 
+# The one scalar-field rule (`numerics.check_fields`) over all four configs.
+FIELD_CONFIGS = {**INT_CONFIGS, LossSpec: dict(
+    variant="ce", weights=np.ones(3), biases=np.zeros(3), margins=np.zeros(3))}
+FIELD_CASES = [  # (config, field, value, the message after the field's name)
+    (config, f.name, value, message) for config in FIELD_CONFIGS
+    for f in dataclasses.fields(config)
+    for value, message in {
+        "int": [(True, "must be an integer, got True")],
+        "float": [("x", "must be a real number, got 'x'"),
+                  (True, "must be a real number, got True"),
+                  (math.nan, "must be finite, got nan"),
+                  (10 ** 400, f"must be finite, got {10 ** 400}")],
+    }.get(f.type, [])]
+
+
+def test_field_cases_cover_every_config():
+    assert {(c, n) for c, n, _, _ in FIELD_CASES} >= {
+        (TrainConfig, "lr0"), (TrainConfig, "batch_size"),
+        (SyntheticSpec, "noise"), (DecoderConfig, "mlp_ratio"),
+        (LossSpec, "gamma"), (LossSpec, "lam")}
+
+
+@pytest.mark.parametrize("config, name, value, message", FIELD_CASES,
+                         ids=[f"{c.__name__}.{n}={v!r}" for c, n, v, _ in FIELD_CASES])
+def test_scalar_field_refused_naming_it(config, name, value, message):
+    # a bool would have run as 0 or 1; text, NaN or an int beyond float64
+    # ended in a bare TypeError or OverflowError, or a later, unnamed refusal
+    with pytest.raises(ConfigError, match=f"^{name} {message}$") as info:
+        config(**{**FIELD_CONFIGS[config], name: value})
+    assert type(info.value) is ConfigError
+
+
 # The input rules per dtype kind (README, losses). Label-like arguments take
 # integers and whole, finite floats below 2^63; class ids must also form a
 # vector in [0, K). Real-valued arguments take bool, integer and float arrays.
@@ -395,11 +428,12 @@ LABEL_ENTRIES = {  # (export, argument): (call with a two-entry value, message n
     ("FeatureDataset", "labels"): (
         lambda v: FeatureDataset(np.ones((2, 1, 2)), v, 3), "labels"),
     ("stats_from_counts", "counts"): (stats_from_counts, "counts"),
+    ("ClassStats", "counts"): (ClassStats, "counts"),
     ("save_checkpoint", "class_counts"): (  # writes into the test's tmp_path
         lambda v: save_checkpoint("model.ckpt", HEAD2, v), "counts"),
 }
 NOT_CLASS_IDS = {("stats_from_counts", "counts"),  # counts have no K to exceed
-                 ("save_checkpoint", "class_counts")}
+                 ("ClassStats", "counts"), ("save_checkpoint", "class_counts")}
 
 MALFORMED_REALS = {"complex": np.complex128, "string": "U1", "object": object}
 REAL_ENTRIES = {  # (export, argument): (call, well-formed shape, message name)
@@ -412,6 +446,8 @@ REAL_ENTRIES = {  # (export, argument): (call, well-formed shape, message name)
         lambda v: FeatureDataset(v, [0, 1], 3), (2, 1, 2), "features"),
     ("TextClassEmbeddings.from_matrix", "matrix"): (
         TextClassEmbeddings.from_matrix, (3, 2), "class embeddings"),
+    ("TextClassEmbeddings", "matrix"): (
+        TextClassEmbeddings, (3, 2), "class embeddings"),
     ("zero_shot_classify", "image_embs"): (
         lambda v: zero_shot_classify(v, EMB), (2, 3), "image embeddings"),
     ("forward_batch", "tokens"): (
@@ -454,11 +490,6 @@ REAL_ENTRIES = {  # (export, argument): (call, well-formed shape, message name)
         (2, 3), "dadjusted"),
 }
 
-# Records that checked entries build; they validate nothing themselves.
-UNCHECKED_RECORDS = {
-    ("ClassStats", "counts"): "built by build_class_stats and stats_from_counts",
-    ("TextClassEmbeddings", "matrix"): "built by TextClassEmbeddings.from_matrix",
-}
 # Scalars that share a swept argument's name.
 NOT_ARRAYS = {
     ("SyntheticSpec", "tokens"): "the token count per sample",
@@ -549,8 +580,7 @@ def _exported_arguments():
 
 
 def test_every_swept_argument_of_an_export_has_a_sweep_row():
-    swept = (set(LABEL_ENTRIES) | set(REAL_ENTRIES) | set(UNCHECKED_RECORDS)
-             | set(NOT_ARRAYS))
+    swept = set(LABEL_ENTRIES) | set(REAL_ENTRIES) | set(NOT_ARRAYS)
     missing = [arg for arg in _exported_arguments()
                if arg[1] in SWEPT_ARGUMENTS and arg not in swept]
     assert missing == []
